@@ -6,10 +6,11 @@ Run:  python3 demos/03_risk_metrics.py
 
 from uncertain_ssl import (
     InfeasibilityError,
+    absolute_reduction,
     bayes_risk,
     labeled_needed,
+    oracle_relative_reduction,
     oracle_risk,
-    reduction_report,
     solve_certainty,
     supervised_risk_theory,
     usefulness,
@@ -27,11 +28,11 @@ print("== Error levels and reductions at eta=0.2 across the SNR ==")
 for lam in (0.5, 1.0, 2.0, 4.0):
     e_sup = supervised_risk_theory(lam, 1.0, 0.2)
     e_semi = bayes_risk(solve_certainty(lam, 1.0, 0.2).q_u)
-    rep = reduction_report(e_sup, e_semi, oracle_risk(lam))
+    e_oracle = oracle_risk(lam)
     print(
-        f"  lam={lam:.1f}: sup={rep.e_sup:.4f} semi={rep.e_semi:.4f} "
-        f"oracle={rep.e_oracle:.4f}  abs={rep.absolute_reduction:.1%} "
-        f"to-oracle={rep.oracle_relative_reduction:.1%}"
+        f"  lam={lam:.1f}: sup={e_sup:.4f} semi={e_semi:.4f} "
+        f"oracle={e_oracle:.4f}  abs={absolute_reduction(e_sup, e_semi):.1%} "
+        f"to-oracle={oracle_relative_reduction(e_sup, e_semi, e_oracle):.1%}"
     )
 
 print()

@@ -16,7 +16,6 @@ from .kernel import (
     approx_error_grid,
     channel_overlap,
     channel_overlap_approx,
-    gauss_expect,
     gaussian_tail,
     hermite_rule,
     overlap_integrand,
@@ -38,31 +37,24 @@ from .overlaps import (
 )
 from .risk import (
     InfeasibilityError,
-    ReductionReport,
     RiskReport,
     absolute_reduction,
     bayes_risk,
-    effective_eta,
     labeled_needed,
     oracle_relative_reduction,
     oracle_risk,
-    reduction_report,
     risk_report,
     supervised_risk_theory,
     usefulness,
 )
 from .simulate import (
-    ChannelSample,
     ClassifierOutput,
     Dataset,
-    LabelInfo,
     SimulationError,
-    channel_overlap_mc,
     channel_overlap_mc_stats,
     classify_oracle,
     classify_semisupervised,
     classify_supervised,
-    draw_channel_sample,
     generate_dataset,
     labeled_needed_empirical,
     reference_error,
@@ -81,7 +73,6 @@ __all__ = [
     "overlap_integrand",
     "overlap_integrand_series",
     "overlap_integrand_approx",
-    "gauss_expect",
     "channel_overlap",
     "channel_overlap_approx",
     "approx_error_grid",
@@ -99,26 +90,19 @@ __all__ = [
     # risk
     "InfeasibilityError",
     "RiskReport",
-    "ReductionReport",
     "bayes_risk",
     "oracle_risk",
     "usefulness",
     "absolute_reduction",
     "oracle_relative_reduction",
     "labeled_needed",
-    "effective_eta",
     "supervised_risk_theory",
     "risk_report",
-    "reduction_report",
     # simulate
     "SimulationError",
-    "LabelInfo",
-    "ChannelSample",
     "Dataset",
     "ClassifierOutput",
     "generate_dataset",
-    "draw_channel_sample",
-    "channel_overlap_mc",
     "channel_overlap_mc_stats",
     "classify_oracle",
     "classify_supervised",

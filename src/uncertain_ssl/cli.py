@@ -69,6 +69,9 @@ EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_INFEASIBLE = 4
 
+# Largest table a grid-valued command may build, in cells.
+MAX_GRID_CELLS = 1_000_000
+
 
 class CliError(Exception):
     """Configuration or usage problem; maps to exit code 2."""
@@ -122,6 +125,40 @@ def _write_manifest(base_path: str, command: str, params: dict) -> None:
     _write_text(base_path + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+# JSON kind of each type ``json.load`` returns; ``bool`` is a key of its own,
+# so a boolean never passes for a number.
+_JSON_KINDS = {
+    bool: "boolean",
+    int: "integer",
+    float: "number",
+    str: "string",
+    list: "array",
+    dict: "object",
+    type(None): "null",
+}
+
+
+def _json_kind(value) -> str:
+    return _JSON_KINDS[type(value)]
+
+
+def _check_kind(name: str, value, default) -> None:
+    """Reject a config value whose JSON kind differs from its default's.
+
+    An integer may stand for a number, never the other way round, and a
+    boolean is never a number; arrays are checked item by item against the
+    default's first item.
+    """
+    want, got = _json_kind(default), _json_kind(value)
+    if got != want and not (want == "number" and got == "integer"):
+        raise CliError(f"config key {name!r}: expected {want}, got {got}")
+    if got == "number" and not math.isfinite(value):
+        raise CliError(f"config key {name!r} must be finite")
+    if want == "array" and default:
+        for index, item in enumerate(value):
+            _check_kind(f"{name}[{index}]", item, default[0])
+
+
 def _resolve_config(args, defaults: dict) -> dict:
     cfg = dict(defaults)
     if args.config is not None:
@@ -137,6 +174,10 @@ def _resolve_config(args, defaults: dict) -> dict:
         unknown = sorted(set(loaded) - set(defaults))
         if unknown:
             raise CliError(f"unknown config keys: {unknown}")
+        for key, value in loaded.items():
+            # keys that default to null are checked where they are used
+            if defaults[key] is not None:
+                _check_kind(key, value, defaults[key])
         cfg.update(loaded)
     for flag in ("seed", "reps", "tol"):
         value = getattr(args, flag)
@@ -144,6 +185,8 @@ def _resolve_config(args, defaults: dict) -> dict:
             if flag not in defaults:
                 raise CliError(f"--{flag} is not used by this command")
             cfg[flag] = value
+    if "reps" in cfg and cfg["reps"] < 1:
+        raise CliError("reps must be at least 1")
     return cfg
 
 
@@ -153,23 +196,30 @@ def _mixture_from_config(cfg: dict) -> EpsilonMixture:
     if (eta is None) == (atoms is None):
         raise CliError("specify exactly one of 'eta' or 'mixture'")
     if eta is not None:
-        if not 0.0 <= float(eta) <= 1.0:
-            raise CliError("eta must lie in [0, 1]")
+        if _json_kind(eta) not in ("integer", "number") or not 0.0 <= eta <= 1.0:
+            raise CliError("eta must be a number in [0, 1]")
         return EpsilonMixture.certainty(float(eta))
+    if _json_kind(atoms) != "array" or not all(
+        _json_kind(atom) == "array"
+        and len(atom) == 2
+        and all(_json_kind(x) in ("integer", "number") for x in atom)
+        for atom in atoms
+    ):
+        raise CliError("mixture must be an array of [eps, weight] number pairs")
     try:
         return EpsilonMixture(atoms=tuple((float(e), float(w)) for e, w in atoms))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"invalid mixture: {exc}") from exc
 
 
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+def _grid_size(lo: float, hi: float, step: float) -> int:
+    """Point count of the grid lo, lo + step, ..., hi, checked before it is built."""
     if step <= 0.0 or hi < lo:
         raise CliError("grid bounds must be increasing with a positive step")
-    count = int(round((hi - lo) / step)) + 1
-    grid = np.linspace(lo, hi, count)
-    if grid.size == 0:
-        raise CliError("empty grid")
-    return grid
+    steps = (hi - lo) / step
+    if not steps < MAX_GRID_CELLS:
+        raise CliError(f"grid has more than {MAX_GRID_CELLS} points")
+    return int(round(steps)) + 1
 
 
 def _intended_mixture(labeling) -> EpsilonMixture:
@@ -190,17 +240,11 @@ def cmd_solve(args) -> int:
         "mixture": None,
         "tol": 1e-10,
         "max_iter": 10000,
-        "damping": 0.5,
     }
     cfg = _resolve_config(args, defaults)
     mixture = _mixture_from_config(cfg)
     params = ProblemParams(lam=float(cfg["lambda"]), c=float(cfg["c"]), mixture=mixture)
-    solution = solve_overlaps(
-        params,
-        tol=float(cfg["tol"]),
-        max_iter=int(cfg["max_iter"]),
-        damping=float(cfg["damping"]),
-    )
+    solution = solve_overlaps(params, tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"]))
     report = risk_report(params.lam, solution)
     header = ["q_u", "q_v", "bayes_risk", "oracle_risk", "usefulness", "residual", "iterations"]
     row = [
@@ -230,8 +274,16 @@ def cmd_approx_error(args) -> int:
         "q_step": 0.1,
     }
     cfg = _resolve_config(args, defaults)
-    eps_grid = _grid(float(cfg["eps_min"]), float(cfg["eps_max"]), float(cfg["eps_step"]))
-    q_grid = _grid(float(cfg["q_min"]), float(cfg["q_max"]), float(cfg["q_step"]))
+    axes = [(cfg[f"{x}_min"], cfg[f"{x}_max"], cfg[f"{x}_step"]) for x in ("eps", "q")]
+    counts = [_grid_size(*axis) for axis in axes]
+    if counts[0] * counts[1] > MAX_GRID_CELLS:
+        raise CliError(
+            f"eps x q grid has {counts[0]} x {counts[1]} cells, "
+            f"more than {MAX_GRID_CELLS}"
+        )
+    eps_grid, q_grid = (
+        np.linspace(lo, hi, count) for (lo, hi, _), count in zip(axes, counts)
+    )
     surface = approx_error_grid(eps_grid, q_grid)
     rows = []
     breaks = set()
@@ -250,18 +302,12 @@ def cmd_usefulness(args) -> int:
     defaults = {"q_max": 25.0, "points": 200, "q_min_positive": 1e-3}
     cfg = _resolve_config(args, defaults)
     points = int(cfg["points"])
-    if points < 2:
-        raise CliError("points must be at least 2")
-    q_grid = np.concatenate(
-        [
-            [0.0],
-            np.logspace(
-                math.log10(float(cfg["q_min_positive"])),
-                math.log10(float(cfg["q_max"])),
-                points - 1,
-            ),
-        ]
-    )
+    if not 2 <= points <= MAX_GRID_CELLS:
+        raise CliError(f"points must lie in [2, {MAX_GRID_CELLS}]")
+    q_lo, q_hi = float(cfg["q_min_positive"]), float(cfg["q_max"])
+    if not 0.0 < q_lo < q_hi:
+        raise CliError("need 0 < q_min_positive < q_max")
+    q_grid = np.concatenate([[0.0], np.logspace(math.log10(q_lo), math.log10(q_hi), points - 1)])
     rows = [[bayes_risk(q), channel_overlap(0.0, q)] for q in q_grid]
     out = args.out if args.out is not None else "usefulness.dat"
     _write_text(out, _table_text(["eps", "y"], rows))
@@ -572,7 +618,7 @@ def main(argv=None) -> int:
     except (InfeasibilityError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (CliError, ValueError, TypeError) as exc:
+    except (CliError, ValueError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -36,7 +36,6 @@ __all__ = [
     "overlap_integrand",
     "overlap_integrand_series",
     "overlap_integrand_approx",
-    "gauss_expect",
     "channel_overlap",
     "channel_overlap_approx",
     "approx_error_grid",
@@ -213,42 +212,25 @@ def overlap_integrand_approx(eps, t):
     return float(out) if out.ndim == 0 else out
 
 
-def gauss_expect(g, q, rule: QuadratureRule | None = None) -> float:
-    """E[g(q + sqrt(q) Z)] for Z ~ N(0, 1), by weighted quadrature nodes.
-
-    ``g`` must accept an ndarray and be bounded on the real line; q = 0
-    short-circuits to g(0) exactly.
-    """
-    qf = _check_snr(q)
-    if rule is None:
-        rule = DEFAULT_RULE
-    if qf == 0.0:
-        return float(g(np.float64(0.0)))
-    pts = qf + math.sqrt(qf) * rule.nodes
-    return float(rule.weights @ np.asarray(g(pts), dtype=float))
-
-
-def channel_overlap(eps, q, rule: QuadratureRule | None = None) -> float:
+def channel_overlap(eps, q) -> float:
     """Alignment F_eps(q) = E[S * E[S|U]] of the Gaussian channel U = sqrt(q) S + Z.
 
     S is ±1 with prior mean eps.  Equals eps**2 at q = 0, is nondecreasing in
     q, saturates toward 1, and is identically 1 for the certain priors
-    |eps| = 1 (returned exactly).
+    |eps| = 1 (returned exactly).  The average over Z uses ``DEFAULT_RULE``.
     """
     e = float(_check_eps(float(eps)))
     qf = _check_snr(q)
-    if rule is None:
-        rule = DEFAULT_RULE
     e2 = e * e
     if e2 == 1.0:
         return 1.0
     if qf == 0.0:
         return e2
-    th = np.tanh(qf + math.sqrt(qf) * rule.nodes)
-    return float(rule.weights @ _psi_from_tanh(e2, th))
+    th = np.tanh(qf + math.sqrt(qf) * DEFAULT_RULE.nodes)
+    return float(DEFAULT_RULE.weights @ _psi_from_tanh(e2, th))
 
 
-def channel_overlap_approx(eps, q, rule: QuadratureRule | None = None) -> float:
+def channel_overlap_approx(eps, q) -> float:
     """Simplified channel overlap, the quadrature of ``overlap_integrand_approx``.
 
     Satisfies exactly eps**2 + (1 - eps**2) * channel_overlap(0, q); shares
@@ -256,20 +238,16 @@ def channel_overlap_approx(eps, q, rule: QuadratureRule | None = None) -> float:
     """
     e = float(_check_eps(float(eps)))
     qf = _check_snr(q)
-    if rule is None:
-        rule = DEFAULT_RULE
     e2 = e * e
     if e2 == 1.0:
         return 1.0
     if qf == 0.0:
         return e2
-    th = np.tanh(qf + math.sqrt(qf) * rule.nodes)
-    return float(rule.weights @ _psi_tilde_from_tanh(e2, th))
+    th = np.tanh(qf + math.sqrt(qf) * DEFAULT_RULE.nodes)
+    return float(DEFAULT_RULE.weights @ _psi_tilde_from_tanh(e2, th))
 
 
-def approx_error_grid(
-    eps_values, q_values, rule: QuadratureRule | None = None
-) -> np.ndarray:
+def approx_error_grid(eps_values, q_values) -> np.ndarray:
     """Relative error |F_eps - F~_eps| / F_eps on an (eps, q) grid.
 
     Returns an array of shape (len(eps_values), len(q_values)).  Rows at
@@ -280,10 +258,8 @@ def approx_error_grid(
     q = np.atleast_1d(np.asarray(q_values, dtype=float))
     if not np.all(np.isfinite(q)) or np.any(q <= 0.0):
         raise ValueError("q grid values must be finite and positive")
-    if rule is None:
-        rule = DEFAULT_RULE
-    th = np.tanh(q[:, None] + np.sqrt(q)[:, None] * rule.nodes[None, :])  # (Q, N)
+    th = np.tanh(q[:, None] + np.sqrt(q)[:, None] * DEFAULT_RULE.nodes[None, :])  # (Q, N)
     e2 = (e * e)[:, None, None]  # (E, 1, 1)
-    big = _psi_from_tanh(e2, th[None, :, :]) @ rule.weights  # (E, Q)
-    small = _psi_tilde_from_tanh(e2, th[None, :, :]) @ rule.weights  # (E, Q)
+    big = _psi_from_tanh(e2, th[None, :, :]) @ DEFAULT_RULE.weights  # (E, Q)
+    small = _psi_tilde_from_tanh(e2, th[None, :, :]) @ DEFAULT_RULE.weights  # (E, Q)
     return np.abs(big - small) / big

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernel import DEFAULT_RULE, QuadratureRule, channel_overlap
+from .kernel import channel_overlap
 
 __all__ = [
     "EpsilonMixture",
@@ -165,17 +165,11 @@ def qu_from_qv(lam: float, c: float, q_v: float) -> float:
     return lam * lam * c * q_v / (1.0 + lam * c * q_v)
 
 
-def qv_from_qu(
-    mixture: EpsilonMixture, q_u: float, rule: QuadratureRule | None = None
-) -> float:
+def qv_from_qu(mixture: EpsilonMixture, q_u: float) -> float:
     """Label-overlap map: mixture average of the channel overlap at SNR q_u."""
     if not isinstance(mixture, EpsilonMixture):
         raise TypeError("mixture must be an EpsilonMixture")
-    if rule is None:
-        rule = DEFAULT_RULE
-    return float(
-        sum(wj * channel_overlap(e, q_u, rule) for e, wj in mixture.atoms)
-    )
+    return float(sum(wj * channel_overlap(e, q_u) for e, wj in mixture.atoms))
 
 
 def _secant_polish(defect, q0: float, max_steps: int = 60, f_tol: float = 1e-14):
@@ -209,25 +203,20 @@ def _secant_polish(defect, q0: float, max_steps: int = 60, f_tol: float = 1e-14)
 
 
 def _solve_from(
-    params: ProblemParams,
-    q_v0: float,
-    tol: float,
-    max_iter: int,
-    damping: float,
-    rule: QuadratureRule,
+    params: ProblemParams, q_v0: float, tol: float, max_iter: int
 ) -> OverlapSolution:
     lam, c, mixture = params.lam, params.c, params.mixture
 
     def defect(q_v: float) -> float:
-        return q_v - qv_from_qu(mixture, qu_from_qv(lam, c, q_v), rule)
+        return q_v - qv_from_qu(mixture, qu_from_qv(lam, c, q_v))
 
     q_v = q_v0
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        target = qv_from_qu(mixture, qu_from_qv(lam, c, q_v), rule)
+        target = qv_from_qu(mixture, qu_from_qv(lam, c, q_v))
         if abs(target - q_v) < tol:
             break
-        q_v = q_v + damping * (target - q_v)
+        q_v = q_v + 0.5 * (target - q_v)  # damped: halfway to the map's value
     q_v = _secant_polish(defect, q_v)
     if mixture.eps_bar_sq == 0.0 and q_v <= 1e-5:
         # All-unlabeled mixtures always admit the exact solution (0, 0); a
@@ -237,7 +226,7 @@ def _solve_from(
     q_u = qu_from_qv(lam, c, q_v)
     residual = max(
         abs(q_u - qu_from_qv(lam, c, q_v)),
-        abs(q_v - qv_from_qu(mixture, q_u, rule)),
+        abs(q_v - qv_from_qu(mixture, q_u)),
     )
     return OverlapSolution(
         q_u=q_u,
@@ -252,8 +241,6 @@ def solve_overlaps(
     params: ProblemParams,
     tol: float = 1e-10,
     max_iter: int = 10000,
-    damping: float = 0.5,
-    rule: QuadratureRule | None = None,
 ) -> OverlapSolution:
     """Solve the coupled overlap system by damped alternating iteration.
 
@@ -271,16 +258,9 @@ def solve_overlaps(
         raise ValueError("tol must be positive")
     if int(max_iter) < 1:
         raise ValueError("max_iter must be at least 1")
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
-    if rule is None:
-        rule = DEFAULT_RULE
 
     inits = (1.0, max(params.mixture.eps_bar_sq, 1e-6))
-    runs = [
-        _solve_from(params, q_v0, tol, int(max_iter), float(damping), rule)
-        for q_v0 in inits
-    ]
+    runs = [_solve_from(params, q_v0, tol, int(max_iter)) for q_v0 in inits]
     converged = [r for r in runs if r.converged]
     if not converged:
         best = min(runs, key=lambda r: r.residual)
@@ -307,20 +287,16 @@ def solve_certainty(
     eta: float,
     tol: float = 1e-10,
     max_iter: int = 10000,
-    damping: float = 0.5,
-    rule: QuadratureRule | None = None,
 ) -> OverlapSolution:
     """Certainty-labeled special case: mixture {(1, eta), (0, 1 - eta)}."""
     params = ProblemParams(lam=float(lam), c=float(c), mixture=EpsilonMixture.certainty(eta))
-    return solve_overlaps(params, tol=tol, max_iter=max_iter, damping=damping, rule=rule)
+    return solve_overlaps(params, tol=tol, max_iter=max_iter)
 
 
 def solve_approx(
     params: ProblemParams,
     tol: float = 1e-10,
     max_iter: int = 10000,
-    damping: float = 0.5,
-    rule: QuadratureRule | None = None,
 ) -> OverlapSolution:
     """Approximate solve with the label map collapsed onto eps_bar_sq.
 
@@ -336,8 +312,6 @@ def solve_approx(
         params.mixture.eps_bar_sq,
         tol=tol,
         max_iter=max_iter,
-        damping=damping,
-        rule=rule,
     )
 
 

@@ -20,23 +20,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .kernel import QuadratureRule, channel_overlap, gaussian_tail
-from .overlaps import EpsilonMixture, OverlapSolution, qu_from_qv
+from .kernel import channel_overlap, gaussian_tail
+from .overlaps import OverlapSolution, qu_from_qv
 
 __all__ = [
     "InfeasibilityError",
     "RiskReport",
-    "ReductionReport",
     "bayes_risk",
     "oracle_risk",
     "usefulness",
     "absolute_reduction",
     "oracle_relative_reduction",
     "labeled_needed",
-    "effective_eta",
     "supervised_risk_theory",
     "risk_report",
-    "reduction_report",
 ]
 
 
@@ -64,13 +61,13 @@ def oracle_risk(lam) -> float:
     return gaussian_tail(math.sqrt(_check_nonneg(lam, "lam")))
 
 
-def usefulness(q_u, rule: QuadratureRule | None = None) -> float:
+def usefulness(q_u) -> float:
     """Information value F(q_u) of an unlabeled sample, relative to a labeled one.
 
     0 when the task is hopeless (Bayes risk 0.5), approaching 1 as the task
     becomes easy; monotone decreasing as a function of the Bayes risk.
     """
-    return channel_overlap(0.0, _check_nonneg(q_u, "q_u"), rule)
+    return channel_overlap(0.0, _check_nonneg(q_u, "q_u"))
 
 
 def absolute_reduction(e_sup: float, e_semi: float) -> float:
@@ -137,17 +134,6 @@ def labeled_needed(eta: float, kappa: float, n: int) -> float:
     return eta / conf_sq * int(n)
 
 
-def effective_eta(mixture: EpsilonMixture) -> float:
-    """Mean squared confidence of a mixture: its certainty-labeled equivalent.
-
-    For a fraction n_l/n of samples labeled with uniform reliability kappa
-    this is (n_l/n) (2 kappa - 1)^2.
-    """
-    if not isinstance(mixture, EpsilonMixture):
-        raise TypeError("mixture must be an EpsilonMixture")
-    return mixture.eps_bar_sq
-
-
 def supervised_risk_theory(lam: float, c: float, eta: float) -> float:
     """Asymptotic error of learning from the labeled subsample alone.
 
@@ -173,38 +159,14 @@ class RiskReport:
     q_v: float
 
 
-def risk_report(
-    lam: float, solution: OverlapSolution, rule: QuadratureRule | None = None
-) -> RiskReport:
+def risk_report(lam: float, solution: OverlapSolution) -> RiskReport:
     """Bundle the decision metrics of a solved overlap pair."""
     if not isinstance(solution, OverlapSolution):
         raise TypeError("solution must be an OverlapSolution")
     return RiskReport(
         bayes_risk=bayes_risk(solution.q_u),
         oracle_risk=oracle_risk(lam),
-        usefulness=usefulness(solution.q_u, rule),
+        usefulness=usefulness(solution.q_u),
         q_u=solution.q_u,
         q_v=solution.q_v,
-    )
-
-
-@dataclass(frozen=True)
-class ReductionReport:
-    """Supervised/semi-supervised/oracle error levels and both reductions."""
-
-    e_sup: float
-    e_semi: float
-    e_oracle: float
-    absolute_reduction: float
-    oracle_relative_reduction: float
-
-
-def reduction_report(e_sup: float, e_semi: float, e_oracle: float) -> ReductionReport:
-    """Compute both error-reduction ratios from three error levels."""
-    return ReductionReport(
-        e_sup=float(e_sup),
-        e_semi=float(e_semi),
-        e_oracle=float(e_oracle),
-        absolute_reduction=absolute_reduction(e_sup, e_semi),
-        oracle_relative_reduction=oracle_relative_reduction(e_sup, e_semi, e_oracle),
     )

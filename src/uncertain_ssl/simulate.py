@@ -28,13 +28,9 @@ from .risk import InfeasibilityError
 
 __all__ = [
     "SimulationError",
-    "LabelInfo",
-    "ChannelSample",
     "Dataset",
     "ClassifierOutput",
     "generate_dataset",
-    "draw_channel_sample",
-    "channel_overlap_mc",
     "channel_overlap_mc_stats",
     "classify_oracle",
     "classify_supervised",
@@ -48,51 +44,13 @@ class SimulationError(RuntimeError):
     """Degenerate simulation state (no usable labels, zero scores, size mismatch)."""
 
 
-@dataclass(frozen=True)
-class LabelInfo:
-    """Per-sample confidence couple (d1, d2) and its signed summary eps = d2 - d1.
-
-    d1 is the reported probability of class 1 (y = -1), d2 of class 2
-    (y = +1); the couple sums to one, so eps determines it completely.
-    """
-
-    d1: float
-    d2: float
-    eps: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.d1 <= 1.0 and 0.0 <= self.d2 <= 1.0):
-            raise ValueError("d1 and d2 must be probabilities")
-        if abs(self.d1 + self.d2 - 1.0) > 1e-12:
-            raise ValueError("d1 + d2 must equal 1 within 1e-12")
-        if abs(self.eps - (self.d2 - self.d1)) > 1e-12:
-            raise ValueError("eps must equal d2 - d1 within 1e-12")
-
-    @classmethod
-    def from_eps(cls, eps: float) -> "LabelInfo":
-        eps = float(eps)
-        if abs(eps) > 1.0:
-            raise ValueError("eps must lie in [-1, 1]")
-        return cls(d1=(1.0 - eps) / 2.0, d2=(1.0 + eps) / 2.0, eps=eps)
-
-
-@dataclass(frozen=True)
-class ChannelSample:
-    """One draw of the scalar channel: signal s = ±1, output u, prior mean eps."""
-
-    s: int
-    u: float
-    eps: float
-
-
 @dataclass
 class Dataset:
     """Synthetic mixture sample with the hidden truth retained for scoring.
 
     ``features`` is p x n with column i distributed as y_i * truth_mean plus
     standard normal noise; ``label_eps`` holds each sample's signed confidence
-    (0 for unlabeled).  The full confidence couples are materialised on demand
-    through ``labels``.
+    (0 for unlabeled).
     """
 
     features: np.ndarray
@@ -120,10 +78,6 @@ class Dataset:
     def snr(self) -> float:
         """Squared center norm ||mu||^2 of the realised truth mean."""
         return float(self.truth_mean @ self.truth_mean)
-
-    @property
-    def labels(self) -> tuple[LabelInfo, ...]:
-        return tuple(LabelInfo.from_eps(e) for e in self.label_eps)
 
 
 @dataclass
@@ -220,15 +174,6 @@ def generate_dataset(p: int, n: int, lam: float, labeling, seed) -> Dataset:
     return Dataset(features=features, truth_labels=y, label_eps=eps, truth_mean=mu)
 
 
-def draw_channel_sample(eps: float, q: float, rng: np.random.Generator) -> ChannelSample:
-    """One draw of the scalar channel u = sqrt(q) s + z with prior mean eps."""
-    eps = float(eps)
-    q = float(q)
-    s = 1 if rng.random() < (1.0 + eps) / 2.0 else -1
-    u = math.sqrt(q) * s + rng.standard_normal()
-    return ChannelSample(s=s, u=u, eps=eps)
-
-
 def channel_overlap_mc_stats(
     eps: float, q: float, trials: int, seed
 ) -> tuple[float, float]:
@@ -252,11 +197,6 @@ def channel_overlap_mc_stats(
     mean = float(np.mean(aligned))
     stderr = float(np.std(aligned) / math.sqrt(trials))
     return mean, stderr
-
-
-def channel_overlap_mc(eps: float, q: float, trials: int, seed) -> float:
-    """Monte Carlo estimate of the channel overlap (mean of ``..._stats``)."""
-    return channel_overlap_mc_stats(eps, q, trials, seed)[0]
 
 
 def classify_oracle(ds: Dataset) -> ClassifierOutput:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from uncertain_ssl import cli
 from uncertain_ssl.cli import main
 
 
@@ -58,6 +59,38 @@ class TestSolveCommand:
         row = out.read_text().splitlines()[1].split()
         assert float(row[5]) < 1e-9
 
+    # The solver's rows at a regular and at the critical point lam^2 c = 1,
+    # residual and iteration count included, so the test pins the solver's
+    # numerics and not only its answer; perfbench/reference holds the same
+    # text.
+    @pytest.mark.parametrize(
+        "cfg, row",
+        [
+            (
+                {"lambda": 2.0, "c": 1.0, "eta": 0.2},
+                "1.14960336674 0.675921870905 0.141816097116 0.0786496035251 "
+                "0.594902338632 0 41",
+            ),
+            ({"lambda": 1.0, "c": 1.0, "eta": 0.0}, "0 0 0.5 0.158655253931 0 0 10000"),
+        ],
+        ids=["regular", "critical"],
+    )
+    def test_golden_rows(self, tmp_path, cfg, row):
+        config = write_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "solve.dat"
+        assert run_cli("solve", "--config", config, "--out", str(out)) == 0
+        assert out.read_text() == (
+            "q_u q_v bayes_risk oracle_risk usefulness residual iterations\n" + row + "\n"
+        )
+
+    def test_integers_stand_for_numbers(self, tmp_path):
+        floats = write_config(tmp_path / "f.json", {"lambda": 2.0, "c": 1.0, "eta": 0.2})
+        ints = write_config(tmp_path / "i.json", {"lambda": 2, "c": 1, "eta": 0.2})
+        out_f, out_i = tmp_path / "f.dat", tmp_path / "i.dat"
+        assert run_cli("solve", "--config", floats, "--out", str(out_f)) == 0
+        assert run_cli("solve", "--config", ints, "--out", str(out_i)) == 0
+        assert read_bytes(out_f) == read_bytes(out_i)
+
     def test_mixture_config(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -74,6 +107,78 @@ class TestExitCodes:
         assert run_cli("solve", "--config", bad) == 2
         assert run_cli("solve", "--seed", "3") == 2  # solve takes no seed
         assert run_cli("no-such-command") == 2
+
+    def test_damping_key_rejected(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "cfg.json", {"lambda": 2.0, "c": 1.0, "eta": 0.2, "damping": 0.5}
+        )
+        assert run_cli("solve", "--config", cfg) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "reduction", "labeled-needed"])
+    def test_reps_below_one_rejected(self, tmp_path, command):
+        out = tmp_path / "out.dat"
+        cfg = write_config(tmp_path / "cfg.json", {"reps": 0})
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+        assert run_cli(command, "--reps", "0", "--out", str(out)) == 2
+        assert run_cli(command, "--reps", "-3", "--out", str(out)) == 2
+        assert list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("solve", {"lambda": 2.0, "c": 1.0, "eta": True}),
+            ("solve", {"lambda": 2.0, "c": 1.0, "eta": "0.2"}),
+            ("solve", {"lambda": 2.0, "c": 1.0, "eta": [0.2]}),
+            ("solve", {"lambda": True, "c": 1.0, "eta": 0.2}),
+            ("solve", {"lambda": "2", "c": 1.0, "eta": 0.2}),
+            ("solve", {"lambda": None, "c": 1.0, "eta": 0.2}),
+            ("solve", {"lambda": float("nan"), "c": 1.0, "eta": 0.2}),
+            ("solve", {"lambda": float("inf"), "c": 1.0, "eta": 0.2}),
+            ("solve", {"lambda": 10**400, "c": 1.0, "eta": 0.2}),
+            ("solve", {"lambda": 2.0, "c": 1.0, "eta": 0.2, "max_iter": 100.0}),
+            ("solve", {"lambda": 2.0, "c": 1.0, "eta": 0.2, "max_iter": False}),
+            ("solve", {"lambda": 2.0, "c": 1.0, "mixture": [[True, 1.0]]}),
+            ("solve", {"lambda": 2.0, "c": 1.0, "mixture": [["0.5", 1.0]]}),
+            ("solve", {"lambda": 2.0, "c": 1.0, "mixture": [[0.5, 0.5, 0.0]]}),
+            ("solve", {"lambda": 2.0, "c": 1.0, "mixture": "0.5"}),
+            ("simulate", {"labeling": [[0.2, True]]}),
+            ("simulate", {"labeling": [0.2, 1.0]}),
+            ("reduction", {"sweep": 1}),
+            ("reduction", {"lambdas": "1,2"}),
+            ("channel-check", {"eps_values": [0.0, None]}),
+            ("approx-error", {"eps_step": "0.1"}),
+            ("usefulness", {"points": 40.0}),
+        ],
+        ids=[
+            "eta-boolean",
+            "eta-string",
+            "eta-array",
+            "number-boolean",
+            "number-string",
+            "number-null",
+            "number-nan",
+            "number-inf",
+            "number-overflow",
+            "integer-fraction",
+            "integer-boolean",
+            "mixture-boolean",
+            "mixture-string",
+            "mixture-triple",
+            "mixture-not-array",
+            "array-item-boolean",
+            "array-item-kind",
+            "string-number",
+            "array-string",
+            "array-item-null",
+            "step-string",
+            "points-number",
+        ],
+    )
+    def test_config_kind_mismatch_rejected(self, tmp_path, command, payload):
+        out = tmp_path / "out.dat"
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_nonconvergence_exit(self, tmp_path):
         cfg = write_config(
@@ -143,6 +248,32 @@ class TestApproxErrorCommand:
         zero_rows = data[np.isin(data[:, 0], (0.0, 1.0))]
         assert np.all(zero_rows[:, 2] == 0.0)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"eps_step": 1e-9},
+            {"eps_step": 1e-300},
+            {"eps_step": 1e-3, "q_step": 1e-3},
+        ],
+        ids=["axis-over-cap", "axis-overflow", "cells-over-cap"],
+    )
+    def test_grid_over_cap_rejected_before_allocation(self, tmp_path, monkeypatch, payload):
+        linspace = np.linspace
+
+        def bounded_linspace(start, stop, num=50, **kwargs):
+            assert num <= cli.MAX_GRID_CELLS, "grid built before its size was checked"
+            return linspace(start, stop, num, **kwargs)
+
+        def no_surface(*args):
+            raise AssertionError("surface computed for an over-cap grid")
+
+        monkeypatch.setattr(np, "linspace", bounded_linspace)
+        monkeypatch.setattr(cli, "approx_error_grid", no_surface)
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out = tmp_path / "surface.dat"
+        assert run_cli("approx-error", "--config", cfg, "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_pure_theory_is_deterministic(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"eps_step": 0.5, "q_step": 4.95})
         out_a, out_b = tmp_path / "a.dat", tmp_path / "b.dat"
@@ -164,6 +295,25 @@ class TestUsefulnessCommand:
         assert data[0, 0] == 0.5 and data[0, 1] == 0.0
         assert np.all(np.diff(data[:, 0]) < 0.0)
         assert np.all(np.diff(data[:, 1]) > 0.0)
+
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"q_max": -1.0},
+            {"q_max": 1e-3},
+            {"q_min_positive": 0.0},
+            {"points": 1},
+            {"points": 10**7},
+        ],
+        ids=["q-max-negative", "q-range-empty", "q-min-zero", "too-few-points", "too-many-points"],
+    )
+    def test_bad_range_rejected(self, tmp_path, capsys, payload):
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out = tmp_path / "use.dat"
+        assert run_cli("usefulness", "--config", cfg, "--out", str(out)) == 2
+        assert "math domain error" not in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLabeledNeededCommand:

@@ -14,7 +14,6 @@ from uncertain_ssl.kernel import (
     approx_error_grid,
     channel_overlap,
     channel_overlap_approx,
-    gauss_expect,
     gaussian_tail,
     hermite_rule,
     overlap_integrand,
@@ -191,15 +190,7 @@ class TestQuadratureRule:
 
 
 class TestGaussExpect:
-    def test_constant_integrates_to_one(self):
-        assert gauss_expect(lambda t: np.ones_like(t), 3.7) == pytest.approx(1.0, abs=1e-12)
-
-    def test_identity_integrates_to_mean(self):
-        for q in (0.1, 0.7, 2.0, 9.0):
-            assert gauss_expect(lambda t: t, q) == pytest.approx(q, abs=1e-10)
-
-    def test_zero_snr_short_circuits(self):
-        assert gauss_expect(np.tanh, 0.0) == 0.0
+    """The Gaussian average behind F_0(q) = E[tanh(q + sqrt(q) Z)]."""
 
     def test_tanh_against_monte_carlo(self):
         # 1e7-draw Monte Carlo oracle for E[tanh(q + sqrt(q) Z)] at q = 0.7
@@ -207,11 +198,11 @@ class TestGaussExpect:
         rng = np.random.default_rng(20240707)
         samples = np.tanh(q + math.sqrt(q) * rng.standard_normal(10_000_000))
         mc, se = float(samples.mean()), float(samples.std() / math.sqrt(samples.size))
-        assert abs(gauss_expect(np.tanh, q) - mc) < 3.0 * se
+        assert abs(channel_overlap(0.0, q) - mc) < 3.0 * se
 
     def test_rejects_negative_snr(self):
         with pytest.raises(ValueError):
-            gauss_expect(np.tanh, -0.1)
+            channel_overlap(0.0, -0.1)
 
 
 class TestChannelOverlap:

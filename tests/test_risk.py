@@ -17,11 +17,9 @@ from uncertain_ssl.risk import (
     InfeasibilityError,
     absolute_reduction,
     bayes_risk,
-    effective_eta,
     labeled_needed,
     oracle_relative_reduction,
     oracle_risk,
-    reduction_report,
     risk_report,
     supervised_risk_theory,
     usefulness,
@@ -101,11 +99,6 @@ class TestReductions:
         with pytest.raises(ValueError):
             oracle_relative_reduction(0.2, 0.1, 0.2)
 
-    def test_report_bundles_both(self):
-        report = reduction_report(0.30, 0.20, 0.10)
-        assert report.absolute_reduction == pytest.approx(1.0 / 3.0)
-        assert report.oracle_relative_reduction == pytest.approx(0.5)
-
 
 class TestLabeledNeeded:
     def test_perfect_labels(self):
@@ -133,15 +126,17 @@ class TestLabeledNeeded:
 
 
 class TestEffectiveEta:
+    """eps_bar_sq, the fraction of certainty labels a mixture is worth."""
+
     def test_all_unlabeled(self):
-        assert effective_eta(EpsilonMixture.single(0.0)) == 0.0
+        assert EpsilonMixture.single(0.0).eps_bar_sq == 0.0
 
     def test_certainty_mixture(self):
-        assert effective_eta(EpsilonMixture.certainty(0.2)) == pytest.approx(0.2)
+        assert EpsilonMixture.certainty(0.2).eps_bar_sq == pytest.approx(0.2)
 
     def test_uniform_confidence_block(self):
         mixture = EpsilonMixture(atoms=((2.0 * 0.75 - 1.0, 0.4), (0.0, 0.6)))
-        assert effective_eta(mixture) == pytest.approx(0.1, abs=1e-15)
+        assert mixture.eps_bar_sq == pytest.approx(0.1, abs=1e-15)
 
 
 class TestSupervisedRiskTheory:
@@ -182,7 +177,7 @@ class TestEquivalenceOfSettings:
     MIX_B = EpsilonMixture(atoms=((0.5, 0.8), (0.0, 0.2)))
 
     def test_same_effective_eta(self):
-        assert effective_eta(self.MIX_A) == pytest.approx(effective_eta(self.MIX_B))
+        assert self.MIX_A.eps_bar_sq == pytest.approx(self.MIX_B.eps_bar_sq)
 
     def test_collapsed_solver_identical(self):
         for lam in (0.5, 1.0, 2.0):

@@ -9,17 +9,13 @@ import pytest
 
 from uncertain_ssl.kernel import channel_overlap, gaussian_tail
 from uncertain_ssl.overlaps import EpsilonMixture, ProblemParams
-from uncertain_ssl.risk import InfeasibilityError, effective_eta
+from uncertain_ssl.risk import InfeasibilityError
 from uncertain_ssl.simulate import (
-    ChannelSample,
-    LabelInfo,
     SimulationError,
-    channel_overlap_mc,
     channel_overlap_mc_stats,
     classify_oracle,
     classify_semisupervised,
     classify_supervised,
-    draw_channel_sample,
     generate_dataset,
     labeled_needed_empirical,
     reference_error,
@@ -28,22 +24,6 @@ from uncertain_ssl.simulate import (
 
 def binomial_se(rate: float, count: int) -> float:
     return math.sqrt(rate * (1.0 - rate) / count)
-
-
-class TestLabelInfo:
-    def test_from_eps_consistency(self):
-        info = LabelInfo.from_eps(0.5)
-        assert info.d1 == pytest.approx(0.25)
-        assert info.d2 == pytest.approx(0.75)
-        assert info.eps == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LabelInfo(d1=0.3, d2=0.6, eps=0.3)
-        with pytest.raises(ValueError):
-            LabelInfo(d1=0.2, d2=0.8, eps=0.5)
-        with pytest.raises(ValueError):
-            LabelInfo.from_eps(1.5)
 
 
 class TestGenerateDataset:
@@ -79,7 +59,7 @@ class TestGenerateDataset:
 
     def test_realized_effective_eta(self):
         ds = generate_dataset(10, 100_000, 1.0, [(0.4, 0.75)], seed=21)
-        realized = effective_eta(EpsilonMixture.from_samples(ds.label_eps))
+        realized = EpsilonMixture.from_samples(ds.label_eps).eps_bar_sq
         assert realized == pytest.approx(0.4 * 0.25, abs=1e-12)
 
     def test_column_distribution(self):
@@ -118,21 +98,14 @@ class TestGenerateDataset:
 
 class TestChannelOverlapMonteCarlo:
     def test_certain_prior_every_trial(self):
-        assert channel_overlap_mc(1.0, 3.0, 1000, seed=5) == 1.0
+        assert channel_overlap_mc_stats(1.0, 3.0, 1000, seed=5) == (1.0, 0.0)
 
     def test_unlabeled_zero_snr(self):
-        assert channel_overlap_mc(0.0, 0.0, 1000, seed=5) == 0.0
+        assert channel_overlap_mc_stats(0.0, 0.0, 1000, seed=5)[0] == 0.0
 
     def test_matches_quadrature(self):
         mc, se = channel_overlap_mc_stats(0.5, 0.8, 1_000_000, seed=42)
         assert abs(mc - channel_overlap(0.5, 0.8)) < 3.0 * se
-
-    def test_single_draw_fields(self):
-        sample = draw_channel_sample(0.5, 2.0, np.random.default_rng(0))
-        assert sample.s in (-1, 1)
-        assert sample.eps == 0.5
-        assert math.isfinite(sample.u)
-        assert isinstance(sample, ChannelSample)
 
 
 class TestClassifyOracle:
