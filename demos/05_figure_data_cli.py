@@ -2,8 +2,9 @@
 
 Each subcommand writes a whitespace table with a header row plus a JSON
 manifest of the resolved parameters; reruns with the same seed are
-byte-identical.  This script exercises the fast commands into a scratch
-directory and prints the first lines of each table.
+byte-identical.  This script exercises the fast commands into a temporary
+directory, prints the first lines of each table and removes the directory
+when it is done.
 
 Run:  python3 demos/05_figure_data_cli.py
 """
@@ -14,7 +15,9 @@ import tempfile
 
 from uncertain_ssl.cli import main
 
-scratch = pathlib.Path(tempfile.mkdtemp(prefix="uncertain_ssl_demo_"))
+# Removed by cleanup() at the end, or when the interpreter exits on an error.
+workdir = tempfile.TemporaryDirectory(prefix="uncertain_ssl_demo_")
+scratch = pathlib.Path(workdir.name)
 print(f"writing into {scratch}\n")
 
 
@@ -80,4 +83,5 @@ main(["labeled-needed", "--config", str(cfg), "--out", str(scratch / "labeled_ne
 show(scratch / "labeled_needed_th.dat")
 show(scratch / "labeled_needed_emp.dat")
 
-print(f"all tables and manifests are under {scratch}")
+print(f"tables and manifests were written under {scratch}; removing it")
+workdir.cleanup()

@@ -9,7 +9,8 @@ broadcasting is natural).  The building blocks:
 - ``overlap_integrand``  the scalar function whose Gaussian average gives the
                          signal/estimate alignment of that channel,
 - ``channel_overlap``    that alignment F_eps(q) as a function of the channel
-                         SNR q, computed by Gauss-Hermite quadrature,
+                         SNR q, computed by Gauss-Hermite quadrature for one
+                         eps or a whole array of eps at once,
 - ``channel_overlap_approx`` the simplified surrogate that keeps only the
                          eps**2 dependence, exact at eps in {0, ±1}.
 
@@ -141,7 +142,11 @@ def posterior_mean(eps, t):
     estimate at ±1 for every t (returned exactly, bypassing the 0/0 ratio at
     saturated tanh).
     """
-    e = _check_eps(eps)
+    return _posterior_mean(_check_eps(eps), t)
+
+
+def _posterior_mean(e, t):
+    """``posterior_mean`` for an eps already checked to lie in [-1, 1]."""
     th = np.tanh(np.asarray(t, dtype=float))
     with np.errstate(invalid="ignore", divide="ignore"):
         out = (th + e) / (1.0 + e * th)
@@ -212,39 +217,47 @@ def overlap_integrand_approx(eps, t):
     return float(out) if out.ndim == 0 else out
 
 
-def channel_overlap(eps, q) -> float:
+def _quadrature(integrand, eps, q):
+    """Rule average of ``integrand(eps**2, tanh(q + sqrt(q) Z))`` per eps.
+
+    One (atoms x nodes) table for all eps; each row is reduced by its own
+    dot product with the weights, so an atom's value does not depend on the
+    other atoms.  q = 0 gives eps**2 and eps**2 = 1 gives 1, both exactly.
+    """
+    e = _check_eps(eps)
+    qf = _check_snr(q)
+    e2 = (e * e).ravel()
+    if qf == 0.0:
+        out = e2
+    else:
+        th = np.tanh(qf + math.sqrt(qf) * DEFAULT_RULE.nodes)
+        psi = integrand(e2[:, None], th)
+        out = np.matmul(psi[:, None, :], DEFAULT_RULE.weights[:, None])[:, 0, 0]
+        out = np.where(e2 == 1.0, 1.0, out)
+    out = out.reshape(e.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def channel_overlap(eps, q):
     """Alignment F_eps(q) = E[S * E[S|U]] of the Gaussian channel U = sqrt(q) S + Z.
 
     S is ±1 with prior mean eps.  Equals eps**2 at q = 0, is nondecreasing in
     q, saturates toward 1, and is identically 1 for the certain priors
     |eps| = 1 (returned exactly).  The average over Z uses ``DEFAULT_RULE``.
+    A scalar eps gives a float; an array of eps gives an array of the same
+    shape, each entry equal to the scalar call at that eps.
     """
-    e = float(_check_eps(float(eps)))
-    qf = _check_snr(q)
-    e2 = e * e
-    if e2 == 1.0:
-        return 1.0
-    if qf == 0.0:
-        return e2
-    th = np.tanh(qf + math.sqrt(qf) * DEFAULT_RULE.nodes)
-    return float(DEFAULT_RULE.weights @ _psi_from_tanh(e2, th))
+    return _quadrature(_psi_from_tanh, eps, q)
 
 
-def channel_overlap_approx(eps, q) -> float:
+def channel_overlap_approx(eps, q):
     """Simplified channel overlap, the quadrature of ``overlap_integrand_approx``.
 
     Satisfies exactly eps**2 + (1 - eps**2) * channel_overlap(0, q); shares
-    the q = 0 and |eps| = 1 values with ``channel_overlap``.
+    the q = 0 and |eps| = 1 values with ``channel_overlap``, and broadcasts
+    over an array of eps the same way.
     """
-    e = float(_check_eps(float(eps)))
-    qf = _check_snr(q)
-    e2 = e * e
-    if e2 == 1.0:
-        return 1.0
-    if qf == 0.0:
-        return e2
-    th = np.tanh(qf + math.sqrt(qf) * DEFAULT_RULE.nodes)
-    return float(DEFAULT_RULE.weights @ _psi_tilde_from_tanh(e2, th))
+    return _quadrature(_psi_tilde_from_tanh, eps, q)
 
 
 def approx_error_grid(eps_values, q_values) -> np.ndarray:

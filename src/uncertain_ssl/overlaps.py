@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,15 @@ class EpsilonMixture:
         object.__setattr__(
             self, "atoms", tuple((float(e), float(wj)) for e, wj in zip(eps, w))
         )
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (eps, weights) arrays of the atoms, built once."""
+        eps = np.array([e for e, _ in self.atoms], dtype=float)
+        w = np.array([wj for _, wj in self.atoms], dtype=float)
+        eps.flags.writeable = False
+        w.flags.writeable = False
+        return eps, w
 
     @property
     def eps_bar_sq(self) -> float:
@@ -166,10 +176,15 @@ def qu_from_qv(lam: float, c: float, q_v: float) -> float:
 
 
 def qv_from_qu(mixture: EpsilonMixture, q_u: float) -> float:
-    """Label-overlap map: mixture average of the channel overlap at SNR q_u."""
+    """Label-overlap map: mixture average of the channel overlap at SNR q_u.
+
+    One batched kernel call gives every atom's overlap; the weighted terms
+    are summed as Python floats in atom order.
+    """
     if not isinstance(mixture, EpsilonMixture):
         raise TypeError("mixture must be an EpsilonMixture")
-    return float(sum(wj * channel_overlap(e, q_u) for e, wj in mixture.atoms))
+    eps, w = mixture._arrays
+    return float(sum((w * channel_overlap(eps, q_u)).tolist()))
 
 
 def _secant_polish(defect, q0: float, max_steps: int = 60, f_tol: float = 1e-14):

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import posterior_mean
+from .kernel import _posterior_mean, posterior_mean
 from .overlaps import EpsilonMixture, ProblemParams, qu_from_qv, qv_from_qu
 from .risk import InfeasibilityError
 
@@ -257,7 +257,7 @@ def classify_semisupervised(
         )
     lam, c = params.lam, params.c
     X = ds.features
-    eps = ds.label_eps
+    eps = np.asarray(ds.label_eps, dtype=float)
     col_sq = np.einsum("ij,ij->j", X, X)
     mixture = EpsilonMixture.from_samples(eps)
 
@@ -277,7 +277,7 @@ def classify_semisupervised(
                 raise SimulationError("degenerate scores: zero second moment")
             scale = math.sqrt(mean_sq / (q_u * (q_u + 1.0)))
             u = raw / scale
-        v_new = posterior_mean(eps, u)
+        v_new = _posterior_mean(eps, u)  # eps checked by from_samples above
         delta = float(np.mean(np.abs(v_new - v)))
         v = v_new
         if delta < stop_tol:

@@ -11,6 +11,7 @@ from scipy import integrate
 from uncertain_ssl.kernel import (
     DEFAULT_RULE,
     QuadratureRule,
+    _psi_from_tanh,
     approx_error_grid,
     channel_overlap,
     channel_overlap_approx,
@@ -234,6 +235,52 @@ class TestChannelOverlap:
                 mc = float(np.mean(samples))
                 se = float(np.std(samples) / math.sqrt(samples.size))
                 assert abs(channel_overlap(eps, q) - mc) < 3.0 * se
+
+
+def soft_eps(seed, atoms=2000):
+    """Random confidences in [-1, 1] with the exact cases -1, 0 and 1 mixed in."""
+    rng = np.random.default_rng(seed)
+    eps = rng.uniform(-1.0, 1.0, atoms)
+    eps[rng.choice(atoms, 30, replace=False)] = np.repeat([-1.0, 0.0, 1.0], 10)
+    return eps
+
+
+class TestChannelOverlapBatched:
+    """An array of eps gives, entry by entry, the bits of the scalar call."""
+
+    @pytest.mark.parametrize("q", [0.0, 1e-9, 0.37, 2.0, 40.0])
+    @pytest.mark.parametrize("overlap", [channel_overlap, channel_overlap_approx])
+    def test_array_equals_scalar_calls(self, overlap, q):
+        eps = soft_eps(11)
+        assert overlap(eps, q).tolist() == [overlap(e, q) for e in eps]
+
+    def test_each_entry_is_one_dot_with_the_weights(self):
+        # Reference: the per-eps loop, one plain 1-d weights @ integrand
+        # product each, with |eps| = 1 returned as exactly 1.
+        eps = soft_eps(12, atoms=300)
+        for q in (0.05, 0.37, 0.7, 3.0, 40.0):
+            th = np.tanh(q + math.sqrt(q) * DEFAULT_RULE.nodes)
+            expected = [
+                1.0 if e * e == 1.0 else float(DEFAULT_RULE.weights @ _psi_from_tanh(e * e, th))
+                for e in eps
+            ]
+            assert channel_overlap(eps, q).tolist() == expected
+
+    def test_scalar_in_float_out_and_shape_kept(self):
+        for eps in (0.3, np.float64(0.3), np.array(0.3), 1, -1.0):
+            for q in (0.0, 0.8):
+                assert type(channel_overlap(eps, q)) is float
+                assert type(channel_overlap_approx(eps, q)) is float
+        grid = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        for q in (0.0, 0.8):
+            assert channel_overlap(grid, q).shape == (3, 4)
+            assert channel_overlap([0.1, 0.2], q).shape == (2,)
+            assert channel_overlap(np.empty(0), q).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [[0.2, 1.5], [0.2, float("nan")], [-1.01]])
+    def test_rejects_any_bad_entry(self, bad):
+        with pytest.raises(ValueError):
+            channel_overlap(np.array(bad), 1.0)
 
 
 class TestChannelOverlapApprox:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+import uncertain_ssl.overlaps as overlaps_module
 from uncertain_ssl.kernel import channel_overlap
 from uncertain_ssl.overlaps import (
     ConvergenceError,
@@ -105,6 +106,48 @@ class TestLabelOverlapMap:
         for q_u in (0.0, 0.4, 1.0, 3.0):
             expected = eta + (1.0 - eta) * channel_overlap(0.0, q_u)
             assert abs(qv_from_qu(mix, q_u) - expected) < 1e-12
+
+
+def soft_mixture(seed, atoms):
+    """Random mixture with the exact confidences -1, 0 and 1 among its atoms."""
+    rng = np.random.default_rng(seed)
+    eps = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, atoms - 3)])
+    w = rng.random(atoms)
+    return EpsilonMixture(atoms=tuple(zip(eps.tolist(), (w / w.sum()).tolist())))
+
+
+class TestBatchedLabelOverlapMap:
+    """One kernel call per map evaluation, with the bits of the per-atom sum."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equals_per_atom_sum(self, seed):
+        mix = soft_mixture(seed, 2000)
+        for q_u in (0.0, 1e-7, 0.25, 1.3, 25.0):
+            expected = sum(wj * channel_overlap(e, q_u) for e, wj in mix.atoms)
+            assert qv_from_qu(mix, q_u) == expected
+
+    def test_one_kernel_call_whatever_the_atom_count(self, monkeypatch):
+        calls = []
+
+        def counting(eps, q):
+            calls.append(np.size(eps))
+            return channel_overlap(eps, q)
+
+        monkeypatch.setattr(overlaps_module, "channel_overlap", counting)
+        for atoms in (3, 40, 2000):
+            qv_from_qu(soft_mixture(atoms, atoms), 0.6)
+        qv_from_qu(EpsilonMixture.single(0.4), 0.6)
+        assert calls == [3, 40, 2000, 1]
+
+    def test_cached_arrays_leave_fields_and_equality_alone(self):
+        mix = EpsilonMixture(atoms=((0.5, 0.4), (-0.25, 0.6)))
+        twin = EpsilonMixture(atoms=((0.5, 0.4), (-0.25, 0.6)))
+        eps, w = mix._arrays
+        assert mix._arrays is mix._arrays
+        assert eps.tolist() == [0.5, -0.25] and w.tolist() == [0.4, 0.6]
+        assert not eps.flags.writeable and not w.flags.writeable
+        assert mix == twin and hash(mix) == hash(twin)
+        assert repr(mix) == repr(twin)
 
 
 class TestSolveOverlaps:

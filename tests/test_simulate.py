@@ -3,6 +3,7 @@ scalar channel lemma against quadrature, classifier calibration against known
 error levels, and the labeled-count search protocol."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,6 +216,23 @@ class TestClassifySemisupervised:
         params = ProblemParams(lam=2.0, c=10.0, mixture=EpsilonMixture.certainty(0.2))
         with pytest.raises(SimulationError):
             classify_semisupervised(ds, params)
+
+    def test_bad_confidence_rejected_before_the_passes(self, monkeypatch):
+        # The confidences are checked once, when the realised mixture is
+        # built, and not again by the denoiser inside the pass loop.
+        import uncertain_ssl.simulate as simulate_module
+
+        ds = generate_dataset(30, 60, 1.0, [(0.2, 0.9)], seed=14)
+        params = self._params(ds, 1.0)
+        bad = replace(ds, label_eps=np.where(ds.label_eps > 0.0, 1.5, ds.label_eps))
+        with pytest.raises(ValueError):
+            classify_semisupervised(bad, params)
+
+        def checked(*args):
+            raise AssertionError("the pass loop called the checked posterior_mean")
+
+        monkeypatch.setattr(simulate_module, "posterior_mean", checked)
+        assert classify_semisupervised(ds, params, t_max=3).iterations >= 1
 
     def test_deterministic(self):
         ds = generate_dataset(30, 600, 2.0, [(0.2, 0.9)], seed=13)
