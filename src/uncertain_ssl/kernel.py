@@ -47,6 +47,8 @@ _SQRT2 = math.sqrt(2.0)
 
 def _check_eps(eps) -> np.ndarray:
     e = np.asarray(eps, dtype=float)
+    if (np.abs(e) <= 1.0).all():  # one pass; nan fails it too
+        return e
     if not np.all(np.isfinite(e)):
         raise ValueError("eps must be finite")
     if np.any(np.abs(e) > 1.0):
@@ -223,6 +225,8 @@ def _quadrature(integrand, eps, q):
     One (atoms x nodes) table for all eps; each row is reduced by its own
     dot product with the weights, so an atom's value does not depend on the
     other atoms.  q = 0 gives eps**2 and eps**2 = 1 gives 1, both exactly.
+    The rule's odd moments vanish only to rounding, so just above q = 0 the
+    average can land below eps**2; it is clamped there from below.
     """
     e = _check_eps(eps)
     qf = _check_snr(q)
@@ -233,7 +237,7 @@ def _quadrature(integrand, eps, q):
         th = np.tanh(qf + math.sqrt(qf) * DEFAULT_RULE.nodes)
         psi = integrand(e2[:, None], th)
         out = np.matmul(psi[:, None, :], DEFAULT_RULE.weights[:, None])[:, 0, 0]
-        out = np.where(e2 == 1.0, 1.0, out)
+        out = np.where(e2 == 1.0, 1.0, np.maximum(out, e2))
     out = out.reshape(e.shape)
     return float(out) if out.ndim == 0 else out
 

@@ -16,6 +16,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -114,6 +115,67 @@ def _output_from_soft(soft: np.ndarray, ds: Dataset, iterations=None) -> Classif
     )
 
 
+def _check_sizes(p, n, lam) -> tuple[int, int, float]:
+    p = int(p)
+    n = int(n)
+    if p < 1 or n < 1:
+        raise ValueError("p and n must be positive integers")
+    lam = float(lam)
+    if not math.isfinite(lam) or lam < 0.0:
+        raise ValueError("lam must be finite and nonnegative")
+    return p, n, lam
+
+
+def _check_labeling(labeling) -> list:
+    blocks = [(float(f), float(k)) for f, k in labeling]
+    for frac, kappa in blocks:
+        if not 0.0 <= frac <= 1.0:
+            raise ValueError("labeling fractions must lie in [0, 1]")
+        if not 0.5 < kappa <= 1.0:
+            raise ValueError("labeler reliability kappa must lie in (0.5, 1]")
+    if sum(f for f, _ in blocks) > 1.0 + 1e-9:
+        raise ValueError("labeling fractions must sum to at most 1")
+    return blocks
+
+
+def _base_draw(p: int, n: int, lam: float, seed):
+    """Center, shuffled truth and features; returns them with the generator.
+
+    The generator is left just after the noise draw, where the label blocks
+    continue the stream.
+    """
+    rng = np.random.default_rng(seed)
+    direction = rng.standard_normal(p)
+    norm = float(np.linalg.norm(direction))
+    if norm == 0.0:
+        raise SimulationError("degenerate zero direction draw")
+    mu = math.sqrt(lam) * direction / norm
+
+    y = np.ones(n, dtype=np.int64)
+    y[: n // 2] = -1
+    y = y[rng.permutation(n)]
+
+    features = mu[:, None] * y[None, :] + rng.standard_normal((p, n))
+    return rng, mu, y, features
+
+
+def _draw_labels(rng, y: np.ndarray, blocks) -> np.ndarray:
+    """Signed confidences of the checked ``blocks``, drawn from ``rng`` in order."""
+    n = y.size
+    eps = np.zeros(n, dtype=float)
+    start = 0
+    for frac, kappa in blocks:
+        count = int(round(frac * n))
+        if start + count > n:
+            raise ValueError("labeling blocks exceed the sample count")
+        sl = slice(start, start + count)
+        correct = rng.random(count) < kappa
+        report = np.where(correct, y[sl], -y[sl])
+        eps[sl] = report * (2.0 * kappa - 1.0)
+        start += count
+    return eps
+
+
 def generate_dataset(p: int, n: int, lam: float, labeling, seed) -> Dataset:
     """Draw a balanced two-class Gaussian sample with block-wise labeling.
 
@@ -130,47 +192,10 @@ def generate_dataset(p: int, n: int, lam: float, labeling, seed) -> Dataset:
     block) is fixed, so runs that share a seed and differ only in a block's
     fraction share every other draw (common random numbers).
     """
-    p = int(p)
-    n = int(n)
-    if p < 1 or n < 1:
-        raise ValueError("p and n must be positive integers")
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0.0:
-        raise ValueError("lam must be finite and nonnegative")
-    blocks = [(float(f), float(k)) for f, k in labeling]
-    for frac, kappa in blocks:
-        if not 0.0 <= frac <= 1.0:
-            raise ValueError("labeling fractions must lie in [0, 1]")
-        if not 0.5 < kappa <= 1.0:
-            raise ValueError("labeler reliability kappa must lie in (0.5, 1]")
-    if sum(f for f, _ in blocks) > 1.0 + 1e-9:
-        raise ValueError("labeling fractions must sum to at most 1")
-
-    rng = np.random.default_rng(seed)
-    direction = rng.standard_normal(p)
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:
-        raise SimulationError("degenerate zero direction draw")
-    mu = math.sqrt(lam) * direction / norm
-
-    y = np.ones(n, dtype=np.int64)
-    y[: n // 2] = -1
-    y = y[rng.permutation(n)]
-
-    features = mu[:, None] * y[None, :] + rng.standard_normal((p, n))
-
-    eps = np.zeros(n, dtype=float)
-    start = 0
-    for frac, kappa in blocks:
-        count = int(round(frac * n))
-        if start + count > n:
-            raise ValueError("labeling blocks exceed the sample count")
-        sl = slice(start, start + count)
-        correct = rng.random(count) < kappa
-        report = np.where(correct, y[sl], -y[sl])
-        eps[sl] = report * (2.0 * kappa - 1.0)
-        start += count
-
+    p, n, lam = _check_sizes(p, n, lam)
+    blocks = _check_labeling(labeling)
+    rng, mu, y, features = _base_draw(p, n, lam, seed)
+    eps = _draw_labels(rng, y, blocks)
     return Dataset(features=features, truth_labels=y, label_eps=eps, truth_mean=mu)
 
 
@@ -291,34 +316,72 @@ def _rep_stream(seed, rep: int):
     return list(seed) + [rep]
 
 
+def _stream_key(seed):
+    """Hashable form of a study seed, drawing the same replicate streams."""
+    return seed if isinstance(seed, (int, np.integer)) else tuple(seed)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=1)
+def _replicate_bank(p: int, n: int, lam: float, stream, reps: int) -> tuple:
+    """Per replicate r of (stream, r): read-only (mu, y, features) and the
+    generator state after the noise draw.
+
+    Restoring the state and drawing the label blocks rebuilds exactly the
+    dataset ``generate_dataset`` draws from (stream, r), so the probes of a
+    labeled-count search share one draw of each replicate.
+    """
+    p, n, lam = _check_sizes(p, n, lam)
+    bank = []
+    for r in range(int(reps)):
+        rng, mu, y, features = _base_draw(p, n, lam, _rep_stream(stream, r))
+        _read_only(mu, y, features)
+        bank.append((mu, y, features, rng.bit_generator.state))
+    return tuple(bank)
+
+
+def _dataset_from_bank(entry, blocks) -> Dataset:
+    """The replicate's dataset with the checked label ``blocks`` drawn afresh."""
+    mu, y, features, state = entry
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return Dataset(
+        features=features, truth_labels=y, label_eps=_draw_labels(rng, y, blocks), truth_mean=mu
+    )
+
+
 def _mean_errors(
     p: int,
     n: int,
     lam: float,
     n_labeled: int,
     kappa: float,
-    seed,
+    stream,
     reps: int,
     t_max: int,
-    reference_hard: Optional[list] = None,
+    reference_hard=None,
 ):
     """Per-rep semi-supervised runs at a fixed labeled count.
 
     Returns (own-subset mean error, paired difference to the reference hard
-    labels on the candidate's unlabeled subset or None, per-rep outputs).
+    labels on the candidate's unlabeled subset or None, per-rep hard labels).
     """
+    bank = _replicate_bank(p, n, lam, stream, reps)
+    blocks = _check_labeling([(n_labeled / n, kappa)])
     own_errors = []
     diffs = []
-    outs = []
-    for r in range(int(reps)):
-        ds = generate_dataset(
-            p, n, lam, [(n_labeled / n, kappa)], seed=_rep_stream(seed, r)
-        )
+    hard = []
+    for r, entry in enumerate(bank):
+        ds = _dataset_from_bank(entry, blocks)
         out = classify_semisupervised(
             ds, ProblemParams(lam=lam, c=n / p, mixture=EpsilonMixture.from_samples(ds.label_eps)),
             t_max=t_max,
         )
-        outs.append((ds, out))
+        hard.append(out.hard_labels)
         if out.error_unlabeled is None:
             raise SimulationError("candidate labeled count leaves no unlabeled samples")
         own_errors.append(out.error_unlabeled)
@@ -329,7 +392,17 @@ def _mean_errors(
             ref = float(np.mean(reference_hard[r][sl] != truth))
             diffs.append(cand - ref)
     paired = float(np.mean(diffs)) if diffs else None
-    return float(np.mean(own_errors)), paired, outs
+    return float(np.mean(own_errors)), paired, hard
+
+
+@functools.lru_cache(maxsize=1)
+def _reference_run(
+    p: int, n: int, lam: float, n_ref: int, stream, reps: int, t_max: int
+) -> tuple[float, tuple]:
+    """Mean error and read-only per-rep hard labels of the kappa = 1 run."""
+    mean_err, _, hard = _mean_errors(p, n, lam, n_ref, 1.0, stream, reps, t_max)
+    _read_only(*hard)
+    return mean_err, tuple(hard)
 
 
 def reference_error(
@@ -343,8 +416,7 @@ def reference_error(
     empirical labeled-count search reproduces with less reliable labels.
     """
     n_ref = int(round(float(eta) * n))
-    mean_err, _, _ = _mean_errors(p, n, lam, n_ref, 1.0, seed, reps, t_max)
-    return mean_err
+    return _reference_run(p, n, lam, n_ref, _stream_key(seed), reps, t_max)[0]
 
 
 def labeled_needed_empirical(
@@ -364,9 +436,12 @@ def labeled_needed_empirical(
     curve; every probe is averaged over ``reps`` replicate streams.  Noise is
     suppressed with common random numbers: each probe reuses the replicate's
     data draws, and its error estimate is anchored to the (eta, kappa = 1)
-    reference run recomputed on the same streams, i.e. the candidate error is
+    reference run on the same streams, i.e. the candidate error is
     estimated as reference level plus the paired error difference on the
     candidate's unlabeled subset, so dataset-level fluctuations cancel.
+    Each replicate's center, truth and noise are drawn once and each
+    reference run is made once, shared with ``reference_error``; a probe
+    draws only its labels.
 
     Infeasible reliabilities ((2 kappa - 1)^2 < eta) are rejected; the search
     fails if even the largest measurable labeled count (at least one in
@@ -386,8 +461,8 @@ def labeled_needed_empirical(
     target_error = float(target_error)
 
     n_ref = int(round(eta * n))
-    ref_own, _, ref_outs = _mean_errors(p, n, lam, n_ref, 1.0, seed, reps, t_max)
-    reference_hard = [out.hard_labels for _, out in ref_outs]
+    stream = _stream_key(seed)
+    ref_own, reference_hard = _reference_run(p, n, lam, n_ref, stream, reps, t_max)
     offset = target_error - ref_own
 
     cache: dict[int, float] = {}
@@ -395,7 +470,7 @@ def labeled_needed_empirical(
     def satisfied(n_l: int) -> bool:
         if n_l not in cache:
             _, paired, _ = _mean_errors(
-                p, n, lam, n_l, kappa, seed, reps, t_max, reference_hard
+                p, n, lam, n_l, kappa, stream, reps, t_max, reference_hard
             )
             cache[n_l] = paired
         return cache[n_l] <= offset

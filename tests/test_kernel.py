@@ -3,6 +3,7 @@ algebraic identities, quadrature fidelity against Monte Carlo, and the
 relative-error budget of the simplified channel overlap."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,15 @@ class TestChannelOverlap:
             assert np.all(np.diff(values) >= -1e-13)
             assert all(eps * eps <= v < 1.0 for v in values)
 
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    def test_floor_at_squared_confidence_just_above_zero(self, shape):
+        # The rule's odd moments vanish only to rounding: unclamped, these
+        # points gave F_0 = -7.6e-44 and one ulp below 0.909**2.
+        for eps, q in ((0.0, 2.7e-53), (-0.909, 9.3e-62)):
+            e = eps if shape == "scalar" else np.array([eps])
+            assert channel_overlap(e, q) == eps * eps
+            assert channel_overlap(e, q) >= channel_overlap(e, 0.0)
+
     def test_quadrature_matches_monte_carlo_grid(self):
         # 1e6-draw Monte Carlo of the integrand on a 5 x 5 (eps, q) grid
         rng = np.random.default_rng(31415)
@@ -281,6 +291,31 @@ class TestChannelOverlapBatched:
     def test_rejects_any_bad_entry(self, bad):
         with pytest.raises(ValueError):
             channel_overlap(np.array(bad), 1.0)
+
+
+class TestEpsValidation:
+    """The one-pass range check keeps the messages of the two checks behind it."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (float("nan"), "eps must be finite"),
+            (float("inf"), "eps must be finite"),
+            (-float("inf"), "eps must be finite"),
+            (1.0000000000000002, "eps must lie in [-1, 1]"),
+            (-1.5, "eps must lie in [-1, 1]"),
+        ],
+    )
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    @pytest.mark.parametrize("checked", [channel_overlap, posterior_mean])
+    def test_bad_eps_keeps_its_message(self, checked, shape, bad, message):
+        eps = bad if shape == "scalar" else np.array([0.0, -1.0, bad, 1.0])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            checked(eps, 0.7)
+
+    def test_non_finite_reported_before_out_of_range(self):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            channel_overlap(np.array([2.0, float("nan")]), 0.7)
 
 
 class TestChannelOverlapApprox:

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from uncertain_ssl import simulate
 from uncertain_ssl.kernel import channel_overlap, gaussian_tail
 from uncertain_ssl.overlaps import EpsilonMixture, ProblemParams
 from uncertain_ssl.risk import InfeasibilityError
@@ -290,3 +291,99 @@ class TestLabeledNeededEmpirical:
         )
         predicted = eta / (2.0 * kappa - 1.0) ** 2 * n
         assert abs(found - predicted) / predicted <= 0.15
+
+
+@pytest.fixture
+def empty_caches():
+    for cached in (simulate._replicate_bank, simulate._reference_run):
+        cached.cache_clear()
+    yield
+    for cached in (simulate._replicate_bank, simulate._reference_run):
+        cached.cache_clear()
+
+
+@pytest.mark.usefixtures("empty_caches")
+class TestReplicateBank:
+    """The labeled-count search draws each replicate once and rebuilds every
+    probe's dataset from that draw; the result must be the dataset
+    ``generate_dataset`` draws from the same stream, bit for bit."""
+
+    P, N, LAM, REPS = 12, 90, 1.3, 3
+
+    @pytest.mark.parametrize("seed", [5, [3, 1]], ids=["int-seed", "sequence-seed"])
+    @pytest.mark.parametrize(
+        "labeling",
+        [[], [(0.3, 1.0)], [(0.25, 0.8)], [(0.2, 0.9), (0.3, 1.0)]],
+        ids=["empty", "kappa-1", "kappa-below-1", "two-blocks"],
+    )
+    def test_rebuilt_dataset_equals_generate_dataset(self, seed, labeling):
+        bank = simulate._replicate_bank(
+            self.P, self.N, self.LAM, simulate._stream_key(seed), self.REPS
+        )
+        blocks = simulate._check_labeling(labeling)
+        assert len(bank) == self.REPS
+        for r, entry in enumerate(bank):
+            # twice from one entry: a probe must not advance the stored state
+            for _ in range(2):
+                rebuilt = simulate._dataset_from_bank(entry, blocks)
+                fresh = generate_dataset(
+                    self.P, self.N, self.LAM, labeling, seed=simulate._rep_stream(seed, r)
+                )
+                for field in ("features", "truth_labels", "label_eps", "truth_mean"):
+                    a, b = getattr(rebuilt, field), getattr(fresh, field)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+    def test_bank_arrays_are_read_only(self):
+        target = reference_error(self.P, self.N, self.LAM, 0.2, seed=5, reps=self.REPS)
+        assert 0.0 <= target <= 1.0
+        bank = simulate._replicate_bank(self.P, self.N, self.LAM, 5, self.REPS)
+        _, hard = simulate._reference_run(
+            self.P, self.N, self.LAM, round(0.2 * self.N), 5, self.REPS, 40
+        )
+        arrays = [a for mu, y, features, _ in bank for a in (mu, y, features)] + list(hard)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_search_draws_each_replicate_and_reference_once(self, monkeypatch):
+        p, n, lam, eta, seed, reps = 20, 120, 1.0, 0.1, 8, 3
+        base_draws = []
+        references = []
+        base_draw, mean_errors = simulate._base_draw, simulate._mean_errors
+
+        def counting_base_draw(*args):
+            base_draws.append(args[3])
+            return base_draw(*args)
+
+        def counting_mean_errors(p, n, lam, n_labeled, kappa, *rest):
+            if kappa == 1.0:
+                references.append(n_labeled)
+            return mean_errors(p, n, lam, n_labeled, kappa, *rest)
+
+        monkeypatch.setattr(simulate, "_base_draw", counting_base_draw)
+        monkeypatch.setattr(simulate, "_mean_errors", counting_mean_errors)
+        target = reference_error(p, n, lam, eta, seed=seed, reps=reps)
+        for kappa in (0.95, 0.9, 0.85):
+            labeled_needed_empirical(p, n, lam, eta, kappa, target, seed=seed, reps=reps)
+        assert base_draws == [[seed, r] for r in range(reps)]
+        assert references == [round(eta * n)]
+
+    def test_generate_dataset_leaves_the_bank_empty(self):
+        generate_dataset(self.P, self.N, self.LAM, [(0.3, 0.8)], seed=[5, 0])
+        assert simulate._replicate_bank.cache_info().currsize == 0
+        assert simulate._reference_run.cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "p, n, lam, eta, kappa, seed, target, count",
+        [
+            (50, 250, 1.0, 0.1, 0.9, 5, 0.19259259259259262, 116),
+            (40, 200, 1.0, 0.1, 0.85, [3, 1], 0.1962962962962963, 22),
+        ],
+    )
+    def test_golden_counts(self, p, n, lam, eta, kappa, seed, target, count):
+        # recorded from the search that regenerated every dataset per probe
+        assert reference_error(p, n, lam, eta, seed=seed, reps=3, t_max=20) == target
+        found = labeled_needed_empirical(
+            p, n, lam, eta, kappa, target, seed=seed, reps=3, t_max=20
+        )
+        assert found == count
