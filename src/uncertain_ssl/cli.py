@@ -56,10 +56,7 @@ from .risk import (
 from .simulate import (
     SimulationError,
     channel_overlap_mc_stats,
-    classify_oracle,
-    classify_semisupervised,
-    classify_supervised,
-    generate_dataset,
+    _fresh_replicate_errors,
     labeled_needed_empirical,
     reference_error,
 )
@@ -71,6 +68,11 @@ EXIT_INFEASIBLE = 4
 
 # Largest table a grid-valued command may build, in cells.
 MAX_GRID_CELLS = 1_000_000
+
+# Largest feature matrix a Monte Carlo command may draw, in cells (200 MB of
+# float64): one replicate for `simulate` and `reduction`, all of them for
+# `labeled-needed`, which keeps every replicate.
+MAX_REPLICATE_CELLS = 25_000_000
 
 
 class CliError(Exception):
@@ -222,6 +224,11 @@ def _grid_size(lo: float, hi: float, step: float) -> int:
     return int(round(steps)) + 1
 
 
+def _check_replicate_cells(cells: int, what: str) -> None:
+    if cells > MAX_REPLICATE_CELLS:
+        raise CliError(f"{what} has {cells} cells, more than {MAX_REPLICATE_CELLS}")
+
+
 def _intended_mixture(labeling) -> EpsilonMixture:
     atoms = []
     total = 0.0
@@ -342,6 +349,7 @@ def cmd_labeled_needed(args) -> int:
     seed = int(cfg["seed"])
     reps = int(cfg["reps"])
     t_max = int(cfg["t_max"])
+    _check_replicate_cells(reps * p * n, "the replicate bank (reps x p x n)")
 
     theory_cols = []
     for eta in etas:
@@ -388,15 +396,12 @@ def cmd_labeled_needed(args) -> int:
 
 
 def _empirical_reduction(p, n, lam, eta, kappa, seed_parts, reps, t_max):
-    sups, semis, oracles = [], [], []
-    for r in range(reps):
-        ds = generate_dataset(p, n, lam, [(eta, kappa)], seed=seed_parts + [r])
-        params = ProblemParams(
-            lam=lam, c=n / p, mixture=EpsilonMixture.from_samples(ds.label_eps)
-        )
-        oracles.append(classify_oracle(ds).error_unlabeled)
-        sups.append(classify_supervised(ds).error_unlabeled)
-        semis.append(classify_semisupervised(ds, params, t_max=t_max).error_unlabeled)
+    errors = _fresh_replicate_errors(p, n, lam, [(eta, kappa)], seed_parts, reps, t_max)
+    oracles, sups, semis = zip(*errors)
+    if None in oracles:
+        raise SimulationError("reduction needs unlabeled samples to score")
+    if None in sups:
+        raise SimulationError("supervised classifier needs labeled samples")
     e_sup = float(np.mean(sups))
     e_semi = float(np.mean(semis))
     e_oracle = float(np.mean(oracles))
@@ -447,6 +452,8 @@ def cmd_reduction(args) -> int:
         x_name = "alpha"
     if not values or any(b <= a for a, b in zip(values, values[1:])):
         raise CliError("sweep grid must be nonempty and strictly increasing")
+    largest_n = max(int(round(c * p)) for _, c in points)
+    _check_replicate_cells(p * largest_n, "a replicate (p x largest n)")
 
     rows = []
     for index, (lam, c) in enumerate(points):
@@ -489,6 +496,7 @@ def cmd_simulate(args) -> int:
     reps = int(cfg["reps"])
     t_max = int(cfg["t_max"])
     seed = int(cfg["seed"])
+    _check_replicate_cells(p * n, "a replicate (p x n)")
 
     mixture = _intended_mixture(labeling)
     params = ProblemParams(lam=lam, c=n / p, mixture=mixture)
@@ -496,18 +504,11 @@ def cmd_simulate(args) -> int:
     risk_th = bayes_risk(solution.q_u)
     oracle_th = oracle_risk(lam)
 
-    oracle_err, sup_err, semi_err = [], [], []
-    for r in range(reps):
-        ds = generate_dataset(p, n, lam, labeling, seed=[seed, r])
-        run_params = ProblemParams(
-            lam=lam, c=n / p, mixture=EpsilonMixture.from_samples(ds.label_eps)
-        )
-        oracle_err.append(classify_oracle(ds).error_unlabeled)
-        semi_err.append(classify_semisupervised(ds, run_params, t_max=t_max).error_unlabeled)
-        if ds.n_labeled > 0:
-            sup_err.append(classify_supervised(ds).error_unlabeled)
-    if any(e is None for e in oracle_err + semi_err):
+    errors = _fresh_replicate_errors(p, n, lam, labeling, seed, reps, t_max)
+    oracle_err, sup_err, semi_err = zip(*errors)
+    if None in oracle_err + semi_err:
         raise SimulationError("simulate needs unlabeled samples to score")
+    sup_err = [e for e in sup_err if e is not None]
     e_oracle = float(np.mean(oracle_err))
     e_semi = float(np.mean(semi_err))
     e_sup = float(np.mean(sup_err)) if sup_err else float("nan")

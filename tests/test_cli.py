@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from uncertain_ssl import cli
+from uncertain_ssl import cli, simulate
 from uncertain_ssl.cli import main
 
 
@@ -179,6 +179,29 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "cfg.json", payload)
         assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("simulate", {"n": 1000000, "p": 1000000}),
+            ("simulate", {"n": 5001, "p": 5000}),
+            ("reduction", {"sweep": "c", "p": 2000, "cs": [1.0, 8.0]}),
+            ("labeled-needed", {"reps": 126}),
+        ],
+        ids=["simulate-huge", "simulate-just-over", "reduction-largest-n", "labeled-needed-bank"],
+    )
+    def test_replicate_over_cap_rejected_before_drawing(
+        self, tmp_path, monkeypatch, capsys, command, payload
+    ):
+        def no_draw(*args):
+            raise AssertionError("replicate drawn before its size was checked")
+
+        monkeypatch.setattr(simulate, "_base_draw", no_draw)
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out = tmp_path / "out.dat"
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+        assert f"more than {cli.MAX_REPLICATE_CELLS}" in capsys.readouterr().err
+        assert list(tmp_path.glob("out*")) == []
 
     def test_nonconvergence_exit(self, tmp_path):
         cfg = write_config(

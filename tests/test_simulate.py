@@ -2,13 +2,16 @@
 scalar channel lemma against quadrature, classifier calibration against known
 error levels, and the labeled-count search protocol."""
 
+import json
 import math
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from uncertain_ssl import simulate
+from uncertain_ssl import cli, simulate
 from uncertain_ssl.kernel import channel_overlap, gaussian_tail
 from uncertain_ssl.overlaps import EpsilonMixture, ProblemParams
 from uncertain_ssl.risk import InfeasibilityError
@@ -88,6 +91,31 @@ class TestGenerateDataset:
         np.testing.assert_array_equal(small.features, large.features)
         np.testing.assert_array_equal(small.truth_labels, large.truth_labels)
         np.testing.assert_array_equal(small.label_eps[:60], large.label_eps[:60])
+
+    def test_features_equal_mean_plus_noise(self):
+        # several row blocks: the class means are added into the noise in place
+        p, n, lam, seed = 700, 150, 1.7, [4, 2]
+        assert p > simulate._ROW_BLOCK_CELLS // n
+        ds = generate_dataset(p, n, lam, [(0.2, 0.9)], seed=seed)
+        rng = np.random.default_rng(seed)
+        direction = rng.standard_normal(p)
+        mu = math.sqrt(lam) * direction / float(np.linalg.norm(direction))
+        y = np.ones(n, dtype=np.int64)
+        y[: n // 2] = -1
+        y = y[rng.permutation(n)]
+        expected = mu[:, None] * y[None, :] + rng.standard_normal((p, n))
+        assert ds.features.dtype == expected.dtype
+        assert ds.features.tobytes() == expected.tobytes()
+
+    def test_draw_holds_one_feature_matrix(self):
+        p, n = 400, 500
+        tracemalloc.start()
+        try:
+            generate_dataset(p, n, 1.0, [(0.2, 0.9)], seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * p * n * 8
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -291,6 +319,99 @@ class TestLabeledNeededEmpirical:
         )
         predicted = eta / (2.0 * kappa - 1.0) ** 2 * n
         assert abs(found - predicted) / predicted <= 0.15
+
+
+CORE_SETS = [{0}, {0, 1}, {0, 1, 2, 3}]
+
+
+class TestFreshReplicates:
+    """``simulate`` and ``reduction`` run their fresh-draw replicates on up to
+    one thread per usable core; nothing they return may depend on how many.
+    The matrices hold about 500 000 cells, so that BLAS threads too when its
+    thread count is not pinned: OpenBLAS 0.3.31 on 2 cores splits a
+    matrix-vector product over threads only from somewhere between 320 000
+    and 500 000 cells."""
+
+    P, N, LAM, LABELING, SEED, REPS, T_MAX = 500, 1000, 1.5, [(0.2, 0.9)], 7, 5, 20
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(simulate.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+        return sizes
+
+    def each_core_set(self, monkeypatch):
+        for cores in CORE_SETS:
+            monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid, c=cores: c)
+            yield cores
+
+    def errors(self):
+        return simulate._fresh_replicate_errors(
+            self.P, self.N, self.LAM, self.LABELING, self.SEED, self.REPS, self.T_MAX
+        )
+
+    def test_errors_do_not_depend_on_the_worker_count(self, monkeypatch, pool_sizes):
+        expected = []
+        for r in range(self.REPS):
+            ds = generate_dataset(self.P, self.N, self.LAM, self.LABELING, seed=[self.SEED, r])
+            params = ProblemParams(
+                lam=self.LAM, c=self.N / self.P, mixture=EpsilonMixture.from_samples(ds.label_eps)
+            )
+            expected.append((
+                classify_oracle(ds).error_unlabeled,
+                classify_supervised(ds).error_unlabeled,
+                classify_semisupervised(ds, params, t_max=self.T_MAX).error_unlabeled,
+            ))
+        for _ in self.each_core_set(monkeypatch):
+            assert self.errors() == expected
+        assert pool_sizes == [2, 4]
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("simulate", {"n": 1000, "p": 500, "reps": 5, "t_max": 15, "labeling": [[0.3, 0.9]]}),
+            ("reduction", {"p": 700, "lambdas": [1.0, 2.0], "reps": 5, "t_max": 15}),
+        ],
+    )
+    def test_tables_do_not_depend_on_the_worker_count(
+        self, tmp_path, monkeypatch, pool_sizes, command, payload
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(payload))
+        tables = []
+        for cores in self.each_core_set(monkeypatch):
+            out = tmp_path / f"out_{len(cores)}.dat"
+            assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[1] == tables[0] and tables[2] == tables[0]
+        runs = len(payload.get("lambdas", [None]))  # one pool per reduction point
+        assert pool_sizes == [2] * runs + [4] * runs
+
+    def test_failing_replicate_raises_as_the_serial_loop(self, monkeypatch):
+        draw = simulate.generate_dataset
+
+        def failing_draw(p, n, lam, labeling, seed):
+            r = seed[-1]
+            if r == 1:
+                time.sleep(0.05)  # with 4 workers, replicate 3 fails first in time
+                raise SimulationError(f"replicate {r} failed")
+            if r == 3:
+                raise ValueError(f"replicate {r} failed")
+            return draw(p, n, lam, labeling, seed)
+
+        monkeypatch.setattr(simulate, "generate_dataset", failing_draw)
+        raised = []
+        for _ in self.each_core_set(monkeypatch):
+            with pytest.raises(Exception) as info:
+                self.errors()
+            raised.append((info.type, str(info.value)))
+        assert raised == [(SimulationError, "replicate 1 failed")] * len(CORE_SETS)
 
 
 @pytest.fixture
