@@ -346,6 +346,12 @@ def cmd_labeled_needed(args) -> int:
     empirical_points = int(cfg["empirical_points"])
     if theory_points < 2 or empirical_points < 1:
         raise CliError("theory_points must be >= 2 and empirical_points >= 1")
+    for name, points in (("theory_points", theory_points), ("empirical_points", empirical_points)):
+        if len(etas) * points > MAX_GRID_CELLS:
+            raise CliError(
+                f"etas x {name} grid has {len(etas)} x {points} cells, "
+                f"more than {MAX_GRID_CELLS}"
+            )
     seed = int(cfg["seed"])
     reps = int(cfg["reps"])
     t_max = int(cfg["t_max"])

@@ -147,14 +147,42 @@ def posterior_mean(eps, t):
     return _posterior_mean(_check_eps(eps), t)
 
 
+def _posterior_ratio(e, th):
+    """The posterior-mean ratio at tanh(t) = th; 0/0 at saturated tanh for eps = ±1."""
+    return (th + e) / (1.0 + e * th)
+
+
 def _posterior_mean(e, t):
     """``posterior_mean`` for an eps already checked to lie in [-1, 1]."""
     th = np.tanh(np.asarray(t, dtype=float))
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = (th + e) / (1.0 + e * th)
+        out = _posterior_ratio(e, th)
     out = np.where(e == 1.0, 1.0, out)
     out = np.where(e == -1.0, -1.0, out)
     return float(out) if out.ndim == 0 else out
+
+
+def _posterior_mean_at(e: np.ndarray):
+    """``_posterior_mean`` at a fixed checked 1-D eps array, as a function of
+    a t array of the same shape, equal to it bit for bit.
+
+    The pinned priors eps = ±1 are located once.  Without them the
+    denominator 1 + eps tanh t stays positive, so the ratio needs neither the
+    error state nor the pinning.
+    """
+    plus = np.flatnonzero(e == 1.0)
+    minus = np.flatnonzero(e == -1.0)
+    if plus.size == 0 and minus.size == 0:
+        return lambda t: _posterior_ratio(e, np.tanh(t))
+
+    def pinned(t):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = _posterior_ratio(e, np.tanh(t))
+        out[plus] = 1.0
+        out[minus] = -1.0
+        return out
+
+    return pinned
 
 
 def _psi_from_tanh(e2, th):

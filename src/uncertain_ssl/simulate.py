@@ -19,13 +19,14 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .kernel import _posterior_mean, posterior_mean
+from .kernel import _check_eps, _posterior_mean_at, posterior_mean
 from .overlaps import EpsilonMixture, ProblemParams, qu_from_qv, qv_from_qu
 from .risk import InfeasibilityError
 
@@ -262,6 +263,47 @@ def classify_supervised(ds: Dataset) -> ClassifierOutput:
     return _output_from_soft(np.tanh(scores), ds)
 
 
+class _Calibration:
+    """Score SNRs q_u of the passes on one realised mixture.
+
+    They follow the overlap recursion q_u = qu_from_qv(lam, c, q_v),
+    q_v = qv_from_qu(mixture, q_u) from q_v = eps_bar_sq, so they depend only
+    on (lam, c, mixture).  Pass t's value is computed the first time a run
+    reaches pass t and kept for later runs; extension holds a lock, so runs
+    on threads read the same values however they interleave.
+    """
+
+    def __init__(self, lam: float, c: float, mixture: EpsilonMixture):
+        self._lam, self._c, self._mixture = lam, c, mixture
+        self._q_v = mixture.eps_bar_sq
+        self._q_u: list[float] = []
+        self._lock = threading.Lock()
+
+    def q_u(self, t: int) -> float:
+        """The score SNR of pass t (0-based)."""
+        q_u = self._q_u
+        if t < len(q_u):  # the list only grows
+            return q_u[t]
+        with self._lock:
+            while len(q_u) <= t:
+                if q_u:
+                    self._q_v = qv_from_qu(self._mixture, q_u[-1])
+                q_u.append(qu_from_qv(self._lam, self._c, self._q_v))
+            return q_u[t]
+
+
+@functools.lru_cache(maxsize=16)
+def _calibration(lam: float, c: float, mixture: EpsilonMixture) -> _Calibration:
+    """The shared pass calibration of the realised mixture at (lam, c).
+
+    The replicates of one labeled-count probe realise the same mixture
+    whenever their labeled blocks hold as many positive reports.  At
+    ``labeled-needed``'s defaults with etas [0.02], 460 runs realise 335
+    distinct mixtures; sixteen entries keep 118 of the 125 repeats.
+    """
+    return _Calibration(lam, c, mixture)
+
+
 def classify_semisupervised(
     ds: Dataset, params: ProblemParams, t_max: int = 50, stop_tol: float = 1e-6
 ) -> ClassifierOutput:
@@ -275,6 +317,14 @@ def classify_semisupervised(
     with the posterior mean.  Stops at ``t_max`` passes or when the mean
     absolute update falls below ``stop_tol``.
 
+    ``params.mixture`` must be the realised mixture,
+    ``EpsilonMixture.from_samples(ds.label_eps)``: the recursion runs on it
+    as given.  A mixture whose mean squared confidence differs from the
+    samples' by more than 1e-9 raises ``SimulationError``, as a mismatched
+    ``c`` or ``lam`` does; a confidence outside [-1, 1] raises ``ValueError``.
+    The recursion depends only on (lam, c, mixture), so its values are
+    computed once per realised mixture and shared by later runs.
+
     The self-feedback removal uses the exact per-sample column norm rather
     than its expectation; the calibration trusts the known (lam, c) through
     the recursion instead of estimating the score SNR from data.
@@ -283,6 +333,7 @@ def classify_semisupervised(
         raise TypeError("params must be a ProblemParams")
     if int(t_max) < 1:
         raise ValueError("t_max must be at least 1")
+    eps = _check_eps(ds.label_eps)
     n, p = ds.n, ds.p
     if abs(params.c - n / p) > 1e-9 * max(1.0, params.c):
         raise SimulationError(
@@ -292,30 +343,34 @@ def classify_semisupervised(
         raise SimulationError(
             f"params.lam = {params.lam} does not match the dataset snr = {ds.snr}"
         )
-    lam, c = params.lam, params.c
+    lam, c, mixture = params.lam, params.c, params.mixture
+    realised_sq = float(np.add.reduce(eps * eps)) / n
+    if abs(mixture.eps_bar_sq - realised_sq) > 1e-9:
+        raise SimulationError(
+            f"params.mixture has eps_bar_sq = {mixture.eps_bar_sq}, the dataset's "
+            f"confidences {realised_sq}: pass the realised mixture"
+        )
+    calibration = _calibration(lam, c, mixture)
+    denoise = _posterior_mean_at(eps)
     X = ds.features
-    eps = np.asarray(ds.label_eps, dtype=float)
-    col_sq = np.einsum("ij,ij->j", X, X)
-    mixture = EpsilonMixture.from_samples(eps)
+    col_sq_n = np.einsum("ij,ij->j", X, X) / n
 
+    # np.add.reduce(x) / n is np.mean(x) bit for bit, without its overhead.
     v = eps.copy()
-    q_v = mixture.eps_bar_sq
     iterations = 0
     for iterations in range(1, int(t_max) + 1):
-        q_u = qu_from_qv(lam, c, q_v)
-        q_v = qv_from_qu(mixture, q_u)
-        direction = X @ v / n
-        raw = X.T @ direction - (col_sq / n) * v
+        q_u = calibration.q_u(iterations - 1)
+        raw = X.T @ (X @ v / n) - col_sq_n * v
         if q_u == 0.0:
             u = np.zeros(n)
         else:
-            mean_sq = float(np.mean(raw * raw))
+            mean_sq = float(np.add.reduce(raw * raw)) / n
             if mean_sq == 0.0:
                 raise SimulationError("degenerate scores: zero second moment")
             scale = math.sqrt(mean_sq / (q_u * (q_u + 1.0)))
             u = raw / scale
-        v_new = _posterior_mean(eps, u)  # eps checked by from_samples above
-        delta = float(np.mean(np.abs(v_new - v)))
+        v_new = denoise(u)
+        delta = float(np.add.reduce(np.abs(v_new - v))) / n
         v = v_new
         if delta < stop_tol:
             break
@@ -417,8 +472,12 @@ def _mean_errors(
     Returns (own-subset mean error, paired difference to the reference hard
     labels on the candidate's unlabeled subset or None, per-rep hard labels).
 
-    The replicates run serially on purpose: a 200 x 1000 pass holds the GIL
-    for about 40 % of its ~160 us, and running them on threads slowed
+    The replicates run serially on purpose.  A 200 x 1000 pass takes about
+    140 us once its calibration is cached (best of 5 x 300 runs, one BLAS
+    thread, 2-core host), of which its two matrix-vector products, which
+    release the GIL, take about 100 us; computing the calibration step adds
+    about 40 us to a pass.  With the earlier ~160 us pass, which held the
+    GIL for about 40 % of its time, running the replicates on threads slowed
     ``labeled-needed`` at its defaults with etas [0.02] from 5.2 s to 6.1 s
     (medians of 3 runs, 2 cores).
     """

@@ -272,30 +272,43 @@ class TestApproxErrorCommand:
         assert np.all(zero_rows[:, 2] == 0.0)
 
     @pytest.mark.parametrize(
-        "payload",
+        "command, payload",
         [
-            {"eps_step": 1e-9},
-            {"eps_step": 1e-300},
-            {"eps_step": 1e-3, "q_step": 1e-3},
+            ("approx-error", {"eps_step": 1e-9}),
+            ("approx-error", {"eps_step": 1e-300}),
+            ("approx-error", {"eps_step": 1e-3, "q_step": 1e-3}),
+            ("labeled-needed", {"theory_points": 10**9}),
+            ("labeled-needed", {"etas": [0.02, 0.05], "theory_points": 600_000}),
+            ("labeled-needed", {"etas": [0.02, 0.05], "empirical_points": 600_000}),
         ],
-        ids=["axis-over-cap", "axis-overflow", "cells-over-cap"],
+        ids=[
+            "axis-over-cap",
+            "axis-overflow",
+            "cells-over-cap",
+            "labeled-needed-theory-axis",
+            "labeled-needed-theory-cells",
+            "labeled-needed-empirical-cells",
+        ],
     )
-    def test_grid_over_cap_rejected_before_allocation(self, tmp_path, monkeypatch, payload):
+    def test_grid_over_cap_rejected_before_allocation(
+        self, tmp_path, monkeypatch, command, payload
+    ):
         linspace = np.linspace
 
         def bounded_linspace(start, stop, num=50, **kwargs):
             assert num <= cli.MAX_GRID_CELLS, "grid built before its size was checked"
             return linspace(start, stop, num, **kwargs)
 
-        def no_surface(*args):
-            raise AssertionError("surface computed for an over-cap grid")
+        def no_surface(*args, **kwargs):
+            raise AssertionError("grid values computed for an over-cap grid")
 
         monkeypatch.setattr(np, "linspace", bounded_linspace)
-        monkeypatch.setattr(cli, "approx_error_grid", no_surface)
+        for name in ("approx_error_grid", "labeled_needed", "reference_error"):
+            monkeypatch.setattr(cli, name, no_surface)
         cfg = write_config(tmp_path / "cfg.json", payload)
         out = tmp_path / "surface.dat"
-        assert run_cli("approx-error", "--config", cfg, "--out", str(out)) == 2
-        assert not out.exists()
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     def test_pure_theory_is_deterministic(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"eps_step": 0.5, "q_step": 4.95})

@@ -12,6 +12,7 @@ from scipy import integrate
 from uncertain_ssl.kernel import (
     DEFAULT_RULE,
     QuadratureRule,
+    _posterior_mean_at,
     _psi_from_tanh,
     approx_error_grid,
     channel_overlap,
@@ -93,6 +94,21 @@ class TestPosteriorMean:
     def test_rejects_out_of_range_prior(self):
         with pytest.raises(ValueError):
             posterior_mean(1.2, 0.0)
+
+    @pytest.mark.parametrize(
+        "eps",
+        [[0.0, 0.3, -0.7, 0.99], [1.0, 0.0, -1.0, 0.5], [1.0, 1.0, 1.0, 1.0]],
+        ids=["unpinned", "pinned", "all-pinned"],
+    )
+    def test_fixed_prior_denoiser_equals_posterior_mean(self, eps):
+        # saturated tanh included: 0/0 at eps = ±1 must give ±1 and no warning
+        e = np.tile(np.asarray(eps), 50)
+        t = np.random.default_rng(3).normal(0.0, 15.0, e.size)
+        t[:8] = [40.0, -40.0, -40.0, 40.0, -40.0, 40.0, np.inf, -np.inf]
+        denoise = _posterior_mean_at(e)
+        with np.errstate(all="raise"):
+            out = denoise(t)
+        assert out.tobytes() == posterior_mean(e, t).tobytes()
 
 
 class TestOverlapIntegrand:

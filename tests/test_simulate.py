@@ -4,6 +4,8 @@ error levels, and the labeled-count search protocol."""
 
 import json
 import math
+import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -12,8 +14,8 @@ import numpy as np
 import pytest
 
 from uncertain_ssl import cli, simulate
-from uncertain_ssl.kernel import channel_overlap, gaussian_tail
-from uncertain_ssl.overlaps import EpsilonMixture, ProblemParams
+from uncertain_ssl.kernel import _posterior_mean, channel_overlap, gaussian_tail
+from uncertain_ssl.overlaps import EpsilonMixture, ProblemParams, qu_from_qv, qv_from_qu
 from uncertain_ssl.risk import InfeasibilityError
 from uncertain_ssl.simulate import (
     SimulationError,
@@ -281,6 +283,165 @@ class TestClassifySemisupervised:
         se = binomial_se(float(np.mean(sup_err)), reps * int(n * (1 - eta)))
         assert np.mean(oracle_err) <= np.mean(semi_err) + 2.0 * se
         assert np.mean(semi_err) <= np.mean(sup_err) + 2.0 * se
+
+    def test_unrealised_mixture_rejected(self):
+        ds = generate_dataset(40, 400, 1.0, [(0.2, 0.9)], seed=12)
+        params = ProblemParams(lam=1.0, c=10.0, mixture=EpsilonMixture.certainty(0.2))
+        with pytest.raises(SimulationError, match="realised mixture"):
+            classify_semisupervised(ds, params)
+
+    def test_uses_the_given_mixture(self, monkeypatch):
+        ds = generate_dataset(30, 60, 1.0, [(0.2, 0.9)], seed=14)
+        params = self._params(ds, 1.0)
+
+        def no_build(*args):
+            raise AssertionError("the classifier rebuilt the realised mixture")
+
+        monkeypatch.setattr(EpsilonMixture, "from_samples", no_build)
+        assert classify_semisupervised(ds, params, t_max=3).iterations >= 1
+
+
+def loop_oracle(ds, params, t_max=50, stop_tol=1e-6):
+    """The pass loop as it was before the calibration was shared, verbatim
+    from its checks on; the reference the lean loop must match bit for bit."""
+    lam, c = params.lam, params.c
+    X = ds.features
+    eps = np.asarray(ds.label_eps, dtype=float)
+    col_sq = np.einsum("ij,ij->j", X, X)
+    mixture = EpsilonMixture.from_samples(eps)
+    n = ds.n
+
+    v = eps.copy()
+    q_v = mixture.eps_bar_sq
+    iterations = 0
+    for iterations in range(1, int(t_max) + 1):
+        q_u = qu_from_qv(lam, c, q_v)
+        q_v = qv_from_qu(mixture, q_u)
+        direction = X @ v / n
+        raw = X.T @ direction - (col_sq / n) * v
+        if q_u == 0.0:
+            u = np.zeros(n)
+        else:
+            mean_sq = float(np.mean(raw * raw))
+            if mean_sq == 0.0:
+                raise SimulationError("degenerate scores: zero second moment")
+            scale = math.sqrt(mean_sq / (q_u * (q_u + 1.0)))
+            u = raw / scale
+        v_new = _posterior_mean(eps, u)
+        delta = float(np.mean(np.abs(v_new - v)))
+        v = v_new
+        if delta < stop_tol:
+            break
+    return v, iterations
+
+
+@pytest.fixture
+def fresh_calibrations():
+    simulate._calibration.cache_clear()
+    yield
+    simulate._calibration.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_calibrations")
+class TestLeanPassLoop:
+    """Each realised mixture's calibration is computed once, on demand, and
+    shared; the pass loop must give the old loop's scores bit for bit."""
+
+    @pytest.mark.parametrize(
+        "lam, labeling, t_max, stops_early",
+        [
+            (1.5, [(0.2, 1.0)], 50, None),
+            (1.5, [(0.3, 0.8)], 50, None),
+            (1.5, [], 50, None),
+            (0.0, [(0.2, 0.8)], 50, None),
+            (1.5, [(0.3, 0.8)], 1, None),
+            (2.5, [(0.4, 1.0)], 200, True),
+            (1.5, [(0.1, 0.7), (0.2, 1.0)], 50, None),
+        ],
+        ids=["kappa-1", "soft-kappa", "unlabeled", "lam-0", "t_max-1", "early-stop", "two-blocks"],
+    )
+    def test_matches_the_old_loop(self, lam, labeling, t_max, stops_early):
+        p, n = 60, 300
+        for seed in (3, 4):
+            ds = generate_dataset(p, n, lam, labeling, seed=seed)
+            params = ProblemParams(
+                lam=ds.snr, c=n / p, mixture=EpsilonMixture.from_samples(ds.label_eps)
+            )
+            soft, iterations = loop_oracle(ds, params, t_max=t_max)
+            if stops_early:
+                assert iterations < t_max
+            for _ in range(2):  # the second run reads the shared calibration
+                out = classify_semisupervised(ds, params, t_max=t_max)
+                assert out.soft_scores.tobytes() == soft.tobytes()
+                assert out.hard_labels.tobytes() == simulate._hard_decisions(soft).tobytes()
+                assert out.iterations == iterations
+
+    def recursion(self, lam, c, mixture, passes):
+        q_v, values = mixture.eps_bar_sq, []
+        for _ in range(passes):
+            q_u = qu_from_qv(lam, c, q_v)
+            values.append(q_u)
+            q_v = qv_from_qu(mixture, q_u)
+        return values
+
+    def test_calibration_runs_no_further_than_the_passes(self, monkeypatch):
+        calls = []
+        label_map = simulate.qv_from_qu
+
+        def counting(mixture, q_u):
+            calls.append(q_u)
+            return label_map(mixture, q_u)
+
+        monkeypatch.setattr(simulate, "qv_from_qu", counting)
+        ds = generate_dataset(60, 300, 2.5, [(0.4, 1.0)], seed=3)
+        params = ProblemParams(
+            lam=ds.snr, c=ds.n / ds.p, mixture=EpsilonMixture.from_samples(ds.label_eps)
+        )
+        out = classify_semisupervised(ds, params, t_max=10**6)
+        assert out.iterations < 200
+        assert len(calls) <= out.iterations
+        cached = simulate._calibration(params.lam, params.c, params.mixture)._q_u
+        assert cached == self.recursion(params.lam, params.c, params.mixture, len(cached))
+
+    def test_cache_stays_bounded(self):
+        bound = simulate._calibration.cache_info().maxsize
+        for k in range(bound + 5):
+            ds = generate_dataset(20, 100, 1.0, [(0.01 * (k + 1), 1.0)], seed=k)
+            params = ProblemParams(
+                lam=ds.snr, c=5.0, mixture=EpsilonMixture.from_samples(ds.label_eps)
+            )
+            classify_semisupervised(ds, params, t_max=5)
+            assert simulate._calibration.cache_info().currsize <= bound
+        assert simulate._calibration.cache_info().currsize == bound
+
+    def test_threads_read_one_schedule(self):
+        # More threads than cores, switching often: every thread reads the
+        # serial recursion whatever the interleaving.
+        mixture = EpsilonMixture(((-0.6, 0.1), (0.0, 0.8), (0.6, 0.1)))
+        expected = self.recursion(1.5, 2.0, mixture, 60)
+
+        def read(calibration, seen, k):
+            order = range(60) if k % 2 == 0 else range(59, -1, -1)
+            seen[k] = {t: calibration.q_u(t) for t in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                calibration = simulate._Calibration(1.5, 2.0, mixture)
+                seen = [None] * 8
+                threads = [
+                    threading.Thread(target=read, args=(calibration, seen, k)) for k in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert calibration._q_u == expected
+                assert all(s == dict(enumerate(expected)) for s in seen)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestLabeledNeededEmpirical:
