@@ -10,12 +10,13 @@ reduction       error-reduction sweeps over the SNR or the sample ratio
 simulate        one synthetic campaign compared against the theory
 channel-check   Monte Carlo channel alignment against quadrature, with z-scores
 
-Every command reads an optional JSON config (``--config``), applies the flag
-overrides ``--seed/--reps/--tol``, writes whitespace-separated tables with a
-single header row to ``--out`` (atomically, at the end), and drops a manifest
-echoing the resolved parameters and library versions next to the output.
-Identical configuration and seed produce byte-identical files; pure-theory
-commands never consume a seed.
+Every command reads an optional JSON config (``--config``) over its defaults
+in ``_COMMANDS``, applies those of the flag overrides ``--seed/--reps/--tol``
+that its config holds, and turns the config into whitespace-separated tables
+with a single header row; ``main`` writes them (atomically, at the end) with
+a manifest echoing the resolved parameters and library versions next to the
+output.  Identical configuration and seed produce byte-identical files;
+pure-theory commands never consume a seed.
 
 Exit codes: 0 success, 2 validation failure, 3 solver non-convergence,
 4 simulation infeasibility.
@@ -30,6 +31,7 @@ import os
 import platform
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -71,7 +73,8 @@ MAX_GRID_CELLS = 1_000_000
 
 # Largest feature matrix a Monte Carlo command may draw, in cells (200 MB of
 # float64): one replicate for `simulate` and `reduction`, all of them for
-# `labeled-needed`, which keeps every replicate.
+# `labeled-needed`, which keeps every replicate; also the length of each
+# `channel-check` draw (`trials`).
 MAX_REPLICATE_CELLS = 25_000_000
 
 
@@ -111,6 +114,17 @@ def _table_text(header: list[str], rows, break_after: set[int] | None = None) ->
         if break_after and index in break_after:
             lines.append("")
     return "\n".join(lines) + "\n"
+
+
+def _side_by_side(x_name: str, y_name: str, curves) -> str:
+    """Table of equal-length curves (xs, ys): every x column, then every y column."""
+    header = [f"{x_name}{j + 1}" for j in range(len(curves))]
+    header += [f"{y_name}{j + 1}" for j in range(len(curves))]
+    rows = [
+        [xs[i] for xs, _ in curves] + [ys[i] for _, ys in curves]
+        for i in range(len(curves[0][0]))
+    ]
+    return _table_text(header, rows)
 
 
 def _write_manifest(base_path: str, command: str, params: dict) -> None:
@@ -181,11 +195,9 @@ def _resolve_config(args, defaults: dict) -> dict:
             if defaults[key] is not None:
                 _check_kind(key, value, defaults[key])
         cfg.update(loaded)
-    for flag in ("seed", "reps", "tol"):
-        value = getattr(args, flag)
+    for flag in _FLAGS:
+        value = getattr(args, flag, None)
         if value is not None:
-            if flag not in defaults:
-                raise CliError(f"--{flag} is not used by this command")
             cfg[flag] = value
     if "reps" in cfg and cfg["reps"] < 1:
         raise CliError("reps must be at least 1")
@@ -239,16 +251,7 @@ def _intended_mixture(labeling) -> EpsilonMixture:
     return EpsilonMixture(atoms=tuple(atoms))
 
 
-def cmd_solve(args) -> int:
-    defaults = {
-        "lambda": 1.0,
-        "c": 1.0,
-        "eta": None,
-        "mixture": None,
-        "tol": 1e-10,
-        "max_iter": 10000,
-    }
-    cfg = _resolve_config(args, defaults)
+def cmd_solve(cfg: dict) -> dict[str, str]:
     mixture = _mixture_from_config(cfg)
     params = ProblemParams(lam=float(cfg["lambda"]), c=float(cfg["c"]), mixture=mixture)
     solution = solve_overlaps(params, tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"]))
@@ -263,24 +266,10 @@ def cmd_solve(args) -> int:
         solution.residual,
         solution.iterations,
     ]
-    text = _table_text(header, [row])
-    sys.stdout.write(text)
-    if args.out is not None:
-        _write_text(args.out, text)
-        _write_manifest(args.out, "solve", cfg)
-    return EXIT_OK
+    return {"": _table_text(header, [row])}
 
 
-def cmd_approx_error(args) -> int:
-    defaults = {
-        "eps_min": 0.0,
-        "eps_max": 1.0,
-        "eps_step": 0.01,
-        "q_min": 0.1,
-        "q_max": 10.0,
-        "q_step": 0.1,
-    }
-    cfg = _resolve_config(args, defaults)
+def cmd_approx_error(cfg: dict) -> dict[str, str]:
     axes = [(cfg[f"{x}_min"], cfg[f"{x}_max"], cfg[f"{x}_step"]) for x in ("eps", "q")]
     counts = [_grid_size(*axis) for axis in axes]
     if counts[0] * counts[1] > MAX_GRID_CELLS:
@@ -298,16 +287,10 @@ def cmd_approx_error(args) -> int:
         for j, q in enumerate(q_grid):
             rows.append([eps, q, surface[i, j]])
         breaks.add(len(rows) - 1)
-    out = args.out if args.out is not None else "approx_error.dat"
-    _write_text(out, _table_text(["eps", "q", "err"], rows, break_after=breaks))
-    _write_manifest(out, "approx-error", cfg)
-    sys.stdout.write(f"wrote {out}\n")
-    return EXIT_OK
+    return {"": _table_text(["eps", "q", "err"], rows, break_after=breaks)}
 
 
-def cmd_usefulness(args) -> int:
-    defaults = {"q_max": 25.0, "points": 200, "q_min_positive": 1e-3}
-    cfg = _resolve_config(args, defaults)
+def cmd_usefulness(cfg: dict) -> dict[str, str]:
     points = int(cfg["points"])
     if not 2 <= points <= MAX_GRID_CELLS:
         raise CliError(f"points must lie in [2, {MAX_GRID_CELLS}]")
@@ -316,26 +299,10 @@ def cmd_usefulness(args) -> int:
         raise CliError("need 0 < q_min_positive < q_max")
     q_grid = np.concatenate([[0.0], np.logspace(math.log10(q_lo), math.log10(q_hi), points - 1)])
     rows = [[bayes_risk(q), channel_overlap(0.0, q)] for q in q_grid]
-    out = args.out if args.out is not None else "usefulness.dat"
-    _write_text(out, _table_text(["eps", "y"], rows))
-    _write_manifest(out, "usefulness", cfg)
-    sys.stdout.write(f"wrote {out}\n")
-    return EXIT_OK
+    return {"": _table_text(["eps", "y"], rows)}
 
 
-def cmd_labeled_needed(args) -> int:
-    defaults = {
-        "n": 1000,
-        "p": 200,
-        "lambda": 0.25,
-        "etas": [0.02, 0.05, 0.1, 0.2, 0.5],
-        "theory_points": 40,
-        "empirical_points": 5,
-        "reps": 10,
-        "t_max": 40,
-        "seed": 777,
-    }
-    cfg = _resolve_config(args, defaults)
+def cmd_labeled_needed(cfg: dict) -> dict[str, str]:
     n = int(cfg["n"])
     p = int(cfg["p"])
     lam = float(cfg["lambda"])
@@ -364,11 +331,6 @@ def cmd_labeled_needed(args) -> int:
             k_lo = math.nextafter(k_lo, 1.0)
         kappas = np.linspace(k_lo, 1.0, theory_points)
         theory_cols.append((kappas, [labeled_needed(eta, k, n) for k in kappas]))
-    header_th = [f"x{j + 1}" for j in range(len(etas))] + [f"y{j + 1}" for j in range(len(etas))]
-    rows_th = [
-        [col[0][i] for col in theory_cols] + [col[1][i] for col in theory_cols]
-        for i in range(theory_points)
-    ]
 
     empirical_cols = []
     for eta in etas:
@@ -383,22 +345,10 @@ def cmd_labeled_needed(args) -> int:
             for k in kappas
         ]
         empirical_cols.append((kappas, counts))
-    header_emp = [f"conf{j + 1}" for j in range(len(etas))] + [
-        f"nl{j + 1}" for j in range(len(etas))
-    ]
-    rows_emp = [
-        [col[0][i] for col in empirical_cols] + [col[1][i] for col in empirical_cols]
-        for i in range(empirical_points)
-    ]
-
-    base = args.out if args.out is not None else "labeled_needed"
-    path_th = base + "_th.dat"
-    path_emp = base + "_emp.dat"
-    _write_text(path_th, _table_text(header_th, rows_th))
-    _write_text(path_emp, _table_text(header_emp, rows_emp))
-    _write_manifest(base, "labeled-needed", cfg)
-    sys.stdout.write(f"wrote {path_th}\nwrote {path_emp}\n")
-    return EXIT_OK
+    return {
+        "_th.dat": _side_by_side("x", "y", theory_cols),
+        "_emp.dat": _side_by_side("conf", "nl", empirical_cols),
+    }
 
 
 def _empirical_reduction(p, n, lam, eta, kappa, seed_parts, reps, t_max):
@@ -422,21 +372,7 @@ def _empirical_reduction(p, n, lam, eta, kappa, seed_parts, reps, t_max):
     return algo_abs, algo_oracle
 
 
-def cmd_reduction(args) -> int:
-    defaults = {
-        "sweep": "lambda",
-        "eta": 0.2,
-        "kappa": 1.0,
-        "p": 200,
-        "c": 1.0,
-        "lambda": 2.0,
-        "lambdas": [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 3.5, 4.0],
-        "cs": [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0],
-        "reps": 10,
-        "t_max": 50,
-        "seed": 20240,
-    }
-    cfg = _resolve_config(args, defaults)
+def cmd_reduction(cfg: dict) -> dict[str, str]:
     sweep = cfg["sweep"]
     if sweep not in ("lambda", "c"):
         raise CliError("sweep must be 'lambda' or 'c'")
@@ -473,28 +409,11 @@ def cmd_reduction(args) -> int:
             p, n, lam, eta, kappa, [seed, index], reps, t_max
         )
         rows.append([values[index], algo_abs, algo_oracle, bound_abs, bound_oracle])
-
-    out = args.out if args.out is not None else f"reduction_{sweep}.dat"
-    _write_text(
-        out,
-        _table_text([x_name, "algo_abs", "algo_oracle", "bound_abs", "bound_oracle"], rows),
-    )
-    _write_manifest(out, "reduction", cfg)
-    sys.stdout.write(f"wrote {out}\n")
-    return EXIT_OK
+    header = [x_name, "algo_abs", "algo_oracle", "bound_abs", "bound_oracle"]
+    return {"": _table_text(header, rows)}
 
 
-def cmd_simulate(args) -> int:
-    defaults = {
-        "n": 2000,
-        "p": 2000,
-        "lambda": 2.0,
-        "labeling": [[0.2, 1.0]],
-        "reps": 10,
-        "t_max": 50,
-        "seed": 1234,
-    }
-    cfg = _resolve_config(args, defaults)
+def cmd_simulate(cfg: dict) -> dict[str, str]:
     n = int(cfg["n"])
     p = int(cfg["p"])
     lam = float(cfg["lambda"])
@@ -502,6 +421,8 @@ def cmd_simulate(args) -> int:
     reps = int(cfg["reps"])
     t_max = int(cfg["t_max"])
     seed = int(cfg["seed"])
+    if n < 1 or p < 1:
+        raise CliError("n and p must be at least 1")
     _check_replicate_cells(p * n, "a replicate (p x n)")
 
     mixture = _intended_mixture(labeling)
@@ -541,22 +462,10 @@ def cmd_simulate(args) -> int:
         solution.q_u,
         solution.q_v,
     ]
-    text = _table_text(header, [row])
-    sys.stdout.write(text)
-    if args.out is not None:
-        _write_text(args.out, text)
-        _write_manifest(args.out, "simulate", cfg)
-    return EXIT_OK
+    return {"": _table_text(header, [row])}
 
 
-def cmd_channel_check(args) -> int:
-    defaults = {
-        "eps_values": [0.0, 0.25, 0.5, 0.75, 0.95],
-        "q_values": [0.1, 0.5, 1.0, 2.0, 5.0],
-        "trials": 200000,
-        "seed": 99,
-    }
-    cfg = _resolve_config(args, defaults)
+def cmd_channel_check(cfg: dict) -> dict[str, str]:
     eps_values = [float(e) for e in cfg["eps_values"]]
     q_values = [float(q) for q in cfg["q_values"]]
     for name, grid in (("eps_values", eps_values), ("q_values", q_values)):
@@ -564,6 +473,7 @@ def cmd_channel_check(args) -> int:
             raise CliError(f"{name} must be nonempty and strictly increasing")
     trials = int(cfg["trials"])
     seed = int(cfg["seed"])
+    _check_replicate_cells(trials, "each channel draw (trials)")
     rows = []
     for index, eps in enumerate(eps_values):
         for jndex, q in enumerate(q_values):
@@ -576,22 +486,111 @@ def cmd_channel_check(args) -> int:
             else:
                 z = 0.0 if mc == theory else float("inf")
             rows.append([eps, q, mc, theory, stderr, z])
-    out = args.out if args.out is not None else "channel_check.dat"
-    _write_text(out, _table_text(["eps", "q", "mc", "theory", "stderr", "z"], rows))
-    _write_manifest(out, "channel-check", cfg)
-    sys.stdout.write(f"wrote {out}\n")
-    return EXIT_OK
+    return {"": _table_text(["eps", "q", "mc", "theory", "stderr", "z"], rows)}
+
+
+class Command(NamedTuple):
+    """One subcommand of the table.
+
+    ``run`` maps the resolved config to its tables, output suffix -> text, in
+    writing order.  ``out`` is the default output name, formatted with the
+    config; a command without one echoes its one table and writes files only
+    when ``--out`` is given.
+    """
+
+    run: Callable[[dict], dict[str, str]]
+    out: str | None
+    defaults: dict
 
 
 _COMMANDS = {
-    "solve": cmd_solve,
-    "approx-error": cmd_approx_error,
-    "usefulness": cmd_usefulness,
-    "labeled-needed": cmd_labeled_needed,
-    "reduction": cmd_reduction,
-    "simulate": cmd_simulate,
-    "channel-check": cmd_channel_check,
+    "solve": Command(cmd_solve, None, {
+        "lambda": 1.0,
+        "c": 1.0,
+        "eta": None,
+        "mixture": None,
+        "tol": 1e-10,
+        "max_iter": 10000,
+    }),
+    "approx-error": Command(cmd_approx_error, "approx_error.dat", {
+        "eps_min": 0.0,
+        "eps_max": 1.0,
+        "eps_step": 0.01,
+        "q_min": 0.1,
+        "q_max": 10.0,
+        "q_step": 0.1,
+    }),
+    "usefulness": Command(
+        cmd_usefulness, "usefulness.dat", {"q_max": 25.0, "points": 200, "q_min_positive": 1e-3}
+    ),
+    "labeled-needed": Command(cmd_labeled_needed, "labeled_needed", {
+        "n": 1000,
+        "p": 200,
+        "lambda": 0.25,
+        "etas": [0.02, 0.05, 0.1, 0.2, 0.5],
+        "theory_points": 40,
+        "empirical_points": 5,
+        "reps": 10,
+        "t_max": 40,
+        "seed": 777,
+    }),
+    "reduction": Command(cmd_reduction, "reduction_{sweep}.dat", {
+        "sweep": "lambda",
+        "eta": 0.2,
+        "kappa": 1.0,
+        "p": 200,
+        "c": 1.0,
+        "lambda": 2.0,
+        "lambdas": [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 3.5, 4.0],
+        "cs": [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0],
+        "reps": 10,
+        "t_max": 50,
+        "seed": 20240,
+    }),
+    "simulate": Command(cmd_simulate, None, {
+        "n": 2000,
+        "p": 2000,
+        "lambda": 2.0,
+        "labeling": [[0.2, 1.0]],
+        "reps": 10,
+        "t_max": 50,
+        "seed": 1234,
+    }),
+    "channel-check": Command(cmd_channel_check, "channel_check.dat", {
+        "eps_values": [0.0, 0.25, 0.5, 0.75, 0.95],
+        "q_values": [0.1, 0.5, 1.0, 2.0, 5.0],
+        "trials": 200000,
+        "seed": 99,
+    }),
 }
+
+# Override flags; each is registered only on the commands whose defaults
+# hold its key.
+_FLAGS = {
+    "seed": (int, "override the config seed"),
+    "reps": (int, "override the replicate count"),
+    "tol": (float, "override the solver tolerance"),
+}
+
+
+def _emit(name: str, cfg: dict, tables: dict[str, str], out: str | None) -> None:
+    """Write every table atomically, then the manifest, then report the files.
+
+    A command without a default output name echoes its table instead of
+    reporting, and writes nothing without ``out``.
+    """
+    default = _COMMANDS[name].out
+    if default is None:
+        sys.stdout.write("".join(tables.values()))
+        if out is None:
+            return
+    base = out if out is not None else default.format_map(cfg)
+    paths = [base + suffix for suffix in tables]
+    for path, text in zip(paths, tables.values()):
+        _write_text(path, text)
+    _write_manifest(base, name, cfg)
+    if default is not None:
+        sys.stdout.write("".join(f"wrote {path}\n" for path in paths))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -601,12 +600,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "semi-supervised classification with uncertain labels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, command in _COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="JSON config file for this run")
-        cmd.add_argument("--seed", type=int, help="override the config seed")
-        cmd.add_argument("--reps", type=int, help="override the replicate count")
-        cmd.add_argument("--tol", type=float, help="override the solver tolerance")
+        for flag, (kind, text) in _FLAGS.items():
+            if flag in command.defaults:
+                cmd.add_argument(f"--{flag}", type=kind, help=text)
         cmd.add_argument("--out", help="output path (or base path for multi-file commands)")
     return parser
 
@@ -617,8 +616,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    command = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _resolve_config(args, command.defaults)
+        _emit(args.command, cfg, command.run(cfg), args.out)
+        return EXIT_OK
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

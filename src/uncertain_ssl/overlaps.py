@@ -12,9 +12,9 @@ the posterior-mean labels with the truth).  They solve
 where the mixture (eps_j, w_j) is the empirical distribution of per-sample
 label confidences and F is the scalar channel overlap.  ``solve_overlaps``
 iterates the damped pair of maps from two initialisations (q_v = 1 and a
-small floor above the mixture's mean squared confidence), polishes the result
-with a secant refinement of the scalar defect, and reports the solution with
-the larger q_u when the basins disagree.
+small floor above the mixture's mean squared confidence), polishes each end
+point with a secant refinement of the scalar defect, and returns the
+converged solution with the larger q_u.
 
 The classical certainty-labeled system (a fraction eta of hard labels, the
 rest unlabeled) is the special case mixture {(1, eta), (0, 1 - eta)}, for
@@ -24,8 +24,7 @@ which q_v = eta + (1 - eta) F(q_u).
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -144,9 +143,8 @@ class ProblemParams:
 class OverlapSolution:
     """Solution of the overlap system with convergence diagnostics.
 
-    ``residual`` is the larger of the two equation defects at (q_u, q_v);
-    ``init_gap`` reports |q_u| disagreement between the two initialisations
-    (zero when they agree or only one converged).
+    q_u is computed from q_v by the feature map, so ``residual`` is the
+    defect |q_v - qv_from_qu(mixture, q_u)| of the label equation.
     """
 
     q_u: float
@@ -154,7 +152,6 @@ class OverlapSolution:
     residual: float
     iterations: int
     converged: bool
-    init_gap: float = field(default=0.0)
 
 
 def qu_from_qv(lam: float, c: float, q_v: float) -> float:
@@ -239,10 +236,7 @@ def _solve_from(
         # marginal slope the double root defeats any residual tolerance).
         q_v = 0.0
     q_u = qu_from_qv(lam, c, q_v)
-    residual = max(
-        abs(q_u - qu_from_qv(lam, c, q_v)),
-        abs(q_v - qv_from_qu(mixture, q_u)),
-    )
+    residual = abs(q_v - qv_from_qu(mixture, q_u))
     return OverlapSolution(
         q_u=q_u,
         q_v=q_v,
@@ -263,9 +257,7 @@ def solve_overlaps(
     iterate escape the uninformative point when it is unstable), polishes each
     end point with a secant refinement of the scalar defect, and returns the
     converged solution with the larger q_u.  Raises ``ConvergenceError`` with
-    the best iterate when no initialisation meets the residual tolerance; a
-    disagreement between the basins beyond ``tol`` is kept in ``init_gap``
-    and surfaced as a warning rather than hidden.
+    the best iterate when no initialisation meets the residual tolerance.
     """
     if not isinstance(params, ProblemParams):
         raise TypeError("params must be a ProblemParams")
@@ -284,16 +276,7 @@ def solve_overlaps(
             f"(best residual {best.residual:.3e})",
             best,
         )
-    picked = max(converged, key=lambda r: r.q_u)
-    gap = max(r.q_u for r in converged) - min(r.q_u for r in converged)
-    if gap > tol:
-        warnings.warn(
-            f"overlap initialisations disagree: q_u gap {gap:.3e}; "
-            "returning the larger solution",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return replace(picked, init_gap=gap)
+    return max(converged, key=lambda r: r.q_u)
 
 
 def solve_certainty(

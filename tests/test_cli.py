@@ -2,6 +2,7 @@
 and the exit-code contract."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -187,20 +188,37 @@ class TestExitCodes:
             ("simulate", {"n": 5001, "p": 5000}),
             ("reduction", {"sweep": "c", "p": 2000, "cs": [1.0, 8.0]}),
             ("labeled-needed", {"reps": 126}),
+            ("channel-check", {"trials": 10**15}),
+            ("channel-check", {"trials": 25_000_001}),
         ],
-        ids=["simulate-huge", "simulate-just-over", "reduction-largest-n", "labeled-needed-bank"],
+        ids=[
+            "simulate-huge",
+            "simulate-just-over",
+            "reduction-largest-n",
+            "labeled-needed-bank",
+            "channel-check-huge",
+            "channel-check-just-over",
+        ],
     )
     def test_replicate_over_cap_rejected_before_drawing(
         self, tmp_path, monkeypatch, capsys, command, payload
     ):
-        def no_draw(*args):
+        def no_draw(*args, **kwargs):
             raise AssertionError("replicate drawn before its size was checked")
 
         monkeypatch.setattr(simulate, "_base_draw", no_draw)
+        monkeypatch.setattr(cli, "channel_overlap_mc_stats", no_draw)
         cfg = write_config(tmp_path / "cfg.json", payload)
         out = tmp_path / "out.dat"
         assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
         assert f"more than {cli.MAX_REPLICATE_CELLS}" in capsys.readouterr().err
+        assert list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize("payload", [{"p": 0}, {"n": 0}], ids=["p-zero", "n-zero"])
+    def test_simulate_empty_sizes_rejected(self, tmp_path, payload):
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out = tmp_path / "out.dat"
+        assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 2
         assert list(tmp_path.glob("out*")) == []
 
     def test_nonconvergence_exit(self, tmp_path):
@@ -218,6 +236,59 @@ class TestExitCodes:
              "theory_points": 3, "empirical_points": 1, "t_max": 10, "seed": 1},
         )
         assert run_cli("labeled-needed", "--config", bad, "--out", str(tmp_path / "x")) == 4
+
+
+# The override flags each command registers: exactly the keys its defaults hold.
+FLAGS = {
+    "solve": {"--tol"},
+    "approx-error": set(),
+    "usefulness": set(),
+    "labeled-needed": {"--seed", "--reps"},
+    "reduction": {"--seed", "--reps"},
+    "simulate": {"--seed", "--reps"},
+    "channel-check": {"--seed"},
+}
+
+
+class TestFlagsAndOutputs:
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_lists_exactly_its_flags(self, capsys, command):
+        assert run_cli(command, "-h") == 0
+        listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+        assert listed == {"--help", "--config", "--out"} | FLAGS[command]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--reps", "1"),
+            ("channel-check", "--reps", "1"),
+            ("simulate", "--tol", "1e-9"),
+            ("approx-error", "--seed", "1"),
+        ],
+        ids=["solve-reps", "channel-check-reps", "simulate-tol", "approx-error-seed"],
+    )
+    def test_flag_of_another_command_rejected(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--out", str(tmp_path / "out.dat")) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, payload, header",
+        [
+            ("solve", {"lambda": 2.0, "c": 1.0, "eta": 0.2}, "q_u q_v bayes_risk"),
+            ("simulate", {"n": 40, "p": 20, "reps": 1, "t_max": 5}, "error_oracle "),
+        ],
+        ids=["solve", "simulate"],
+    )
+    def test_echo_without_out_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, command, payload, header
+    ):
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(command, "--config", cfg) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith(header)
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
 class TestDeterminism:
@@ -353,7 +424,7 @@ class TestUsefulnessCommand:
 
 
 class TestLabeledNeededCommand:
-    def test_two_files_with_paired_columns(self, tmp_path):
+    def test_two_files_with_paired_columns(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",
             {
@@ -370,6 +441,13 @@ class TestLabeledNeededCommand:
         )
         base = tmp_path / "ln"
         assert run_cli("labeled-needed", "--config", cfg, "--out", str(base)) == 0
+        assert capsys.readouterr().out == f"wrote {base}_th.dat\nwrote {base}_emp.dat\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cfg.json",
+            "ln.manifest.json",
+            "ln_emp.dat",
+            "ln_th.dat",
+        ]
         th = (tmp_path / "ln_th.dat").read_text().splitlines()
         emp = (tmp_path / "ln_emp.dat").read_text().splitlines()
         assert th[0] == "x1 x2 y1 y2"
