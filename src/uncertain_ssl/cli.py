@@ -68,7 +68,8 @@ EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_INFEASIBLE = 4
 
-# Largest table a grid-valued command may build, in cells.
+# Largest table a grid-valued command may build, in cells; also the largest
+# `reps`, whose per-replicate results are kept until they are averaged.
 MAX_GRID_CELLS = 1_000_000
 
 # Largest feature matrix a Monte Carlo command may draw, in cells (200 MB of
@@ -199,8 +200,8 @@ def _resolve_config(args, defaults: dict) -> dict:
         value = getattr(args, flag, None)
         if value is not None:
             cfg[flag] = value
-    if "reps" in cfg and cfg["reps"] < 1:
-        raise CliError("reps must be at least 1")
+    if "reps" in cfg and not 1 <= cfg["reps"] <= MAX_GRID_CELLS:
+        raise CliError(f"reps must lie in [1, {MAX_GRID_CELLS}]")
     return cfg
 
 

@@ -3,7 +3,9 @@
 Everything in this module is a pure function of floats (or arrays, where
 broadcasting is natural).  The building blocks:
 
-- ``gaussian_tail``      upper tail Q(x) of the standard normal,
+- ``gaussian_tail``      upper tail Q(x) of the standard normal, from the
+                         standard library's ``math.erfc`` (within 1e-14
+                         relative of ``scipy.special.erfc`` on [-8.5, 8.5]),
 - ``posterior_mean``     MMSE estimate of a ±1 signal with prior mean eps
                          observed through a Gaussian channel,
 - ``overlap_integrand``  the scalar function whose Gaussian average gives the
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "QuadratureRule",
@@ -121,17 +122,27 @@ def hermite_rule(n: int = 61) -> QuadratureRule:
 DEFAULT_RULE = hermite_rule(61)
 
 
+def _tail(x: float) -> float:
+    return 0.5 * math.erfc(x / _SQRT2)
+
+
+_tail_array = np.vectorize(_tail, otypes=[float])
+
+
 def gaussian_tail(x):
     """Upper tail Q(x) = P(Z > x) of the standard normal.
 
-    Strictly decreasing, with Q(x) + Q(-x) = 1.  Accepts a scalar or array;
-    non-finite values are rejected.
+    Q(x) = erfc(x / sqrt 2) / 2 with the standard library's ``math.erfc``,
+    which agrees with ``scipy.special.erfc`` within 1e-14 relative on
+    [-8.5, 8.5] and, unlike ``scipy.special``, adds nothing to the start-up
+    of a command.  Strictly decreasing, with Q(x) + Q(-x) = 1.  A scalar gives
+    a float; an array gives an array of the same shape, each entry equal to
+    the scalar call.  Non-finite values are rejected.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("gaussian_tail requires finite input")
-    out = 0.5 * special.erfc(arr / _SQRT2)
-    return float(out) if arr.ndim == 0 else out
+    return _tail(float(arr)) if arr.ndim == 0 else _tail_array(arr)
 
 
 def posterior_mean(eps, t):

@@ -20,6 +20,7 @@ import functools
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -406,16 +407,25 @@ def _fresh_replicate_errors(p, n, lam, labeling, seed, reps: int, t_max: int) ->
 
     Replicates are independent and their numpy work releases the GIL, so they
     run on min(reps, usable cores) threads, each holding one replicate; the
-    results do not depend on the thread count.  A failing replicate raises as
-    in a serial loop: the first in replicate order.
+    results do not depend on the thread count.  At most one replicate per
+    thread is in flight and each stream is built when its replicate is
+    submitted, so only the list of results grows with ``reps``.  A failing
+    replicate raises as in a serial loop: the first in replicate order.
     """
     run = functools.partial(_fresh_replicate, p, n, lam, labeling, t_max)
-    streams = [_rep_stream(seed, r) for r in range(reps)]
+    streams = (_rep_stream(seed, r) for r in range(reps))
     workers = min(reps, _usable_cores())
     if workers <= 1:
         return [run(stream) for stream in streams]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, streams))
+        in_flight = deque(pool.submit(run, next(streams)) for _ in range(workers))
+        results = []
+        while in_flight:
+            results.append(in_flight.popleft().result())
+            stream = next(streams, None)
+            if stream is not None:
+                in_flight.append(pool.submit(run, stream))
+        return results
 
 
 def _stream_key(seed):

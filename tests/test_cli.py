@@ -2,7 +2,10 @@
 and the exit-code contract."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -212,6 +215,23 @@ class TestExitCodes:
         out = tmp_path / "out.dat"
         assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
         assert f"more than {cli.MAX_REPLICATE_CELLS}" in capsys.readouterr().err
+        assert list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "reduction", "labeled-needed"])
+    @pytest.mark.parametrize("reps", [10**9, cli.MAX_GRID_CELLS + 1], ids=["huge", "just-over"])
+    def test_reps_over_cap_rejected_before_any_stream(
+        self, tmp_path, monkeypatch, capsys, command, reps
+    ):
+        def no_stream(*args, **kwargs):
+            raise AssertionError("replicate stream built before reps was checked")
+
+        monkeypatch.setattr(simulate, "_rep_stream", no_stream)
+        monkeypatch.setattr(simulate, "_base_draw", no_stream)
+        out = tmp_path / "out.dat"
+        cfg = write_config(tmp_path / "cfg.json", {"reps": reps})
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+        assert run_cli(command, "--reps", str(reps), "--out", str(out)) == 2
+        assert capsys.readouterr().err.count(f"reps must lie in [1, {cli.MAX_GRID_CELLS}]") == 2
         assert list(tmp_path.glob("out*")) == []
 
     @pytest.mark.parametrize("payload", [{"p": 0}, {"n": 0}], ids=["p-zero", "n-zero"])
@@ -516,3 +536,23 @@ class TestChannelCheckCommand:
     def test_empty_grid_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"eps_values": []})
         assert run_cli("channel-check", "--config", cfg) == 2
+
+
+class TestStartup:
+    def test_no_command_loads_scipy_special(self, tmp_path):
+        # A fresh interpreter, so the test process's own imports mask nothing.
+        script = (
+            "import sys\n"
+            "import uncertain_ssl.cli as cli\n"
+            "code = cli.main(['solve', '--config', sys.argv[1]])\n"
+            "assert code == 0, code\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n"
+        )
+        cfg = write_config(tmp_path / "cfg.json", {"lambda": 2.0, "c": 1.0, "eta": 0.2})
+        paths = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-c", script, cfg],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "[]"

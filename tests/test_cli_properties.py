@@ -43,8 +43,8 @@ TINY = {
 }
 
 # Keys with no cap, where a huge value only buys run time: `t_max` bounds
-# passes, and the fresh-replicate commands draw one replicate at a time.
-UNCAPPED = {"t_max", "simulate.reps", "reduction.reps"}
+# passes.
+UNCAPPED = {"t_max"}
 
 BAD = [True, "1", None, [], {}, 1.5, float("nan"), float("inf"), -float("inf"), -1, -0.5, 0, 0.0]
 HUGE = [10**9, 10**15, 1e300]

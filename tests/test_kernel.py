@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from uncertain_ssl.kernel import (
     DEFAULT_RULE,
@@ -57,6 +57,24 @@ class TestGaussianTail:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
             gaussian_tail(bad)
+
+    def test_matches_scipy_erfc_oracle(self):
+        # scipy is a test-only oracle: the library takes erfc from `math`.
+        x = np.linspace(-8.5, 8.5, 34_001)
+        oracle = 0.5 * special.erfc(x / math.sqrt(2.0))
+        tails = gaussian_tail(x)
+        scalars = np.array([gaussian_tail(float(v)) for v in x])
+        np.testing.assert_allclose(tails, oracle, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(scalars, oracle, rtol=1e-14, atol=0.0)
+        assert np.array_equal(tails, scalars)
+
+    def test_array_keeps_shape_and_scalar_gives_float(self):
+        x = np.array([[-1.0, 0.0], [0.5, 3.0]])
+        tails = gaussian_tail(x)
+        assert tails.shape == x.shape and tails.dtype == np.float64
+        assert tails[1, 0] == gaussian_tail(0.5)
+        assert gaussian_tail(np.empty((0, 3))).shape == (0, 3)
+        assert type(gaussian_tail(np.float64(1.0))) is float
 
 
 class TestPosteriorMean:

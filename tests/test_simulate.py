@@ -574,6 +574,36 @@ class TestFreshReplicates:
             raised.append((info.type, str(info.value)))
         assert raised == [(SimulationError, "replicate 1 failed")] * len(CORE_SETS)
 
+    def test_streams_are_built_only_as_replicates_are_submitted(self, monkeypatch):
+        started, finished = [], []
+
+        def stream(seed, r):
+            started.append(r - len(finished))  # replicates running, this one excluded
+            return [seed, r]
+
+        def replicate(p, n, lam, labeling, t_max, stream):
+            r = stream[-1]
+            time.sleep(0.002 * (r % 3))  # later replicates may finish first
+            finished.append(r)
+            if r == 5:
+                raise SimulationError("replicate 5 failed")
+            return r, None, -r
+
+        monkeypatch.setattr(simulate, "_rep_stream", stream)
+        monkeypatch.setattr(simulate, "_fresh_replicate", replicate)
+        for cores in self.each_core_set(monkeypatch):
+            started.clear()
+            finished.clear()
+            errors = simulate._fresh_replicate_errors(1, 1, 1.0, [], 0, 5, 1)
+            assert errors == [(r, None, -r) for r in range(5)]
+            assert max(started) < len(cores)
+            started.clear()
+            finished.clear()
+            with pytest.raises(SimulationError, match="replicate 5 failed"):
+                simulate._fresh_replicate_errors(1, 1, 1.0, [], 0, 10_000, 1)
+            assert len(started) <= 6 + len(cores)
+            assert max(started) < len(cores)
+
 
 @pytest.fixture
 def empty_caches():
