@@ -57,7 +57,6 @@ from .simulate import (
     classify_supervised,
     generate_dataset,
     labeled_needed_empirical,
-    reference_error,
 )
 
 __version__ = "0.1.0"
@@ -107,6 +106,5 @@ __all__ = [
     "classify_oracle",
     "classify_supervised",
     "classify_semisupervised",
-    "reference_error",
     "labeled_needed_empirical",
 ]

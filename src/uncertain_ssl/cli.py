@@ -60,7 +60,6 @@ from .simulate import (
     channel_overlap_mc_stats,
     _fresh_replicate_errors,
     labeled_needed_empirical,
-    reference_error,
 )
 
 EXIT_OK = 0
@@ -338,13 +337,7 @@ def cmd_labeled_needed(cfg: dict) -> dict[str, str]:
         # stay clear of the search cap: keep the theory requirement below 0.8 n
         k_lo = min((1.0 + math.sqrt(eta / 0.8)) / 2.0, 1.0)
         kappas = np.linspace(k_lo, 1.0, empirical_points)
-        target = reference_error(p, n, lam, eta, seed=seed, reps=reps, t_max=t_max)
-        counts = [
-            labeled_needed_empirical(
-                p, n, lam, eta, float(k), target, seed=seed, reps=reps, t_max=t_max
-            )
-            for k in kappas
-        ]
+        counts = labeled_needed_empirical(p, n, lam, eta, kappas, seed=seed, reps=reps, t_max=t_max)
         empirical_cols.append((kappas, counts))
     return {
         "_th.dat": _side_by_side("x", "y", theory_cols),

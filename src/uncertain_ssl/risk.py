@@ -18,6 +18,7 @@ The feature overlap q_u fixes everything a decision maker cares about:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .kernel import channel_overlap, gaussian_tail
@@ -39,6 +40,17 @@ __all__ = [
 
 class InfeasibilityError(ValueError):
     """The requested labeling regime cannot reach the target information level."""
+
+
+def _check_int(value, name: str) -> int:
+    """``value`` as an int: Python and numpy integers pass, while a bool or a
+    float is rejected rather than truncated."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_nonneg(x, name: str) -> float:
@@ -121,7 +133,8 @@ def labeled_needed(eta: float, kappa: float, n: int) -> float:
         raise ValueError("eta must lie in (0, 1]")
     if not (math.isfinite(kappa) and 0.5 <= kappa <= 1.0):
         raise ValueError("kappa must lie in [0.5, 1]")
-    if int(n) < 1:
+    n = _check_int(n, "n")
+    if n < 1:
         raise ValueError("n must be a positive integer")
     if kappa == 0.5:
         raise InfeasibilityError("kappa = 0.5 labels carry no information")
@@ -131,7 +144,7 @@ def labeled_needed(eta: float, kappa: float, n: int) -> float:
             f"(2 kappa - 1)^2 = {conf_sq:.6g} < eta = {eta:.6g}: even a fully "
             "labeled dataset cannot reach the target confidence level"
         )
-    return eta / conf_sq * int(n)
+    return eta / conf_sq * n
 
 
 def supervised_risk_theory(lam: float, c: float, eta: float) -> float:

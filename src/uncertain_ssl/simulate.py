@@ -8,6 +8,11 @@ scalar-channel alignment check, and three classifiers to confront the theory:
 - ``classify_semisupervised``  iterative posterior-mean scheme whose score
                                calibration is driven by the overlap maps.
 
+``labeled_needed_empirical`` runs the labeled-count search for one eta: how
+many kappa-reliable labels the semi-supervised classifier needs to match an
+eta fraction of certain ones.  It draws its replicates and runs its
+reference inside the call and keeps nothing afterwards.
+
 Randomness.  All draws use ``numpy.random.default_rng`` (PCG64) with explicit
 seeding; replicate r of a study derives its stream from the seed sequence
 ``(seed, r)``, so replicates are independent and every run is reproducible
@@ -27,9 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import _check_eps, _posterior_mean_at, posterior_mean
+from .kernel import _check_eps, _check_snr, _posterior_mean_at, posterior_mean
 from .overlaps import EpsilonMixture, ProblemParams, qu_from_qv, qv_from_qu
-from .risk import InfeasibilityError
+from .risk import InfeasibilityError, _check_int
 
 __all__ = [
     "SimulationError",
@@ -40,7 +45,6 @@ __all__ = [
     "classify_oracle",
     "classify_supervised",
     "classify_semisupervised",
-    "reference_error",
     "labeled_needed_empirical",
 ]
 
@@ -120,8 +124,8 @@ def _output_from_soft(soft: np.ndarray, ds: Dataset, iterations=None) -> Classif
 
 
 def _check_sizes(p, n, lam) -> tuple[int, int, float]:
-    p = int(p)
-    n = int(n)
+    p = _check_int(p, "p")
+    n = _check_int(n, "n")
     if p < 1 or n < 1:
         raise ValueError("p and n must be positive integers")
     lam = float(lam)
@@ -220,15 +224,18 @@ def channel_overlap_mc_stats(
 
     Simulates s with prior mean eps, u = sqrt(q) s + z, denoises with the
     posterior mean at sqrt(q) u, and averages s times the estimate.  The mean
-    converges to the quadrature channel overlap at (eps, q).
+    converges to the quadrature channel overlap at (eps, q).  A scalar eps in
+    [-1, 1] and a finite nonnegative q are checked, as ``channel_overlap``
+    checks them, before any draw.
     """
+    eps = _check_eps(eps)
+    if eps.ndim != 0:
+        raise ValueError("eps must be a scalar")
     eps = float(eps)
-    q = float(q)
+    q = _check_snr(q)
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if q < 0.0:
-        raise ValueError("q must be nonnegative")
     rng = np.random.default_rng(seed)
     s = np.where(rng.random(trials) < (1.0 + eps) / 2.0, 1.0, -1.0)
     u = math.sqrt(q) * s + rng.standard_normal(trials)
@@ -415,8 +422,6 @@ def _fresh_replicate_errors(p, n, lam, labeling, seed, reps: int, t_max: int) ->
     run = functools.partial(_fresh_replicate, p, n, lam, labeling, t_max)
     streams = (_rep_stream(seed, r) for r in range(reps))
     workers = min(reps, _usable_cores())
-    if workers <= 1:
-        return [run(stream) for stream in streams]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         in_flight = deque(pool.submit(run, next(streams)) for _ in range(workers))
         results = []
@@ -428,32 +433,19 @@ def _fresh_replicate_errors(p, n, lam, labeling, seed, reps: int, t_max: int) ->
         return results
 
 
-def _stream_key(seed):
-    """Hashable form of a study seed, drawing the same replicate streams."""
-    return seed if isinstance(seed, (int, np.integer)) else tuple(seed)
-
-
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-
-
-@functools.lru_cache(maxsize=1)
-def _replicate_bank(p: int, n: int, lam: float, stream, reps: int) -> tuple:
-    """Per replicate r of (stream, r): read-only (mu, y, features) and the
-    generator state after the noise draw.
+def _draw_bank(p: int, n: int, lam: float, seed, reps: int) -> list:
+    """Per replicate r of (seed, r): (mu, y, features) and the generator
+    state after the noise draw.
 
     Restoring the state and drawing the label blocks rebuilds exactly the
-    dataset ``generate_dataset`` draws from (stream, r), so the probes of a
-    labeled-count search share one draw of each replicate.
+    dataset ``generate_dataset`` draws from (seed, r), so every probe of a
+    labeled-count search shares one draw of each replicate.
     """
-    p, n, lam = _check_sizes(p, n, lam)
     bank = []
-    for r in range(int(reps)):
-        rng, mu, y, features = _base_draw(p, n, lam, _rep_stream(stream, r))
-        _read_only(mu, y, features)
+    for r in range(reps):
+        rng, mu, y, features = _base_draw(p, n, lam, _rep_stream(seed, r))
         bank.append((mu, y, features, rng.bit_generator.state))
-    return tuple(bank)
+    return bank
 
 
 def _dataset_from_bank(entry, blocks) -> Dataset:
@@ -466,21 +458,9 @@ def _dataset_from_bank(entry, blocks) -> Dataset:
     )
 
 
-def _mean_errors(
-    p: int,
-    n: int,
-    lam: float,
-    n_labeled: int,
-    kappa: float,
-    stream,
-    reps: int,
-    t_max: int,
-    reference_hard=None,
-):
-    """Per-rep semi-supervised runs at a fixed labeled count.
-
-    Returns (own-subset mean error, paired difference to the reference hard
-    labels on the candidate's unlabeled subset or None, per-rep hard labels).
+def _hard_labels(bank, lam: float, n_labeled: int, kappa: float, t_max: int) -> list:
+    """Per replicate, the semi-supervised hard labels when the first
+    ``n_labeled`` samples carry kappa-reliable labels.
 
     The replicates run serially on purpose.  A 200 x 1000 pass takes about
     140 us once its calibration is cached (best of 5 x 300 runs, one BLAS
@@ -491,114 +471,42 @@ def _mean_errors(
     ``labeled-needed`` at its defaults with etas [0.02] from 5.2 s to 6.1 s
     (medians of 3 runs, 2 cores).
     """
-    bank = _replicate_bank(p, n, lam, stream, reps)
+    p, n = bank[0][2].shape
     blocks = _check_labeling([(n_labeled / n, kappa)])
-    own_errors = []
-    diffs = []
     hard = []
-    for r, entry in enumerate(bank):
+    for entry in bank:
         ds = _dataset_from_bank(entry, blocks)
-        out = classify_semisupervised(
-            ds, ProblemParams(lam=lam, c=n / p, mixture=EpsilonMixture.from_samples(ds.label_eps)),
-            t_max=t_max,
-        )
-        hard.append(out.hard_labels)
-        if out.error_unlabeled is None:
-            raise SimulationError("candidate labeled count leaves no unlabeled samples")
-        own_errors.append(out.error_unlabeled)
-        if reference_hard is not None:
-            sl = slice(n_labeled, n)
-            truth = ds.truth_labels[sl]
-            cand = float(np.mean(out.hard_labels[sl] != truth))
-            ref = float(np.mean(reference_hard[r][sl] != truth))
-            diffs.append(cand - ref)
-    paired = float(np.mean(diffs)) if diffs else None
-    return float(np.mean(own_errors)), paired, hard
+        params = ProblemParams(lam=lam, c=n / p, mixture=EpsilonMixture.from_samples(ds.label_eps))
+        hard.append(classify_semisupervised(ds, params, t_max=t_max).hard_labels)
+    return hard
 
 
-@functools.lru_cache(maxsize=1)
-def _reference_run(
-    p: int, n: int, lam: float, n_ref: int, stream, reps: int, t_max: int
-) -> tuple[float, tuple]:
-    """Mean error and read-only per-rep hard labels of the kappa = 1 run."""
-    mean_err, _, hard = _mean_errors(p, n, lam, n_ref, 1.0, stream, reps, t_max)
-    _read_only(*hard)
-    return mean_err, tuple(hard)
+def _probe(bank, reference_hard, lam: float, n_labeled: int, kappa: float, t_max: int) -> float:
+    """Mean over replicates of the candidate's error minus the reference's,
+    both on the candidate's unlabeled subset."""
+    diffs = []
+    for (_, y, _, _), cand_hard, ref_hard in zip(
+        bank, _hard_labels(bank, lam, n_labeled, kappa, t_max), reference_hard
+    ):
+        sl = slice(n_labeled, y.size)
+        truth = y[sl]
+        cand = float(np.mean(cand_hard[sl] != truth))
+        ref = float(np.mean(ref_hard[sl] != truth))
+        diffs.append(cand - ref)
+    return float(np.mean(diffs))
 
 
-def reference_error(
-    p: int, n: int, lam: float, eta: float, seed, reps: int = 10, t_max: int = 40
-) -> float:
-    """Mean semi-supervised error of the certainty-labeled reference run.
-
-    A fraction eta of the samples carries exact labels (kappa = 1); the error
-    is measured on the unlabeled remainder and averaged over ``reps``
-    replicate streams derived from (seed, r).  This is the target the
-    empirical labeled-count search reproduces with less reliable labels.
-    """
-    n_ref = int(round(float(eta) * n))
-    return _reference_run(p, n, lam, n_ref, _stream_key(seed), reps, t_max)[0]
-
-
-def labeled_needed_empirical(
-    p: int,
-    n: int,
-    lam: float,
-    eta: float,
-    kappa: float,
-    target_error: float,
-    seed,
-    reps: int = 10,
-    t_max: int = 40,
-) -> int:
-    """Smallest labeled count whose mean error meets the target, by search.
-
-    Doubling then integer bisection over the monotone-in-expectation error
-    curve; every probe is averaged over ``reps`` replicate streams.  Noise is
-    suppressed with common random numbers: each probe reuses the replicate's
-    data draws, and its error estimate is anchored to the (eta, kappa = 1)
-    reference run on the same streams, i.e. the candidate error is
-    estimated as reference level plus the paired error difference on the
-    candidate's unlabeled subset, so dataset-level fluctuations cancel.
-    Each replicate's center, truth and noise are drawn once and each
-    reference run is made once, shared with ``reference_error``; a probe
-    draws only its labels.
-
-    Infeasible reliabilities ((2 kappa - 1)^2 < eta) are rejected; the search
-    fails if even the largest measurable labeled count (at least one in
-    twenty samples stays unlabeled for evaluation) misses the target.
-    """
-    eta = float(eta)
-    kappa = float(kappa)
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-    if not 0.5 < kappa <= 1.0:
-        raise ValueError("kappa must lie in (0.5, 1]")
-    if (2.0 * kappa - 1.0) ** 2 < eta:
-        raise InfeasibilityError(
-            f"(2 kappa - 1)^2 = {(2 * kappa - 1) ** 2:.6g} < eta = {eta:.6g}: "
-            "no labeled count can reach the reference confidence level"
-        )
-    target_error = float(target_error)
-
-    n_ref = int(round(eta * n))
-    stream = _stream_key(seed)
-    ref_own, reference_hard = _reference_run(p, n, lam, n_ref, stream, reps, t_max)
-    offset = target_error - ref_own
-
-    cache: dict[int, float] = {}
+def _search_count(bank, reference_hard, lam, kappa, t_max, n_ref: int, hi: int) -> int:
+    """Smallest labeled count whose probe meets the reference, by doubling
+    from ``n_ref`` up to ``hi`` and then integer bisection; each count is
+    probed at most once."""
+    paired: dict[int, float] = {}
 
     def satisfied(n_l: int) -> bool:
-        if n_l not in cache:
-            _, paired, _ = _mean_errors(
-                p, n, lam, n_l, kappa, stream, reps, t_max, reference_hard
-            )
-            cache[n_l] = paired
-        return cache[n_l] <= offset
+        if n_l not in paired:
+            paired[n_l] = _probe(bank, reference_hard, lam, n_l, kappa, t_max)
+        return paired[n_l] <= 0.0
 
-    hi = n - max(1, int(round(0.05 * n)))
-    if n_ref > hi:
-        raise SimulationError("reference labeled count leaves too few samples to evaluate")
     if satisfied(n_ref):
         lo, up = 0, n_ref
     else:
@@ -606,8 +514,8 @@ def labeled_needed_empirical(
         while not satisfied(up):
             if up >= hi:
                 raise SimulationError(
-                    f"target error {target_error:.4g} not reached by any measurable "
-                    f"labeled count up to {hi}"
+                    f"reference error not reached at kappa = {kappa:.6g} by any "
+                    f"measurable labeled count up to {hi}"
                 )
             lo, up = up, min(max(2 * up, 1), hi)
     while up - lo > 1:
@@ -616,4 +524,60 @@ def labeled_needed_empirical(
             up = mid
         else:
             lo = mid
-    return int(up)
+    return up
+
+
+def labeled_needed_empirical(
+    p: int, n: int, lam: float, eta: float, kappas, seed, reps: int = 10, t_max: int = 40
+) -> list[int]:
+    """Smallest labeled count at each reliability in ``kappas`` whose
+    semi-supervised error matches the eta-certainty reference, by search.
+
+    The reference labels a fraction eta of the samples exactly (kappa = 1).
+    For each kappa in turn, doubling then integer bisection runs over the
+    monotone-in-expectation error curve; every probe is averaged over
+    ``reps`` replicate streams derived from (seed, r).  Noise is suppressed
+    with common random numbers: a probe meets the reference when its paired
+    error difference to the reference run, on the candidate's unlabeled
+    subset of the same replicates, is at most zero, so dataset-level
+    fluctuations cancel.
+
+    One call does the whole study for one eta.  Every argument but the seed
+    is checked before any draw.  Each replicate's center, truth and noise are
+    then drawn once, the reference runs once, and a probe draws only its
+    labels; the draws and every probe result are local to the call and freed
+    when it returns.
+
+    Infeasible reliabilities ((2 kappa - 1)^2 < eta) raise
+    ``InfeasibilityError``; the search fails with ``SimulationError`` if
+    even the largest measurable labeled count (at least one in twenty
+    samples stays unlabeled for evaluation) misses the reference.  Returns
+    the counts in the order of ``kappas``.
+    """
+    eta = float(eta)
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("eta must lie in (0, 1]")
+    kappas = [float(k) for k in kappas]
+    if not kappas:
+        raise ValueError("kappas must not be empty")
+    for kappa in kappas:
+        if not 0.5 < kappa <= 1.0:
+            raise ValueError("kappa must lie in (0.5, 1]")
+        if (2.0 * kappa - 1.0) ** 2 < eta:
+            raise InfeasibilityError(
+                f"(2 kappa - 1)^2 = {(2 * kappa - 1) ** 2:.6g} < eta = {eta:.6g}: "
+                "no labeled count can reach the reference confidence level"
+            )
+    p, n, lam = _check_sizes(p, n, lam)
+    reps = _check_int(reps, "reps")
+    t_max = _check_int(t_max, "t_max")
+    if reps < 1 or t_max < 1:
+        raise ValueError("reps and t_max must be at least 1")
+    n_ref = int(round(eta * n))
+    hi = n - max(1, int(round(0.05 * n)))
+    if n_ref > hi:
+        raise SimulationError("reference labeled count leaves too few samples to evaluate")
+
+    bank = _draw_bank(p, n, lam, seed, reps)
+    reference_hard = _hard_labels(bank, lam, n_ref, 1.0, t_max)
+    return [_search_count(bank, reference_hard, lam, k, t_max, n_ref, hi) for k in kappas]

@@ -40,7 +40,6 @@ from uncertain_ssl.simulate import (
     classify_semisupervised,
     generate_dataset,
     labeled_needed_empirical,
-    reference_error,
 )
 
 
@@ -202,18 +201,16 @@ def test_criterion_7_labeled_data_requirement():
     failures = []
     details = []
     for eta in (1.0 / 5.0, 1.0 / 2.0):
-        target = reference_error(p, n, lam, eta, seed=seed, reps=reps)
+        feasible = []
         for kappa in (0.75, 0.9, 1.0):
             if (2.0 * kappa - 1.0) ** 2 < eta:
                 with pytest.raises(InfeasibilityError):
-                    labeled_needed_empirical(
-                        p, n, lam, eta, kappa, target, seed=seed, reps=reps
-                    )
+                    labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=reps)
                 details.append(f"eta={eta:.2f},k={kappa}: infeasible ok")
-                continue
-            found = labeled_needed_empirical(
-                p, n, lam, eta, kappa, target, seed=seed, reps=reps
-            )
+            else:
+                feasible.append(kappa)
+        counts = labeled_needed_empirical(p, n, lam, eta, feasible, seed=seed, reps=reps)
+        for kappa, found in zip(feasible, counts):
             predicted = eta / (2.0 * kappa - 1.0) ** 2 * n
             rel = abs(found - predicted) / predicted
             details.append(f"eta={eta:.2f},k={kappa}: {found} vs {predicted:.0f} ({rel:+.1%})")

@@ -394,7 +394,7 @@ class TestApproxErrorCommand:
             raise AssertionError("grid values computed for an over-cap grid")
 
         monkeypatch.setattr(np, "linspace", bounded_linspace)
-        for name in ("approx_error_grid", "labeled_needed", "reference_error"):
+        for name in ("approx_error_grid", "labeled_needed", "labeled_needed_empirical"):
             monkeypatch.setattr(cli, name, no_surface)
         cfg = write_config(tmp_path / "cfg.json", payload)
         out = tmp_path / "surface.dat"

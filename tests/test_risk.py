@@ -124,6 +124,15 @@ class TestLabeledNeeded:
             2.0 * labeled_needed(0.2, 0.9, 1000)
         )
 
+    @pytest.mark.parametrize("n", [2.7, 1000.0, np.float64(1000.0), True, np.True_, "1000"])
+    def test_non_integer_size_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            labeled_needed(0.1, 1.0, n)
+
+    @pytest.mark.parametrize("n", [1000, np.int64(1000), np.int32(1000)])
+    def test_integer_sizes_accepted(self, n):
+        assert labeled_needed(0.1, 1.0, n) == pytest.approx(100.0)
+
 
 class TestEffectiveEta:
     """eps_bar_sq, the fraction of certainty labels a mixture is worth."""

@@ -25,7 +25,6 @@ from uncertain_ssl.simulate import (
     classify_supervised,
     generate_dataset,
     labeled_needed_empirical,
-    reference_error,
 )
 
 
@@ -127,10 +126,46 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             generate_dataset(5, 100, -1.0, [], seed=0)
 
+    @pytest.mark.parametrize(
+        "p, n, name",
+        [(3.9, 10, "p"), (4, 10.5, "n"), (4.0, 10, "p"), (4, np.float64(10.0), "n"),
+         (True, 10, "p"), (4, np.True_, "n")],
+    )
+    def test_non_integer_sizes_rejected(self, p, n, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            generate_dataset(p, n, 1.0, [(0.5, 1.0)], seed=0)
+
+    def test_numpy_integer_sizes_accepted(self):
+        ds = generate_dataset(np.int64(4), np.int32(10), 1.0, [(0.5, 1.0)], seed=0)
+        assert ds.features.shape == (4, 10)
+        plain = generate_dataset(4, 10, 1.0, [(0.5, 1.0)], seed=0)
+        assert ds.features.tobytes() == plain.features.tobytes()
+
 
 class TestChannelOverlapMonteCarlo:
     def test_certain_prior_every_trial(self):
         assert channel_overlap_mc_stats(1.0, 3.0, 1000, seed=5) == (1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "eps, q",
+        [(0.5, float("nan")), (0.5, float("inf")), (0.5, -1.0), (2.0, 1.0), (-1.5, 1.0),
+         (float("nan"), 1.0), (float("inf"), 1.0)],
+    )
+    def test_bad_input_rejected_before_the_draw(self, monkeypatch, eps, q):
+        with pytest.raises(ValueError) as quadrature:
+            channel_overlap(eps, q)
+
+        def no_draw(seed):
+            raise AssertionError("samples drawn before eps and q were checked")
+
+        monkeypatch.setattr(simulate.np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError) as monte_carlo:
+            channel_overlap_mc_stats(eps, q, 1000, seed=5)
+        assert str(monte_carlo.value) == str(quadrature.value)
+
+    def test_eps_array_rejected(self):
+        with pytest.raises(ValueError, match="eps must be a scalar"):
+            channel_overlap_mc_stats(np.array([0.25, 0.5]), 1.0, 1000, seed=5)
 
     def test_unlabeled_zero_snr(self):
         assert channel_overlap_mc_stats(0.0, 0.0, 1000, seed=5)[0] == 0.0
@@ -447,39 +482,69 @@ class TestLeanPassLoop:
 class TestLabeledNeededEmpirical:
     def test_perfect_labels_reproduce_reference(self):
         p, n, lam, eta, seed, reps = 50, 400, 1.0, 0.2, 314, 4
-        target = reference_error(p, n, lam, eta, seed=seed, reps=reps)
-        found = labeled_needed_empirical(
-            p, n, lam, eta, 1.0, target, seed=seed, reps=reps
-        )
+        [found] = labeled_needed_empirical(p, n, lam, eta, [1.0], seed=seed, reps=reps)
         assert abs(found - eta * n) <= max(4.0, 0.05 * eta * n)
 
     def test_infeasible_reliability_rejected(self):
         with pytest.raises(InfeasibilityError):
-            labeled_needed_empirical(50, 400, 1.0, 0.5, 0.6, 0.2, seed=1, reps=2)
+            labeled_needed_empirical(50, 400, 1.0, 0.5, [0.6], seed=1, reps=2)
 
-    def test_unreachable_target_fails(self):
-        with pytest.raises(SimulationError):
-            labeled_needed_empirical(50, 400, 1.0, 0.2, 0.9, 0.0, seed=1, reps=2)
+    def test_unreachable_target_fails(self, monkeypatch):
+        probes = []
+
+        def never_meets_the_reference(bank, reference_hard, lam, n_labeled, kappa, t_max):
+            probes.append(n_labeled)
+            return 1.0
+
+        monkeypatch.setattr(simulate, "_probe", never_meets_the_reference)
+        with pytest.raises(SimulationError, match="not reached at kappa = 0.9 .* up to 380"):
+            labeled_needed_empirical(50, 400, 1.0, 0.2, [0.9], seed=1, reps=2)
+        assert probes == [80, 160, 320, 380]
 
     def test_noisier_labels_need_more_of_them(self):
         # subcritical regime (lam^2 c < 1) where labels drive the error
         p, n, lam, eta, seed, reps = 100, 500, 0.25, 0.2, 99, 6
-        target = reference_error(p, n, lam, eta, seed=seed, reps=reps)
-        found = labeled_needed_empirical(
-            p, n, lam, eta, 0.8, target, seed=seed, reps=reps
-        )
+        [found] = labeled_needed_empirical(p, n, lam, eta, [0.8], seed=seed, reps=reps)
         assert found > eta * n
 
     def test_quarter_reliability_tracks_square_law(self):
         # at the reference sizes, kappa = 0.75 labels should quadruple the
         # eta = 0.1 requirement (search scatter is ~15% at ten replicates)
         p, n, lam, eta, kappa, seed, reps = 200, 1000, 0.25, 0.1, 0.75, 2024, 10
-        target = reference_error(p, n, lam, eta, seed=seed, reps=reps)
-        found = labeled_needed_empirical(
-            p, n, lam, eta, kappa, target, seed=seed, reps=reps
-        )
+        [found] = labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=reps)
         predicted = eta / (2.0 * kappa - 1.0) ** 2 * n
         assert abs(found - predicted) / predicted <= 0.15
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"eta": 0.0}, "eta must lie in"),
+            ({"eta": float("nan")}, "eta must lie in"),
+            ({"kappas": []}, "kappas must not be empty"),
+            ({"kappas": [0.9, 0.5]}, "kappa must lie in"),
+            ({"kappas": [0.9, float("nan")]}, "kappa must lie in"),
+            ({"p": 0}, "p and n must be positive"),
+            ({"n": 40.5}, "n must be an integer"),
+            ({"lam": -1.0}, "lam must be finite"),
+            ({"reps": 0}, "reps and t_max must be at least 1"),
+            ({"reps": 2.5}, "reps must be an integer"),
+            ({"reps": True}, "reps must be an integer, not a bool"),
+            ({"t_max": 0}, "reps and t_max must be at least 1"),
+            ({"t_max": 20.0}, "t_max must be an integer"),
+            ({"eta": 0.5, "kappas": [1.0, 0.6]}, "no labeled count can reach"),
+            ({"eta": 0.97, "kappas": [1.0]}, "reference labeled count leaves too few"),
+        ],
+    )
+    def test_bad_arguments_rejected_before_any_draw(self, monkeypatch, change, message):
+        def no_draw(*args):
+            raise AssertionError("a replicate was drawn before the arguments were checked")
+
+        monkeypatch.setattr(simulate, "_base_draw", no_draw)
+        args = {"p": 10, "n": 40, "lam": 1.0, "eta": 0.2, "kappas": [0.9, 1.0],
+                "seed": 3, "reps": 2, "t_max": 20}
+        args.update(change)
+        with pytest.raises((ValueError, SimulationError), match=message):
+            labeled_needed_empirical(**args)
 
 
 CORE_SETS = [{0}, {0, 1}, {0, 1, 2, 3}]
@@ -531,7 +596,7 @@ class TestFreshReplicates:
             ))
         for _ in self.each_core_set(monkeypatch):
             assert self.errors() == expected
-        assert pool_sizes == [2, 4]
+        assert pool_sizes == [1, 2, 4]
 
     @pytest.mark.parametrize(
         "command, payload",
@@ -552,7 +617,7 @@ class TestFreshReplicates:
             tables.append(out.read_bytes())
         assert tables[1] == tables[0] and tables[2] == tables[0]
         runs = len(payload.get("lambdas", [None]))  # one pool per reduction point
-        assert pool_sizes == [2] * runs + [4] * runs
+        assert pool_sizes == [1] * runs + [2] * runs + [4] * runs
 
     def test_failing_replicate_raises_as_the_serial_loop(self, monkeypatch):
         draw = simulate.generate_dataset
@@ -605,16 +670,6 @@ class TestFreshReplicates:
             assert max(started) < len(cores)
 
 
-@pytest.fixture
-def empty_caches():
-    for cached in (simulate._replicate_bank, simulate._reference_run):
-        cached.cache_clear()
-    yield
-    for cached in (simulate._replicate_bank, simulate._reference_run):
-        cached.cache_clear()
-
-
-@pytest.mark.usefixtures("empty_caches")
 class TestReplicateBank:
     """The labeled-count search draws each replicate once and rebuilds every
     probe's dataset from that draw; the result must be the dataset
@@ -629,9 +684,7 @@ class TestReplicateBank:
         ids=["empty", "kappa-1", "kappa-below-1", "two-blocks"],
     )
     def test_rebuilt_dataset_equals_generate_dataset(self, seed, labeling):
-        bank = simulate._replicate_bank(
-            self.P, self.N, self.LAM, simulate._stream_key(seed), self.REPS
-        )
+        bank = simulate._draw_bank(self.P, self.N, self.LAM, seed, self.REPS)
         blocks = simulate._check_labeling(labeling)
         assert len(bank) == self.REPS
         for r, entry in enumerate(bank):
@@ -645,45 +698,27 @@ class TestReplicateBank:
                     a, b = getattr(rebuilt, field), getattr(fresh, field)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
-    def test_bank_arrays_are_read_only(self):
-        target = reference_error(self.P, self.N, self.LAM, 0.2, seed=5, reps=self.REPS)
-        assert 0.0 <= target <= 1.0
-        bank = simulate._replicate_bank(self.P, self.N, self.LAM, 5, self.REPS)
-        _, hard = simulate._reference_run(
-            self.P, self.N, self.LAM, round(0.2 * self.N), 5, self.REPS, 40
-        )
-        arrays = [a for mu, y, features, _ in bank for a in (mu, y, features)] + list(hard)
-        for a in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0
-
     def test_search_draws_each_replicate_and_reference_once(self, monkeypatch):
         p, n, lam, eta, seed, reps = 20, 120, 1.0, 0.1, 8, 3
         base_draws = []
         references = []
-        base_draw, mean_errors = simulate._base_draw, simulate._mean_errors
+        base_draw, hard_labels = simulate._base_draw, simulate._hard_labels
 
         def counting_base_draw(*args):
             base_draws.append(args[3])
             return base_draw(*args)
 
-        def counting_mean_errors(p, n, lam, n_labeled, kappa, *rest):
+        def counting_hard_labels(bank, lam, n_labeled, kappa, t_max):
             if kappa == 1.0:
                 references.append(n_labeled)
-            return mean_errors(p, n, lam, n_labeled, kappa, *rest)
+            return hard_labels(bank, lam, n_labeled, kappa, t_max)
 
         monkeypatch.setattr(simulate, "_base_draw", counting_base_draw)
-        monkeypatch.setattr(simulate, "_mean_errors", counting_mean_errors)
-        target = reference_error(p, n, lam, eta, seed=seed, reps=reps)
-        for kappa in (0.95, 0.9, 0.85):
-            labeled_needed_empirical(p, n, lam, eta, kappa, target, seed=seed, reps=reps)
+        monkeypatch.setattr(simulate, "_hard_labels", counting_hard_labels)
+        counts = labeled_needed_empirical(p, n, lam, eta, (0.95, 0.9, 0.85), seed=seed, reps=reps)
+        assert len(counts) == 3 and all(isinstance(c, int) for c in counts)
         assert base_draws == [[seed, r] for r in range(reps)]
         assert references == [round(eta * n)]
-
-    def test_generate_dataset_leaves_the_bank_empty(self):
-        generate_dataset(self.P, self.N, self.LAM, [(0.3, 0.8)], seed=[5, 0])
-        assert simulate._replicate_bank.cache_info().currsize == 0
-        assert simulate._reference_run.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "p, n, lam, eta, kappa, seed, target, count",
@@ -693,9 +728,12 @@ class TestReplicateBank:
         ],
     )
     def test_golden_counts(self, p, n, lam, eta, kappa, seed, target, count):
-        # recorded from the search that regenerated every dataset per probe
-        assert reference_error(p, n, lam, eta, seed=seed, reps=3, t_max=20) == target
-        found = labeled_needed_empirical(
-            p, n, lam, eta, kappa, target, seed=seed, reps=3, t_max=20
-        )
-        assert found == count
+        # recorded from the search that regenerated every dataset per probe;
+        # ``target`` is the reference run's mean error on its unlabeled samples
+        n_ref = round(eta * n)
+        bank = simulate._draw_bank(p, n, lam, seed, 3)
+        reference = simulate._hard_labels(bank, lam, n_ref, 1.0, 20)
+        errors = [float(np.mean(h[n_ref:] != e[1][n_ref:])) for h, e in zip(reference, bank)]
+        assert float(np.mean(errors)) == target
+        found = labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=3, t_max=20)
+        assert found == [count]
