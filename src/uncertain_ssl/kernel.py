@@ -25,6 +25,7 @@ certainty.  All overlap-type quantities depend on eps only through eps**2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,17 @@ def _check_snr(q) -> float:
     if qf < 0.0:
         raise ValueError("q must be nonnegative")
     return qf
+
+
+def _check_int(value, name: str) -> int:
+    """``value`` as an int: Python and numpy integers pass, while a bool or a
+    float is rejected rather than truncated."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import channel_overlap
+from .kernel import _check_int, channel_overlap
 
 __all__ = [
     "EpsilonMixture",
@@ -263,11 +263,12 @@ def solve_overlaps(
         raise TypeError("params must be a ProblemParams")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be positive")
-    if int(max_iter) < 1:
+    max_iter = _check_int(max_iter, "max_iter")
+    if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
     inits = (1.0, max(params.mixture.eps_bar_sq, 1e-6))
-    runs = [_solve_from(params, q_v0, tol, int(max_iter)) for q_v0 in inits]
+    runs = [_solve_from(params, q_v0, tol, max_iter) for q_v0 in inits]
     converged = [r for r in runs if r.converged]
     if not converged:
         best = min(runs, key=lambda r: r.residual)

@@ -18,10 +18,9 @@ The feature overlap q_u fixes everything a decision maker cares about:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
-from .kernel import channel_overlap, gaussian_tail
+from .kernel import _check_int, channel_overlap, gaussian_tail
 from .overlaps import OverlapSolution, qu_from_qv
 
 __all__ = [
@@ -40,17 +39,6 @@ __all__ = [
 
 class InfeasibilityError(ValueError):
     """The requested labeling regime cannot reach the target information level."""
-
-
-def _check_int(value, name: str) -> int:
-    """``value`` as an int: Python and numpy integers pass, while a bool or a
-    float is rejected rather than truncated."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, not a bool")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_nonneg(x, name: str) -> float:

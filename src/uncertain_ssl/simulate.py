@@ -11,7 +11,8 @@ scalar-channel alignment check, and three classifiers to confront the theory:
 ``labeled_needed_empirical`` runs the labeled-count search for one eta: how
 many kappa-reliable labels the semi-supervised classifier needs to match an
 eta fraction of certain ones.  It draws its replicates and runs its
-reference inside the call and keeps nothing afterwards.
+reference inside the call, scores the replicates on a process pool that
+ends with the call, and keeps nothing afterwards.
 
 Randomness.  All draws use ``numpy.random.default_rng`` (PCG64) with explicit
 seeding; replicate r of a study derives its stream from the seed sequence
@@ -32,9 +33,9 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import _check_eps, _check_snr, _posterior_mean_at, posterior_mean
+from .kernel import _check_eps, _check_int, _check_snr, _posterior_mean_at, posterior_mean
 from .overlaps import EpsilonMixture, ProblemParams, qu_from_qv, qv_from_qu
-from .risk import InfeasibilityError, _check_int
+from .risk import InfeasibilityError
 
 __all__ = [
     "SimulationError",
@@ -233,7 +234,7 @@ def channel_overlap_mc_stats(
         raise ValueError("eps must be a scalar")
     eps = float(eps)
     q = _check_snr(q)
-    trials = int(trials)
+    trials = _check_int(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
@@ -306,8 +307,10 @@ def _calibration(lam: float, c: float, mixture: EpsilonMixture) -> _Calibration:
 
     The replicates of one labeled-count probe realise the same mixture
     whenever their labeled blocks hold as many positive reports.  At
-    ``labeled-needed``'s defaults with etas [0.02], 460 runs realise 335
-    distinct mixtures; sixteen entries keep 118 of the 125 repeats.
+    ``labeled-needed``'s defaults with etas [0.02], 460 runs realised 335
+    distinct mixtures in one process; sixteen entries kept 118 of the 125
+    repeats.  Each worker process of the search holds its own cache, so a
+    mixture realised in two workers is computed in both.
     """
     return _Calibration(lam, c, mixture)
 
@@ -339,7 +342,8 @@ def classify_semisupervised(
     """
     if not isinstance(params, ProblemParams):
         raise TypeError("params must be a ProblemParams")
-    if int(t_max) < 1:
+    t_max = _check_int(t_max, "t_max")
+    if t_max < 1:
         raise ValueError("t_max must be at least 1")
     eps = _check_eps(ds.label_eps)
     n, p = ds.n, ds.p
@@ -366,7 +370,7 @@ def classify_semisupervised(
     # np.add.reduce(x) / n is np.mean(x) bit for bit, without its overhead.
     v = eps.copy()
     iterations = 0
-    for iterations in range(1, int(t_max) + 1):
+    for iterations in range(1, t_max + 1):
         q_u = calibration.q_u(iterations - 1)
         raw = X.T @ (X @ v / n) - col_sq_n * v
         if q_u == 0.0:
@@ -458,35 +462,73 @@ def _dataset_from_bank(entry, blocks) -> Dataset:
     )
 
 
-def _hard_labels(bank, lam: float, n_labeled: int, kappa: float, t_max: int) -> list:
-    """Per replicate, the semi-supervised hard labels when the first
-    ``n_labeled`` samples carry kappa-reliable labels.
+# The replicate bank of a labeled-count search, in a worker of its pool only:
+# the pool's initializer sets it, and the calling process never does.
+_worker_bank: list = []
 
-    The replicates run serially on purpose.  A 200 x 1000 pass takes about
-    140 us once its calibration is cached (best of 5 x 300 runs, one BLAS
-    thread, 2-core host), of which its two matrix-vector products, which
-    release the GIL, take about 100 us; computing the calibration step adds
-    about 40 us to a pass.  With the earlier ~160 us pass, which held the
-    GIL for about 40 % of its time, running the replicates on threads slowed
-    ``labeled-needed`` at its defaults with etas [0.02] from 5.2 s to 6.1 s
-    (medians of 3 runs, 2 cores).
+
+def _hold_bank(bank: list) -> None:
+    global _worker_bank
+    _worker_bank = bank
+
+
+def _replicate_hard_labels(lam: float, blocks, t_max: int, r: int) -> np.ndarray:
+    """In a pool worker: replicate r's semi-supervised hard labels under the
+    checked label ``blocks``."""
+    ds = _dataset_from_bank(_worker_bank[r], blocks)
+    mixture = EpsilonMixture.from_samples(ds.label_eps)
+    params = ProblemParams(lam=lam, c=ds.n / ds.p, mixture=mixture)
+    return classify_semisupervised(ds, params, t_max=t_max).hard_labels
+
+
+def _replicate_pool(bank: list):
+    """A process pool of min(reps, usable cores) workers that each hold ``bank``.
+
+    The workers are forked where the platform offers fork, so the bank is not
+    pickled and its pages are shared copy-on-write; elsewhere the platform's
+    default start method pickles it once per worker.  ``multiprocessing`` is
+    imported here, not at module level, to keep it off every command's
+    start-up.
     """
-    p, n = bank[0][2].shape
-    blocks = _check_labeling([(n_labeled / n, kappa)])
-    hard = []
-    for entry in bank:
-        ds = _dataset_from_bank(entry, blocks)
-        params = ProblemParams(lam=lam, c=n / p, mixture=EpsilonMixture.from_samples(ds.label_eps))
-        hard.append(classify_semisupervised(ds, params, t_max=t_max).hard_labels)
-    return hard
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    methods = multiprocessing.get_all_start_methods()  # the platform default first
+    return ProcessPoolExecutor(
+        max_workers=min(len(bank), _usable_cores()),
+        mp_context=multiprocessing.get_context("fork" if "fork" in methods else methods[0]),
+        initializer=_hold_bank,
+        initargs=(bank,),
+    )
 
 
-def _probe(bank, reference_hard, lam: float, n_labeled: int, kappa: float, t_max: int) -> float:
+def _hard_labels(pool, bank, lam: float, n_labeled: int, kappa: float, t_max: int) -> list:
+    """Per replicate, in order, the semi-supervised hard labels when the first
+    ``n_labeled`` samples carry kappa-reliable labels; the replicates run on
+    ``pool``, a ``_replicate_pool(bank)``.  A failing replicate raises as in
+    a serial loop: the first in replicate order.
+
+    Processes, not threads: a 200 x 1000 pass takes about 140 us once its
+    calibration is cached (one BLAS thread, 2-core host), and only its two
+    matrix-vector products, about 100 us, release the GIL.  At
+    ``labeled-needed``'s defaults with etas [0.02] on 2 cores (one BLAS
+    thread), the command took 4.7 s with the replicates run serially, 6.1 s
+    on two threads and 3.4 s on two forked workers (medians of 11 runs each,
+    the three interleaved).
+    """
+    blocks = _check_labeling([(n_labeled / bank[0][1].size, kappa)])
+    run = functools.partial(_replicate_hard_labels, lam, blocks, t_max)
+    return list(pool.map(run, range(len(bank))))
+
+
+def _probe(
+    pool, bank, reference_hard, lam: float, n_labeled: int, kappa: float, t_max: int
+) -> float:
     """Mean over replicates of the candidate's error minus the reference's,
     both on the candidate's unlabeled subset."""
     diffs = []
     for (_, y, _, _), cand_hard, ref_hard in zip(
-        bank, _hard_labels(bank, lam, n_labeled, kappa, t_max), reference_hard
+        bank, _hard_labels(pool, bank, lam, n_labeled, kappa, t_max), reference_hard
     ):
         sl = slice(n_labeled, y.size)
         truth = y[sl]
@@ -496,15 +538,16 @@ def _probe(bank, reference_hard, lam: float, n_labeled: int, kappa: float, t_max
     return float(np.mean(diffs))
 
 
-def _search_count(bank, reference_hard, lam, kappa, t_max, n_ref: int, hi: int) -> int:
+def _search_count(pool, bank, reference_hard, lam, kappa, t_max, n_ref: int, hi: int) -> int:
     """Smallest labeled count whose probe meets the reference, by doubling
     from ``n_ref`` up to ``hi`` and then integer bisection; each count is
-    probed at most once."""
-    paired: dict[int, float] = {}
+    probed at most once.  At kappa = 1 the probe at ``n_ref`` would repeat
+    the reference run exactly, so its paired mean is 0.0 without a run."""
+    paired: dict[int, float] = {n_ref: 0.0} if kappa == 1.0 else {}
 
     def satisfied(n_l: int) -> bool:
         if n_l not in paired:
-            paired[n_l] = _probe(bank, reference_hard, lam, n_l, kappa, t_max)
+            paired[n_l] = _probe(pool, bank, reference_hard, lam, n_l, kappa, t_max)
         return paired[n_l] <= 0.0
 
     if satisfied(n_ref):
@@ -545,8 +588,11 @@ def labeled_needed_empirical(
     One call does the whole study for one eta.  Every argument but the seed
     is checked before any draw.  Each replicate's center, truth and noise are
     then drawn once, the reference runs once, and a probe draws only its
-    labels; the draws and every probe result are local to the call and freed
-    when it returns.
+    labels.  The replicates of the reference and of every probe run on one
+    process pool of min(reps, usable cores) workers, which is shut down
+    before the call returns; the results do not depend on the worker count.
+    The draws and every probe result are local to the call and freed when it
+    returns.
 
     Infeasible reliabilities ((2 kappa - 1)^2 < eta) raise
     ``InfeasibilityError``; the search fails with ``SimulationError`` if
@@ -579,5 +625,8 @@ def labeled_needed_empirical(
         raise SimulationError("reference labeled count leaves too few samples to evaluate")
 
     bank = _draw_bank(p, n, lam, seed, reps)
-    reference_hard = _hard_labels(bank, lam, n_ref, 1.0, t_max)
-    return [_search_count(bank, reference_hard, lam, k, t_max, n_ref, hi) for k in kappas]
+    with _replicate_pool(bank) as pool:
+        reference_hard = _hard_labels(pool, bank, lam, n_ref, 1.0, t_max)
+        return [
+            _search_count(pool, bank, reference_hard, lam, k, t_max, n_ref, hi) for k in kappas
+        ]

@@ -556,3 +556,19 @@ class TestStartup:
             capture_output=True, text=True, env=env, timeout=60, check=True,
         )
         assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_import_loads_no_process_pool(self):
+        # The labeled-count search imports its process pool when it runs.
+        script = (
+            "import sys\n"
+            "import uncertain_ssl.cli\n"
+            "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in pool or m in pool))\n"
+        )
+        paths = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "[]"

@@ -207,6 +207,20 @@ class TestSolveOverlaps:
                 for eta_lo, eta_hi in zip(eta_grid[:-1], eta_grid[1:]):
                     assert q_u[(lam, c, eta_hi)] >= q_u[(lam, c, eta_lo)] - slack
 
+    @pytest.mark.parametrize("max_iter", [2.9, 4.0, np.float64(4.0), True, np.True_])
+    def test_non_integer_max_iter_rejected_before_any_iteration(self, monkeypatch, max_iter):
+        def no_iteration(*args):
+            raise AssertionError("iterated before max_iter was checked")
+
+        monkeypatch.setattr(overlaps_module, "_solve_from", no_iteration)
+        params = ProblemParams(lam=2.0, c=1.0, mixture=EpsilonMixture.certainty(0.2))
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            solve_overlaps(params, max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        params = ProblemParams(lam=2.0, c=1.0, mixture=EpsilonMixture.certainty(0.2))
+        assert solve_overlaps(params, max_iter=np.int64(10000)) == solve_overlaps(params)
+
     def test_non_convergence_carries_last_iterate(self):
         params = ProblemParams(lam=2.0, c=1.0, mixture=EpsilonMixture.certainty(0.2))
         with pytest.raises(ConvergenceError) as info:

@@ -4,6 +4,7 @@ error levels, and the labeled-count search protocol."""
 
 import json
 import math
+import multiprocessing
 import sys
 import threading
 import time
@@ -26,6 +27,15 @@ from uncertain_ssl.simulate import (
     generate_dataset,
     labeled_needed_empirical,
 )
+
+
+# (p, n, lam, eta, kappa, seed, target, count) recorded from the search that
+# regenerated every dataset per probe, at reps = 3 and t_max = 20; ``target``
+# is the reference run's mean error on its unlabeled samples.
+GOLDEN = [
+    (50, 250, 1.0, 0.1, 0.9, 5, 0.19259259259259262, 116),
+    (40, 200, 1.0, 0.1, 0.85, [3, 1], 0.1962962962962963, 22),
+]
 
 
 def binomial_se(rate: float, count: int) -> float:
@@ -163,6 +173,19 @@ class TestChannelOverlapMonteCarlo:
             channel_overlap_mc_stats(eps, q, 1000, seed=5)
         assert str(monte_carlo.value) == str(quadrature.value)
 
+    @pytest.mark.parametrize("trials", [2.9, 4.0, np.float64(4.0), True, np.True_])
+    def test_non_integer_trials_rejected_before_the_draw(self, monkeypatch, trials):
+        def no_draw(seed):
+            raise AssertionError("samples drawn before trials was checked")
+
+        monkeypatch.setattr(simulate.np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            channel_overlap_mc_stats(0.5, 1.0, trials, seed=1)
+
+    def test_numpy_integer_trials_accepted(self):
+        plain = channel_overlap_mc_stats(0.5, 1.0, 3, seed=1)
+        assert channel_overlap_mc_stats(0.5, 1.0, np.int64(3), seed=1) == plain
+
     def test_eps_array_rejected(self):
         with pytest.raises(ValueError, match="eps must be a scalar"):
             channel_overlap_mc_stats(np.array([0.25, 0.5]), 1.0, 1000, seed=5)
@@ -245,6 +268,25 @@ class TestClassifySemisupervised:
         ds = generate_dataset(40, 4000, 0.0, [(0.2, 1.0)], seed=10)
         out = classify_semisupervised(ds, self._params(ds, 0.0))
         assert abs(out.error_unlabeled - 0.5) < 4.0 * binomial_se(0.5, ds.n_unlabeled)
+
+    @pytest.mark.parametrize("t_max", [2.9, 4.0, np.float64(4.0), True, np.True_])
+    def test_non_integer_t_max_rejected_before_any_pass(self, monkeypatch, t_max):
+        ds = generate_dataset(20, 100, 1.0, [(0.3, 0.9)], seed=4)
+
+        def no_pass(*args):
+            raise AssertionError("a pass ran before t_max was checked")
+
+        monkeypatch.setattr(simulate, "_calibration", no_pass)
+        with pytest.raises(ValueError, match="t_max must be an integer"):
+            classify_semisupervised(ds, self._params(ds, 1.0), t_max=t_max, stop_tol=0.0)
+
+    def test_numpy_integer_t_max_accepted(self):
+        ds = generate_dataset(20, 100, 1.0, [(0.3, 0.9)], seed=4)
+        params = self._params(ds, 1.0)
+        plain = classify_semisupervised(ds, params, t_max=3, stop_tol=0.0)
+        out = classify_semisupervised(ds, params, t_max=np.int32(3), stop_tol=0.0)
+        assert out.iterations == plain.iterations == 3
+        assert out.soft_scores.tobytes() == plain.soft_scores.tobytes()
 
     def test_no_labels_runs_without_failure(self):
         ds = generate_dataset(40, 400, 1.0, [], seed=11)
@@ -492,7 +534,7 @@ class TestLabeledNeededEmpirical:
     def test_unreachable_target_fails(self, monkeypatch):
         probes = []
 
-        def never_meets_the_reference(bank, reference_hard, lam, n_labeled, kappa, t_max):
+        def never_meets_the_reference(pool, bank, reference_hard, lam, n_labeled, kappa, t_max):
             probes.append(n_labeled)
             return 1.0
 
@@ -708,10 +750,10 @@ class TestReplicateBank:
             base_draws.append(args[3])
             return base_draw(*args)
 
-        def counting_hard_labels(bank, lam, n_labeled, kappa, t_max):
+        def counting_hard_labels(pool, bank, lam, n_labeled, kappa, t_max):
             if kappa == 1.0:
                 references.append(n_labeled)
-            return hard_labels(bank, lam, n_labeled, kappa, t_max)
+            return hard_labels(pool, bank, lam, n_labeled, kappa, t_max)
 
         monkeypatch.setattr(simulate, "_base_draw", counting_base_draw)
         monkeypatch.setattr(simulate, "_hard_labels", counting_hard_labels)
@@ -720,20 +762,123 @@ class TestReplicateBank:
         assert base_draws == [[seed, r] for r in range(reps)]
         assert references == [round(eta * n)]
 
-    @pytest.mark.parametrize(
-        "p, n, lam, eta, kappa, seed, target, count",
-        [
-            (50, 250, 1.0, 0.1, 0.9, 5, 0.19259259259259262, 116),
-            (40, 200, 1.0, 0.1, 0.85, [3, 1], 0.1962962962962963, 22),
-        ],
-    )
+    def test_kappa_one_search_reuses_the_reference_run(self, monkeypatch):
+        p, n, lam, eta, seed, reps, t_max = 20, 120, 1.0, 0.1, 8, 3, 20
+        n_ref = round(eta * n)
+        runs = []
+        hard_labels = simulate._hard_labels
+
+        def counting_hard_labels(pool, bank, lam, n_labeled, kappa, t_max):
+            runs.append((n_labeled, kappa))
+            return hard_labels(pool, bank, lam, n_labeled, kappa, t_max)
+
+        monkeypatch.setattr(simulate, "_hard_labels", counting_hard_labels)
+        counts = labeled_needed_empirical(
+            p, n, lam, eta, (0.9, 1.0), seed=seed, reps=reps, t_max=t_max
+        )
+        assert runs[0] == (n_ref, 1.0)
+        assert runs.count((n_ref, 1.0)) == 1  # the kappa = 1 search ran no copy
+        assert any(kappa == 1.0 for _, kappa in runs[1:]) and counts[1] <= n_ref
+        # the probe it skips would give exactly the 0.0 it is seeded with
+        bank = simulate._draw_bank(p, n, lam, seed, reps)
+        with simulate._replicate_pool(bank) as pool:
+            reference = hard_labels(pool, bank, lam, n_ref, 1.0, t_max)
+            assert simulate._probe(pool, bank, reference, lam, n_ref, 1.0, t_max) == 0.0
+
+    @pytest.mark.parametrize("p, n, lam, eta, kappa, seed, target, count", GOLDEN)
     def test_golden_counts(self, p, n, lam, eta, kappa, seed, target, count):
-        # recorded from the search that regenerated every dataset per probe;
-        # ``target`` is the reference run's mean error on its unlabeled samples
         n_ref = round(eta * n)
         bank = simulate._draw_bank(p, n, lam, seed, 3)
-        reference = simulate._hard_labels(bank, lam, n_ref, 1.0, 20)
+        with simulate._replicate_pool(bank) as pool:
+            reference = simulate._hard_labels(pool, bank, lam, n_ref, 1.0, 20)
         errors = [float(np.mean(h[n_ref:] != e[1][n_ref:])) for h, e in zip(reference, bank)]
         assert float(np.mean(errors)) == target
         found = labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=3, t_max=20)
         assert found == [count]
+
+
+class TestReplicatePool:
+    """The labeled-count search scores its replicates on a process pool: the
+    counts must not depend on the worker count or the start method, a
+    worker's failure must surface as in a serial loop, and no worker may
+    outlive the call."""
+
+    def recorded_pools(self, monkeypatch) -> list:
+        """The worker count of each pool the search opens."""
+        sizes = []
+        make_pool = simulate._replicate_pool
+
+        def recording_pool(bank):
+            pool = make_pool(bank)
+            sizes.append(pool._max_workers)
+            return pool
+
+        monkeypatch.setattr(simulate, "_replicate_pool", recording_pool)
+        return sizes
+
+    @pytest.mark.parametrize("p, n, lam, eta, kappa, seed, target, count", GOLDEN)
+    def test_counts_do_not_depend_on_the_worker_count(
+        self, monkeypatch, p, n, lam, eta, kappa, seed, target, count
+    ):
+        sizes = self.recorded_pools(monkeypatch)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_usable_cores", lambda w=workers: w)
+            found = labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=3, t_max=20)
+            assert found == [count]
+            assert multiprocessing.active_children() == []
+        assert sizes == [1, 2, 3]
+
+    def test_spawned_workers_give_the_same_counts(self, monkeypatch):
+        # without fork, the worker function and the initializer are pickled
+        # and the bank is sent to each worker
+        p, n, lam, eta, kappa, seed, _, count = GOLDEN[0]
+        methods = []
+        get_context = multiprocessing.get_context
+
+        def recording_context(method=None):
+            methods.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", recording_context)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        found = labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=3, t_max=20)
+        assert found == [count]
+        assert methods == ["spawn"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.fixture
+    def failing_workers(self, monkeypatch):
+        """Replicate 1 raises a ``SimulationError`` late and replicate 3 a
+        ``ValueError`` early; forked workers inherit the patch."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the patch reaches the workers only through fork")
+        rebuild = simulate._dataset_from_bank
+
+        def failing_rebuild(entry, blocks):
+            r = next(i for i, e in enumerate(simulate._worker_bank) if e is entry)
+            if r == 1:
+                time.sleep(0.2)  # with 4 workers, replicate 3 fails first in time
+                raise SimulationError(f"replicate {r} failed")
+            if r == 3:
+                raise ValueError(f"replicate {r} failed")
+            return rebuild(entry, blocks)
+
+        monkeypatch.setattr(simulate, "_dataset_from_bank", failing_rebuild)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 4)
+
+    def test_worker_failure_raises_as_the_serial_loop(self, failing_workers):
+        with pytest.raises(Exception) as info:
+            labeled_needed_empirical(20, 120, 1.0, 0.1, [0.9], seed=8, reps=5)
+        assert (info.type, str(info.value)) == (SimulationError, "replicate 1 failed")
+        assert multiprocessing.active_children() == []
+
+    def test_worker_failure_exits_4(self, tmp_path, failing_workers):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"n": 120, "p": 20, "lambda": 1.0, "etas": [0.1], "reps": 5,
+             "theory_points": 3, "empirical_points": 1, "t_max": 10, "seed": 8}
+        ))
+        out = tmp_path / "out"
+        assert cli.main(["labeled-needed", "--config", str(config), "--out", str(out)]) == 4
+        assert multiprocessing.active_children() == []
