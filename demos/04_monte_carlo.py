@@ -38,12 +38,9 @@ print(f"  predicted risks: semi={bayes_risk(solution.q_u):.4f}, oracle={oracle_r
 oracle_err, sup_err, semi_err, iters = [], [], [], []
 for r in range(10):
     ds = generate_dataset(p, n, lam, [(eta, 1.0)], seed=[51, r])
-    run_params = ProblemParams(
-        lam=lam, c=n / p, mixture=EpsilonMixture.from_samples(ds.label_eps)
-    )
     oracle_err.append(classify_oracle(ds).error_unlabeled)
     sup_err.append(classify_supervised(ds).error_unlabeled)
-    out = classify_semisupervised(ds, run_params, t_max=30)
+    out = classify_semisupervised(ds, lam, t_max=30)
     semi_err.append(out.error_unlabeled)
     iters.append(out.iterations)
 

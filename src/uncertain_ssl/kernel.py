@@ -125,7 +125,7 @@ def hermite_rule(n: int = 61) -> QuadratureRule:
     normalised to a probability measure.  61 nodes resolve the bounded smooth
     integrands used here far below every tolerance in this package.
     """
-    x, w = np.polynomial.hermite.hermgauss(int(n))
+    x, w = np.polynomial.hermite.hermgauss(_check_int(n, "n"))
     weights = w / math.sqrt(math.pi)
     weights = weights / weights.sum()
     return QuadratureRule(nodes=_SQRT2 * x, weights=weights)
@@ -248,7 +248,7 @@ def overlap_integrand_series(eps, t, k_max: int):
     e = _check_eps(eps)
     if np.any(np.abs(e) == 1.0):
         raise ValueError("series form requires |eps| < 1")
-    k = int(k_max)
+    k = _check_int(k_max, "k_max")
     if k < 1:
         raise ValueError("k_max must be a positive integer")
     th = np.tanh(np.asarray(t, dtype=float))

@@ -6,7 +6,9 @@ scalar-channel alignment check, and three classifiers to confront the theory:
 - ``classify_oracle``          knows the class centers (error Q(sqrt(lam))),
 - ``classify_supervised``      plug-in direction from labeled samples only,
 - ``classify_semisupervised``  iterative posterior-mean scheme whose score
-                               calibration is driven by the overlap maps.
+                               calibration follows the overlap recursion on
+                               the dataset's realised mixture, one step per
+                               pass.
 
 ``labeled_needed_empirical`` runs the labeled-count search for one eta: how
 many kappa-reliable labels the semi-supervised classifier needs to match an
@@ -25,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .kernel import _check_eps, _check_int, _check_snr, _posterior_mean_at, posterior_mean
-from .overlaps import EpsilonMixture, ProblemParams, qu_from_qv, qv_from_qu
+from .overlaps import EpsilonMixture, qu_from_qv, qv_from_qu
 from .risk import InfeasibilityError
 
 __all__ = [
@@ -272,51 +273,8 @@ def classify_supervised(ds: Dataset) -> ClassifierOutput:
     return _output_from_soft(np.tanh(scores), ds)
 
 
-class _Calibration:
-    """Score SNRs q_u of the passes on one realised mixture.
-
-    They follow the overlap recursion q_u = qu_from_qv(lam, c, q_v),
-    q_v = qv_from_qu(mixture, q_u) from q_v = eps_bar_sq, so they depend only
-    on (lam, c, mixture).  Pass t's value is computed the first time a run
-    reaches pass t and kept for later runs; extension holds a lock, so runs
-    on threads read the same values however they interleave.
-    """
-
-    def __init__(self, lam: float, c: float, mixture: EpsilonMixture):
-        self._lam, self._c, self._mixture = lam, c, mixture
-        self._q_v = mixture.eps_bar_sq
-        self._q_u: list[float] = []
-        self._lock = threading.Lock()
-
-    def q_u(self, t: int) -> float:
-        """The score SNR of pass t (0-based)."""
-        q_u = self._q_u
-        if t < len(q_u):  # the list only grows
-            return q_u[t]
-        with self._lock:
-            while len(q_u) <= t:
-                if q_u:
-                    self._q_v = qv_from_qu(self._mixture, q_u[-1])
-                q_u.append(qu_from_qv(self._lam, self._c, self._q_v))
-            return q_u[t]
-
-
-@functools.lru_cache(maxsize=16)
-def _calibration(lam: float, c: float, mixture: EpsilonMixture) -> _Calibration:
-    """The shared pass calibration of the realised mixture at (lam, c).
-
-    The replicates of one labeled-count probe realise the same mixture
-    whenever their labeled blocks hold as many positive reports.  At
-    ``labeled-needed``'s defaults with etas [0.02], 460 runs realised 335
-    distinct mixtures in one process; sixteen entries kept 118 of the 125
-    repeats.  Each worker process of the search holds its own cache, so a
-    mixture realised in two workers is computed in both.
-    """
-    return _Calibration(lam, c, mixture)
-
-
 def classify_semisupervised(
-    ds: Dataset, params: ProblemParams, t_max: int = 50, stop_tol: float = 1e-6
+    ds: Dataset, lam: float, t_max: int = 50, stop_tol: float = 1e-6
 ) -> ClassifierOutput:
     """Iterative posterior-mean classifier calibrated by the overlap maps.
 
@@ -324,54 +282,47 @@ def classify_semisupervised(
     direction m = X v / n, scores every sample with its own contribution
     removed (s_i = x_i' m - ||x_i||^2 v_i / n), rescales the scores to the
     Gaussian-channel law u ~ q_u y + sqrt(q_u) Z predicted by the overlap
-    recursion run alongside on the realised confidence mixture, and denoises
-    with the posterior mean.  Stops at ``t_max`` passes or when the mean
-    absolute update falls below ``stop_tol``.
+    recursion run alongside, and denoises with the posterior mean.  Stops at
+    ``t_max`` passes or when the mean absolute update falls below
+    ``stop_tol``.
 
-    ``params.mixture`` must be the realised mixture,
-    ``EpsilonMixture.from_samples(ds.label_eps)``: the recursion runs on it
-    as given.  A mixture whose mean squared confidence differs from the
-    samples' by more than 1e-9 raises ``SimulationError``, as a mismatched
-    ``c`` or ``lam`` does; a confidence outside [-1, 1] raises ``ValueError``.
-    The recursion depends only on (lam, c, mixture), so its values are
-    computed once per realised mixture and shared by later runs.
+    The recursion q_u = qu_from_qv(lam, c, q_v), q_v = qv_from_qu(mixture,
+    q_u) starts from q_v = eps_bar_sq and takes one step per pass, so a run
+    computes no step beyond the pass it reaches.  It runs on c = n/p and the
+    realised mixture ``EpsilonMixture.from_samples(ds.label_eps)``, both
+    taken from the dataset.  ``lam``, the one input the dataset does not fix
+    bit for bit, must be finite and nonnegative (``ValueError``) and match
+    ``ds.snr`` within 1e-6 relative (``SimulationError``); it, ``t_max`` and
+    the confidences (in [-1, 1]) are checked before any pass.
 
     The self-feedback removal uses the exact per-sample column norm rather
-    than its expectation; the calibration trusts the known (lam, c) through
+    than its expectation; the calibration trusts (lam, c) through
     the recursion instead of estimating the score SNR from data.
     """
-    if not isinstance(params, ProblemParams):
-        raise TypeError("params must be a ProblemParams")
+    lam = float(lam)
+    if not math.isfinite(lam) or lam < 0.0:
+        raise ValueError("lam must be finite and nonnegative")
+    if abs(ds.snr - lam) > 1e-6 * max(1.0, lam):
+        raise SimulationError(f"lam = {lam} does not match the dataset snr = {ds.snr}")
     t_max = _check_int(t_max, "t_max")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     eps = _check_eps(ds.label_eps)
-    n, p = ds.n, ds.p
-    if abs(params.c - n / p) > 1e-9 * max(1.0, params.c):
-        raise SimulationError(
-            f"params.c = {params.c} does not match the dataset ratio n/p = {n / p}"
-        )
-    if abs(ds.snr - params.lam) > 1e-6 * max(1.0, params.lam):
-        raise SimulationError(
-            f"params.lam = {params.lam} does not match the dataset snr = {ds.snr}"
-        )
-    lam, c, mixture = params.lam, params.c, params.mixture
-    realised_sq = float(np.add.reduce(eps * eps)) / n
-    if abs(mixture.eps_bar_sq - realised_sq) > 1e-9:
-        raise SimulationError(
-            f"params.mixture has eps_bar_sq = {mixture.eps_bar_sq}, the dataset's "
-            f"confidences {realised_sq}: pass the realised mixture"
-        )
-    calibration = _calibration(lam, c, mixture)
+    n = ds.n
+    c = n / ds.p
+    mixture = EpsilonMixture.from_samples(eps)
     denoise = _posterior_mean_at(eps)
     X = ds.features
     col_sq_n = np.einsum("ij,ij->j", X, X) / n
 
     # np.add.reduce(x) / n is np.mean(x) bit for bit, without its overhead.
     v = eps.copy()
+    q_v = mixture.eps_bar_sq
     iterations = 0
     for iterations in range(1, t_max + 1):
-        q_u = calibration.q_u(iterations - 1)
+        if iterations > 1:
+            q_v = qv_from_qu(mixture, q_u)
+        q_u = qu_from_qv(lam, c, q_v)
         raw = X.T @ (X @ v / n) - col_sq_n * v
         if q_u == 0.0:
             u = np.zeros(n)
@@ -404,9 +355,8 @@ def _usable_cores() -> int:
 
 def _fresh_replicate(p, n, lam, labeling, t_max, stream) -> tuple:
     ds = generate_dataset(p, n, lam, labeling, seed=stream)
-    params = ProblemParams(lam=lam, c=n / p, mixture=EpsilonMixture.from_samples(ds.label_eps))
     oracle = classify_oracle(ds).error_unlabeled
-    semi = classify_semisupervised(ds, params, t_max=t_max).error_unlabeled
+    semi = classify_semisupervised(ds, lam, t_max=t_max).error_unlabeled
     sup = classify_supervised(ds).error_unlabeled if ds.n_labeled > 0 else None
     return oracle, sup, semi
 
@@ -476,9 +426,7 @@ def _replicate_hard_labels(lam: float, blocks, t_max: int, r: int) -> np.ndarray
     """In a pool worker: replicate r's semi-supervised hard labels under the
     checked label ``blocks``."""
     ds = _dataset_from_bank(_worker_bank[r], blocks)
-    mixture = EpsilonMixture.from_samples(ds.label_eps)
-    params = ProblemParams(lam=lam, c=ds.n / ds.p, mixture=mixture)
-    return classify_semisupervised(ds, params, t_max=t_max).hard_labels
+    return classify_semisupervised(ds, lam, t_max=t_max).hard_labels
 
 
 def _replicate_pool(bank: list):
@@ -508,9 +456,9 @@ def _hard_labels(pool, bank, lam: float, n_labeled: int, kappa: float, t_max: in
     ``pool``, a ``_replicate_pool(bank)``.  A failing replicate raises as in
     a serial loop: the first in replicate order.
 
-    Processes, not threads: a 200 x 1000 pass takes about 140 us once its
-    calibration is cached (one BLAS thread, 2-core host), and only its two
-    matrix-vector products, about 100 us, release the GIL.  At
+    Processes, not threads: a 200 x 1000 pass takes about 200 us, its
+    recursion step about 40 us of that (one BLAS thread, 2-core host), and
+    only its two matrix-vector products, about 90 us, release the GIL.  At
     ``labeled-needed``'s defaults with etas [0.02] on 2 cores (one BLAS
     thread), the command took 4.7 s with the replicates run serially, 6.1 s
     on two threads and 3.4 s on two forked workers (medians of 11 runs each,

@@ -189,6 +189,16 @@ class TestOverlapIntegrandSeries:
         with pytest.raises(ValueError):
             overlap_integrand_series(1.0, 0.3, 10)
 
+    @pytest.mark.parametrize("k_max", [2.9, 3.0, True, np.True_])
+    def test_non_integer_order_rejected(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            overlap_integrand_series(0.5, 0.3, k_max)
+
+    def test_numpy_integer_order_accepted(self):
+        t = np.linspace(-2.0, 2.0, 9)
+        plain = overlap_integrand_series(0.5, t, 3)
+        assert overlap_integrand_series(0.5, t, np.int32(3)).tobytes() == plain.tobytes()
+
 
 class TestOverlapIntegrandApprox:
     def test_unlabeled_is_tanh(self):
@@ -217,6 +227,17 @@ class TestQuadratureRule:
     def test_other_sizes_validate(self):
         for n in (21, 41, 101):
             hermite_rule(n)
+
+    @pytest.mark.parametrize("n", [5.9, 5.0, True, np.True_])
+    def test_non_integer_size_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            hermite_rule(n)
+
+    def test_numpy_integer_size_accepted(self):
+        plain = hermite_rule(3)
+        rule = hermite_rule(np.int32(3))
+        assert rule.nodes.tobytes() == plain.nodes.tobytes()
+        assert rule.weights.tobytes() == plain.weights.tobytes()
 
     def test_bad_rules_rejected(self):
         with pytest.raises(ValueError):

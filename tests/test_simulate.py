@@ -5,8 +5,6 @@ error levels, and the labeled-count search protocol."""
 import json
 import math
 import multiprocessing
-import sys
-import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -16,7 +14,7 @@ import pytest
 
 from uncertain_ssl import cli, simulate
 from uncertain_ssl.kernel import _posterior_mean, channel_overlap, gaussian_tail
-from uncertain_ssl.overlaps import EpsilonMixture, ProblemParams, qu_from_qv, qv_from_qu
+from uncertain_ssl.overlaps import EpsilonMixture, qu_from_qv, qv_from_qu
 from uncertain_ssl.risk import InfeasibilityError
 from uncertain_ssl.simulate import (
     SimulationError,
@@ -251,14 +249,9 @@ class TestClassifySupervised:
 
 
 class TestClassifySemisupervised:
-    def _params(self, ds, lam):
-        return ProblemParams(
-            lam=lam, c=ds.n / ds.p, mixture=EpsilonMixture.from_samples(ds.label_eps)
-        )
-
     def test_all_certain_labels_stay_pinned(self):
         ds = generate_dataset(50, 400, 1.0, [(1.0, 1.0)], seed=9)
-        out = classify_semisupervised(ds, self._params(ds, 1.0))
+        out = classify_semisupervised(ds, 1.0)
         np.testing.assert_array_equal(out.soft_scores, ds.label_eps)
         assert out.error_unlabeled is None
         assert out.iterations == 1
@@ -266,31 +259,41 @@ class TestClassifySemisupervised:
 
     def test_no_signal_is_coin_flip(self):
         ds = generate_dataset(40, 4000, 0.0, [(0.2, 1.0)], seed=10)
-        out = classify_semisupervised(ds, self._params(ds, 0.0))
+        out = classify_semisupervised(ds, 0.0)
         assert abs(out.error_unlabeled - 0.5) < 4.0 * binomial_se(0.5, ds.n_unlabeled)
 
-    @pytest.mark.parametrize("t_max", [2.9, 4.0, np.float64(4.0), True, np.True_])
-    def test_non_integer_t_max_rejected_before_any_pass(self, monkeypatch, t_max):
-        ds = generate_dataset(20, 100, 1.0, [(0.3, 0.9)], seed=4)
+    @pytest.fixture
+    def no_pass(self, monkeypatch):
+        """Fails the run if its first pass starts."""
 
         def no_pass(*args):
-            raise AssertionError("a pass ran before t_max was checked")
+            raise AssertionError("a pass ran before the arguments were checked")
 
-        monkeypatch.setattr(simulate, "_calibration", no_pass)
+        monkeypatch.setattr(simulate, "qu_from_qv", no_pass)
+
+    @pytest.mark.parametrize("t_max", [2.9, 4.0, np.float64(4.0), True, np.True_])
+    def test_non_integer_t_max_rejected_before_any_pass(self, no_pass, t_max):
+        ds = generate_dataset(20, 100, 1.0, [(0.3, 0.9)], seed=4)
         with pytest.raises(ValueError, match="t_max must be an integer"):
-            classify_semisupervised(ds, self._params(ds, 1.0), t_max=t_max, stop_tol=0.0)
+            classify_semisupervised(ds, 1.0, t_max=t_max, stop_tol=0.0)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_bad_lam_rejected_before_any_pass(self, no_pass, lam):
+        # the snr comparison is false for nan and inf, so it would let both pass
+        ds = generate_dataset(20, 100, 1.0, [(0.3, 0.9)], seed=4)
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            classify_semisupervised(ds, lam)
 
     def test_numpy_integer_t_max_accepted(self):
         ds = generate_dataset(20, 100, 1.0, [(0.3, 0.9)], seed=4)
-        params = self._params(ds, 1.0)
-        plain = classify_semisupervised(ds, params, t_max=3, stop_tol=0.0)
-        out = classify_semisupervised(ds, params, t_max=np.int32(3), stop_tol=0.0)
+        plain = classify_semisupervised(ds, 1.0, t_max=3, stop_tol=0.0)
+        out = classify_semisupervised(ds, 1.0, t_max=np.int32(3), stop_tol=0.0)
         assert out.iterations == plain.iterations == 3
         assert out.soft_scores.tobytes() == plain.soft_scores.tobytes()
 
     def test_no_labels_runs_without_failure(self):
         ds = generate_dataset(40, 400, 1.0, [], seed=11)
-        out = classify_semisupervised(ds, self._params(ds, 1.0))
+        out = classify_semisupervised(ds, 1.0)
         assert out.error_unlabeled is not None
 
     def test_degenerate_scores_rejected(self):
@@ -307,23 +310,13 @@ class TestClassifySemisupervised:
             label_eps=np.array([1.0, -1.0] + [0.0] * (n - 2)),
             truth_mean=mu,
         )
-        params = ProblemParams(
-            lam=1.0, c=n / p, mixture=EpsilonMixture.from_samples(ds.label_eps)
-        )
         with pytest.raises(SimulationError):
-            classify_semisupervised(ds, params)
-
-    def test_mismatched_ratio_rejected(self):
-        ds = generate_dataset(40, 400, 1.0, [(0.2, 1.0)], seed=12)
-        params = ProblemParams(lam=1.0, c=3.0, mixture=EpsilonMixture.certainty(0.2))
-        with pytest.raises(SimulationError):
-            classify_semisupervised(ds, params)
+            classify_semisupervised(ds, 1.0)
 
     def test_mismatched_snr_rejected(self):
         ds = generate_dataset(40, 400, 1.0, [(0.2, 1.0)], seed=12)
-        params = ProblemParams(lam=2.0, c=10.0, mixture=EpsilonMixture.certainty(0.2))
         with pytest.raises(SimulationError):
-            classify_semisupervised(ds, params)
+            classify_semisupervised(ds, 2.0)
 
     def test_bad_confidence_rejected_before_the_passes(self, monkeypatch):
         # The confidences are checked once, when the realised mixture is
@@ -331,21 +324,20 @@ class TestClassifySemisupervised:
         import uncertain_ssl.simulate as simulate_module
 
         ds = generate_dataset(30, 60, 1.0, [(0.2, 0.9)], seed=14)
-        params = self._params(ds, 1.0)
         bad = replace(ds, label_eps=np.where(ds.label_eps > 0.0, 1.5, ds.label_eps))
         with pytest.raises(ValueError):
-            classify_semisupervised(bad, params)
+            classify_semisupervised(bad, 1.0)
 
         def checked(*args):
             raise AssertionError("the pass loop called the checked posterior_mean")
 
         monkeypatch.setattr(simulate_module, "posterior_mean", checked)
-        assert classify_semisupervised(ds, params, t_max=3).iterations >= 1
+        assert classify_semisupervised(ds, 1.0, t_max=3).iterations >= 1
 
     def test_deterministic(self):
         ds = generate_dataset(30, 600, 2.0, [(0.2, 0.9)], seed=13)
-        out_a = classify_semisupervised(ds, self._params(ds, 2.0))
-        out_b = classify_semisupervised(ds, self._params(ds, 2.0))
+        out_a = classify_semisupervised(ds, 2.0)
+        out_b = classify_semisupervised(ds, 2.0)
         np.testing.assert_array_equal(out_a.soft_scores, out_b.soft_scores)
 
     def test_error_ordering_across_methods(self):
@@ -355,33 +347,31 @@ class TestClassifySemisupervised:
         for r in range(reps):
             ds = generate_dataset(p, n, lam, [(eta, 1.0)], seed=[404, r])
             oracle_err.append(classify_oracle(ds).error_unlabeled)
-            semi_err.append(classify_semisupervised(ds, self._params(ds, lam)).error_unlabeled)
+            semi_err.append(classify_semisupervised(ds, lam).error_unlabeled)
             sup_err.append(classify_supervised(ds).error_unlabeled)
         se = binomial_se(float(np.mean(sup_err)), reps * int(n * (1 - eta)))
         assert np.mean(oracle_err) <= np.mean(semi_err) + 2.0 * se
         assert np.mean(semi_err) <= np.mean(sup_err) + 2.0 * se
 
-    def test_unrealised_mixture_rejected(self):
-        ds = generate_dataset(40, 400, 1.0, [(0.2, 0.9)], seed=12)
-        params = ProblemParams(lam=1.0, c=10.0, mixture=EpsilonMixture.certainty(0.2))
-        with pytest.raises(SimulationError, match="realised mixture"):
-            classify_semisupervised(ds, params)
-
-    def test_uses_the_given_mixture(self, monkeypatch):
+    def test_builds_the_realised_mixture_once(self, monkeypatch):
         ds = generate_dataset(30, 60, 1.0, [(0.2, 0.9)], seed=14)
-        params = self._params(ds, 1.0)
+        built = []
+        from_samples = EpsilonMixture.from_samples
 
-        def no_build(*args):
-            raise AssertionError("the classifier rebuilt the realised mixture")
+        def counting(eps_values):
+            built.append(np.array(eps_values))
+            return from_samples(eps_values)
 
-        monkeypatch.setattr(EpsilonMixture, "from_samples", no_build)
-        assert classify_semisupervised(ds, params, t_max=3).iterations >= 1
+        monkeypatch.setattr(EpsilonMixture, "from_samples", counting)
+        assert classify_semisupervised(ds, 1.0, t_max=5, stop_tol=0.0).iterations == 5
+        assert len(built) == 1
+        assert built[0].tobytes() == ds.label_eps.tobytes()
 
 
-def loop_oracle(ds, params, t_max=50, stop_tol=1e-6):
+def loop_oracle(ds, lam, t_max=50, stop_tol=1e-6):
     """The pass loop as it was before the calibration was shared, verbatim
     from its checks on; the reference the lean loop must match bit for bit."""
-    lam, c = params.lam, params.c
+    c = ds.n / ds.p
     X = ds.features
     eps = np.asarray(ds.label_eps, dtype=float)
     col_sq = np.einsum("ij,ij->j", X, X)
@@ -412,17 +402,9 @@ def loop_oracle(ds, params, t_max=50, stop_tol=1e-6):
     return v, iterations
 
 
-@pytest.fixture
-def fresh_calibrations():
-    simulate._calibration.cache_clear()
-    yield
-    simulate._calibration.cache_clear()
-
-
-@pytest.mark.usefixtures("fresh_calibrations")
 class TestLeanPassLoop:
-    """Each realised mixture's calibration is computed once, on demand, and
-    shared; the pass loop must give the old loop's scores bit for bit."""
+    """The pass loop runs the overlap recursion one step per pass; it must
+    give the old loop's scores bit for bit."""
 
     @pytest.mark.parametrize(
         "lam, labeling, t_max, stops_early",
@@ -441,25 +423,14 @@ class TestLeanPassLoop:
         p, n = 60, 300
         for seed in (3, 4):
             ds = generate_dataset(p, n, lam, labeling, seed=seed)
-            params = ProblemParams(
-                lam=ds.snr, c=n / p, mixture=EpsilonMixture.from_samples(ds.label_eps)
-            )
-            soft, iterations = loop_oracle(ds, params, t_max=t_max)
+            soft, iterations = loop_oracle(ds, ds.snr, t_max=t_max)
             if stops_early:
                 assert iterations < t_max
-            for _ in range(2):  # the second run reads the shared calibration
-                out = classify_semisupervised(ds, params, t_max=t_max)
+            for _ in range(2):  # a second run gives the same scores
+                out = classify_semisupervised(ds, ds.snr, t_max=t_max)
                 assert out.soft_scores.tobytes() == soft.tobytes()
                 assert out.hard_labels.tobytes() == simulate._hard_decisions(soft).tobytes()
                 assert out.iterations == iterations
-
-    def recursion(self, lam, c, mixture, passes):
-        q_v, values = mixture.eps_bar_sq, []
-        for _ in range(passes):
-            q_u = qu_from_qv(lam, c, q_v)
-            values.append(q_u)
-            q_v = qv_from_qu(mixture, q_u)
-        return values
 
     def test_calibration_runs_no_further_than_the_passes(self, monkeypatch):
         calls = []
@@ -471,54 +442,17 @@ class TestLeanPassLoop:
 
         monkeypatch.setattr(simulate, "qv_from_qu", counting)
         ds = generate_dataset(60, 300, 2.5, [(0.4, 1.0)], seed=3)
-        params = ProblemParams(
-            lam=ds.snr, c=ds.n / ds.p, mixture=EpsilonMixture.from_samples(ds.label_eps)
-        )
-        out = classify_semisupervised(ds, params, t_max=10**6)
+        out = classify_semisupervised(ds, ds.snr, t_max=10**6)
         assert out.iterations < 200
-        assert len(calls) <= out.iterations
-        cached = simulate._calibration(params.lam, params.c, params.mixture)._q_u
-        assert cached == self.recursion(params.lam, params.c, params.mixture, len(cached))
-
-    def test_cache_stays_bounded(self):
-        bound = simulate._calibration.cache_info().maxsize
-        for k in range(bound + 5):
-            ds = generate_dataset(20, 100, 1.0, [(0.01 * (k + 1), 1.0)], seed=k)
-            params = ProblemParams(
-                lam=ds.snr, c=5.0, mixture=EpsilonMixture.from_samples(ds.label_eps)
-            )
-            classify_semisupervised(ds, params, t_max=5)
-            assert simulate._calibration.cache_info().currsize <= bound
-        assert simulate._calibration.cache_info().currsize == bound
-
-    def test_threads_read_one_schedule(self):
-        # More threads than cores, switching often: every thread reads the
-        # serial recursion whatever the interleaving.
-        mixture = EpsilonMixture(((-0.6, 0.1), (0.0, 0.8), (0.6, 0.1)))
-        expected = self.recursion(1.5, 2.0, mixture, 60)
-
-        def read(calibration, seen, k):
-            order = range(60) if k % 2 == 0 else range(59, -1, -1)
-            seen[k] = {t: calibration.q_u(t) for t in order}
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                calibration = simulate._Calibration(1.5, 2.0, mixture)
-                seen = [None] * 8
-                threads = [
-                    threading.Thread(target=read, args=(calibration, seen, k)) for k in range(8)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
-                assert calibration._q_u == expected
-                assert all(s == dict(enumerate(expected)) for s in seen)
-        finally:
-            sys.setswitchinterval(interval)
+        assert len(calls) == out.iterations - 1
+        # the label map is fed the score SNRs of the serial recursion
+        mixture = EpsilonMixture.from_samples(ds.label_eps)
+        q_v, expected = mixture.eps_bar_sq, []
+        for _ in calls:
+            q_u = qu_from_qv(ds.snr, ds.n / ds.p, q_v)
+            expected.append(q_u)
+            q_v = label_map(mixture, q_u)
+        assert calls == expected
 
 
 class TestLabeledNeededEmpirical:
@@ -628,13 +562,10 @@ class TestFreshReplicates:
         expected = []
         for r in range(self.REPS):
             ds = generate_dataset(self.P, self.N, self.LAM, self.LABELING, seed=[self.SEED, r])
-            params = ProblemParams(
-                lam=self.LAM, c=self.N / self.P, mixture=EpsilonMixture.from_samples(ds.label_eps)
-            )
             expected.append((
                 classify_oracle(ds).error_unlabeled,
                 classify_supervised(ds).error_unlabeled,
-                classify_semisupervised(ds, params, t_max=self.T_MAX).error_unlabeled,
+                classify_semisupervised(ds, self.LAM, t_max=self.T_MAX).error_unlabeled,
             ))
         for _ in self.each_core_set(monkeypatch):
             assert self.errors() == expected
