@@ -16,6 +16,13 @@ broadcasting is natural).  The building blocks:
 - ``channel_overlap_approx`` the simplified surrogate that keeps only the
                          eps**2 dependence, exact at eps in {0, ±1}.
 
+Both overlaps run through one quadrature plan per eps array
+(``_QuadraturePlan``): it checks eps and finds the distinct eps**2 levels
+once, reads eps**2 in {0, 1} without a table row and tabulates every other
+level once.  Either overlap accepts a plan in place of its eps array, so the
+overlap system's label map keeps one plan per mixture and passes it at
+every q.
+
 Conventions.  A sample's label confidence couple (d1, d2), d1 + d2 = 1, is
 summarised by eps = d2 - d1 in [-1, 1]: class 1 maps to y = -1, class 2 to
 y = +1, so eps is the prior mean of y.  eps = 0 means unlabeled, |eps| = 1
@@ -58,8 +65,16 @@ def _check_eps(eps) -> np.ndarray:
     return e
 
 
+def _check_real(value, name: str) -> float:
+    """``value`` as a float: a Python or numpy bool is rejected rather than
+    read as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)) or getattr(value, "dtype", None) == np.bool_:
+        raise ValueError(f"{name} must be a number, not a bool")
+    return float(value)
+
+
 def _check_snr(q) -> float:
-    qf = float(q)
+    qf = _check_real(q, "q")
     if not math.isfinite(qf):
         raise ValueError("q must be finite")
     if qf < 0.0:
@@ -208,16 +223,26 @@ def _posterior_mean_at(e: np.ndarray):
     return pinned
 
 
+def _psi_ratio(e2, th):
+    """Overlap integrand at eps**2 < 1, where 1 - eps**2 tanh**2 >= 1 - eps**2 > 0."""
+    return (th + e2 * (1.0 - th - th * th)) / (1.0 - e2 * th * th)
+
+
+def _psi_tilde_sum(e2, th):
+    """Simplified integrand at eps**2 < 1."""
+    return th + e2 * (1.0 - th)
+
+
 def _psi_from_tanh(e2, th):
     """Overlap integrand as a function of eps**2 and tanh(t), broadcasting."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = (th + e2 * (1.0 - th - th * th)) / (1.0 - e2 * th * th)
+        out = _psi_ratio(e2, th)
     return np.where(e2 == 1.0, 1.0, out)
 
 
 def _psi_tilde_from_tanh(e2, th):
     """Simplified integrand tanh t + eps**2 (1 - tanh t), broadcasting."""
-    return np.where(e2 == 1.0, 1.0, th + e2 * (1.0 - th))
+    return np.where(e2 == 1.0, 1.0, _psi_tilde_sum(e2, th))
 
 
 def overlap_integrand(eps, t):
@@ -270,26 +295,66 @@ def overlap_integrand_approx(eps, t):
     return float(out) if out.ndim == 0 else out
 
 
-def _quadrature(integrand, eps, q):
-    """Rule average of ``integrand(eps**2, tanh(q + sqrt(q) Z))`` per eps.
+class _QuadraturePlan:
+    """An eps array reduced, once, to its distinct eps**2 levels.
 
-    One (atoms x nodes) table for all eps; each row is reduced by its own
-    dot product with the weights, so an atom's value does not depend on the
-    other atoms.  q = 0 gives eps**2 and eps**2 = 1 gives 1, both exactly.
-    The rule's odd moments vanish only to rounding, so just above q = 0 the
-    average can land below eps**2; it is clamped there from below.
+    ``channel_overlap`` and ``channel_overlap_approx`` accept a plan in place
+    of its eps array and return the same bits without re-checking eps or
+    re-finding its levels, so a caller that evaluates one eps array at many
+    q (the overlap system's label map) builds its plan once.  ``shape`` and
+    ``size`` are those of the eps array.  The arrays are read-only and an
+    evaluation writes only fresh ones, so threads may share a plan.
     """
-    e = _check_eps(eps)
-    qf = _check_snr(q)
-    e2 = (e * e).ravel()
-    if qf == 0.0:
-        out = e2
-    else:
-        th = np.tanh(qf + math.sqrt(qf) * DEFAULT_RULE.nodes)
-        psi = integrand(e2[:, None], th)
-        out = np.matmul(psi[:, None, :], DEFAULT_RULE.weights[:, None])[:, 0, 0]
-        out = np.where(e2 == 1.0, 1.0, np.maximum(out, e2))
-    out = out.reshape(e.shape)
+
+    __slots__ = ("shape", "size", "_levels", "_index", "_rows", "_zero")
+
+    def __init__(self, eps):
+        e = _check_eps(eps)
+        levels, index = np.unique((e * e).ravel(), return_inverse=True)
+        levels.flags.writeable = False
+        index.flags.writeable = False
+        self.shape, self.size = e.shape, e.size
+        self._levels, self._index = levels, index
+        # Levels 0 and 1 need no table row; every level between gets one.
+        self._zero = bool(levels.size > 0 and levels[0] == 0.0)
+        self._rows = slice(int(self._zero), levels.size - int(levels.size > 0 and levels[-1] == 1.0))
+
+    def __call__(self, integrand, q: float) -> np.ndarray:
+        """Rule average of ``integrand(eps**2, tanh(q + sqrt(q) Z))`` per
+        entry, at a checked q, in the eps array's shape.
+
+        ``integrand`` is an eps**2 < 1 form (``_psi_ratio`` or
+        ``_psi_tilde_sum``), whose denominators stay positive.  Level 1 gives
+        1.  Level 0 gives the rule average of tanh itself, which both
+        integrands equal there bit for bit (th + 0 x and th / 1 are th unless
+        th is -0, and tanh is never -0 at q > 0).  Each level between reads
+        its own row of one (levels x nodes) table.  Every row, like the tanh
+        average, is reduced by its own dot product with the weights, so an
+        entry does not depend on the other entries.  q = 0 gives eps**2
+        exactly.  The rule's odd moments vanish only to rounding, so just
+        above q = 0 the average can land below eps**2; it is clamped there
+        from below.
+        """
+        levels, rows = self._levels, self._rows
+        if q == 0.0:
+            values = levels
+        else:
+            th = np.tanh(q + math.sqrt(q) * DEFAULT_RULE.nodes)
+            values = levels.copy()
+            if self._zero:
+                values[0] = np.matmul(th[None, None, :], DEFAULT_RULE.weights[:, None])[0, 0, 0]
+            if rows.stop > rows.start:
+                psi = integrand(levels[rows, None], th)
+                values[rows] = np.matmul(psi[:, None, :], DEFAULT_RULE.weights[:, None])[:, 0, 0]
+            values = np.maximum(values, levels)
+        return values[self._index].reshape(self.shape)
+
+
+def _quadrature(integrand, eps, q):
+    """``integrand``'s rule average at every eps, through ``eps`` itself when
+    it is a ``_QuadraturePlan`` and through a plan built here otherwise."""
+    plan = eps if isinstance(eps, _QuadraturePlan) else _QuadraturePlan(eps)
+    out = plan(integrand, _check_snr(q))
     return float(out) if out.ndim == 0 else out
 
 
@@ -302,7 +367,7 @@ def channel_overlap(eps, q):
     A scalar eps gives a float; an array of eps gives an array of the same
     shape, each entry equal to the scalar call at that eps.
     """
-    return _quadrature(_psi_from_tanh, eps, q)
+    return _quadrature(_psi_ratio, eps, q)
 
 
 def channel_overlap_approx(eps, q):
@@ -312,7 +377,7 @@ def channel_overlap_approx(eps, q):
     the q = 0 and |eps| = 1 values with ``channel_overlap``, and broadcasts
     over an array of eps the same way.
     """
-    return _quadrature(_psi_tilde_from_tanh, eps, q)
+    return _quadrature(_psi_tilde_sum, eps, q)
 
 
 def approx_error_grid(eps_values, q_values) -> np.ndarray:

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import _check_int, channel_overlap
+from .kernel import _check_int, _check_real, _QuadraturePlan, channel_overlap
 
 __all__ = [
     "EpsilonMixture",
@@ -89,6 +89,11 @@ class EpsilonMixture:
         eps.flags.writeable = False
         w.flags.writeable = False
         return eps, w
+
+    @cached_property
+    def _label_plan(self) -> _QuadraturePlan:
+        """Quadrature plan of the atoms' eps array, built once."""
+        return _QuadraturePlan(self._arrays[0])
 
     @property
     def eps_bar_sq(self) -> float:
@@ -157,11 +162,12 @@ class OverlapSolution:
 def qu_from_qv(lam: float, c: float, q_v: float) -> float:
     """Feature-overlap map q_u = lam^2 c q_v / (1 + lam c q_v).
 
-    Valued in [0, lam), strictly increasing in q_v when lam > 0.
+    Valued in [0, lam), strictly increasing in q_v when lam > 0.  A bool
+    argument is rejected.
     """
-    lam = float(lam)
-    c = float(c)
-    q_v = float(q_v)
+    lam = _check_real(lam, "lam")
+    c = _check_real(c, "c")
+    q_v = _check_real(q_v, "q_v")
     if not math.isfinite(lam) or lam < 0.0:
         raise ValueError("lam must be finite and nonnegative")
     if not math.isfinite(c) or c <= 0.0:
@@ -175,13 +181,15 @@ def qu_from_qv(lam: float, c: float, q_v: float) -> float:
 def qv_from_qu(mixture: EpsilonMixture, q_u: float) -> float:
     """Label-overlap map: mixture average of the channel overlap at SNR q_u.
 
-    One batched kernel call gives every atom's overlap; the weighted terms
-    are summed as Python floats in atom order.
+    One kernel call on the mixture's quadrature plan, built on its first
+    evaluation, gives every atom's overlap with the bits of the call on its
+    eps array: each distinct eps**2 is tabulated once and eps**2 = 1 costs
+    no row.  The weighted terms are summed as Python floats in atom order.
     """
     if not isinstance(mixture, EpsilonMixture):
         raise TypeError("mixture must be an EpsilonMixture")
-    eps, w = mixture._arrays
-    return float(sum((w * channel_overlap(eps, q_u)).tolist()))
+    w = mixture._arrays[1]
+    return float(sum((w * channel_overlap(mixture._label_plan, q_u)).tolist()))
 
 
 def _secant_polish(defect, q0: float, max_steps: int = 60, f_tol: float = 1e-14):

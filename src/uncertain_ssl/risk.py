@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .kernel import _check_int, channel_overlap, gaussian_tail
+from .kernel import _check_int, _check_real, channel_overlap, gaussian_tail
 from .overlaps import OverlapSolution, qu_from_qv
 
 __all__ = [
@@ -42,7 +42,7 @@ class InfeasibilityError(ValueError):
 
 
 def _check_nonneg(x, name: str) -> float:
-    xf = float(x)
+    xf = _check_real(x, name)
     if not math.isfinite(xf) or xf < 0.0:
         raise ValueError(f"{name} must be finite and nonnegative")
     return xf

@@ -456,9 +456,9 @@ def _hard_labels(pool, bank, lam: float, n_labeled: int, kappa: float, t_max: in
     ``pool``, a ``_replicate_pool(bank)``.  A failing replicate raises as in
     a serial loop: the first in replicate order.
 
-    Processes, not threads: a 200 x 1000 pass takes about 200 us, its
-    recursion step about 40 us of that (one BLAS thread, 2-core host), and
-    only its two matrix-vector products, about 90 us, release the GIL.  At
+    Processes, not threads: a 200 x 1000 pass takes about 125 us, its
+    recursion step about 20 us of that (one BLAS thread, 2-core host), and
+    only its two matrix-vector products, about 70 us, release the GIL.  At
     ``labeled-needed``'s defaults with etas [0.02] on 2 cores (one BLAS
     thread), the command took 4.7 s with the replicates run serially, 6.1 s
     on two threads and 3.4 s on two forked workers (medians of 11 runs each,

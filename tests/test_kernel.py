@@ -4,6 +4,7 @@ relative-error budget of the simplified channel overlap."""
 
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +15,10 @@ from uncertain_ssl.kernel import (
     QuadratureRule,
     _posterior_mean_at,
     _psi_from_tanh,
+    _psi_ratio,
+    _psi_tilde_from_tanh,
+    _psi_tilde_sum,
+    _QuadraturePlan,
     approx_error_grid,
     channel_overlap,
     channel_overlap_approx,
@@ -24,6 +29,7 @@ from uncertain_ssl.kernel import (
     overlap_integrand_series,
     posterior_mean,
 )
+from uncertain_ssl.overlaps import EpsilonMixture, qv_from_qu
 
 # Adaptive quadrature of the normal density on [1, inf); frozen here so the
 # assertion below never exercises the erfc path it checks.
@@ -261,6 +267,12 @@ class TestGaussExpect:
         with pytest.raises(ValueError):
             channel_overlap(0.0, -0.1)
 
+    @pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.array(False)])
+    def test_rejects_bool_snr(self, flag):
+        # A bool used to pass as 0 or 1: channel_overlap(0.3, True) was F(1).
+        with pytest.raises(ValueError, match="q must be a number, not a bool"):
+            channel_overlap(0.3, flag)
+
 
 class TestChannelOverlap:
     def test_zero_snr_returns_squared_confidence(self):
@@ -346,6 +358,64 @@ class TestChannelOverlapBatched:
     def test_rejects_any_bad_entry(self, bad):
         with pytest.raises(ValueError):
             channel_overlap(np.array(bad), 1.0)
+
+
+class TestQuadraturePlan:
+    """The plan reads eps**2 in {0, 1} without a table row and tabulates each
+    other distinct eps**2 once, with the bits of the per-eps reference."""
+
+    def test_zero_confidence_integrands_are_tanh(self):
+        # The plan's level 0 is the rule average of tanh itself.
+        th = np.tanh(np.random.default_rng(13).normal(0.5, 3.0, 1_000_000))
+        assert not np.any((th == 0.0) & np.signbit(th))
+        assert _psi_from_tanh(0.0, th).tobytes() == th.tobytes()
+        assert _psi_tilde_from_tanh(0.0, th).tobytes() == th.tobytes()
+
+    @pytest.mark.parametrize("q", [0.0, 1e-9, 0.37, 2.0, 40.0])
+    @pytest.mark.parametrize(
+        "overlap, integrand, reference",
+        [
+            (channel_overlap, _psi_ratio, _psi_from_tanh),
+            (channel_overlap_approx, _psi_tilde_sum, _psi_tilde_from_tanh),
+        ],
+    )
+    def test_equals_the_per_eps_dot_loop(self, overlap, integrand, reference, q):
+        soft = np.random.default_rng(14).uniform(-1.0, 1.0, 50)
+        eps = np.concatenate([[-1.0, 0.0, 1.0, -0.0], soft, -soft, soft[:10], [0.0, -1.0]])
+        th = np.tanh(q + math.sqrt(q) * DEFAULT_RULE.nodes)
+        expected = []
+        for e in eps:
+            e2 = e * e
+            if e2 == 1.0 or q == 0.0:
+                expected.append(e2)
+            else:
+                expected.append(max(float(DEFAULT_RULE.weights @ reference(e2, th)), e2))
+        plan = _QuadraturePlan(eps)
+        assert plan(integrand, q).tolist() == expected
+        assert overlap(plan, q).tolist() == expected
+        assert overlap(eps, q).tolist() == expected
+
+    @pytest.mark.parametrize("eps", [0.3, -1.0, np.array([[0.5, -0.5], [0.0, 1.0]]), np.array([])])
+    def test_plan_in_place_of_eps(self, eps):
+        plan = _QuadraturePlan(eps)
+        for overlap in (channel_overlap, channel_overlap_approx):
+            for q in (0.0, 0.8):
+                via_plan, direct = overlap(plan, q), overlap(eps, q)
+                assert type(via_plan) is type(direct)
+                assert np.shape(via_plan) == np.shape(direct)
+                assert np.asarray(via_plan).tobytes() == np.asarray(direct).tobytes()
+
+    def test_threads_share_one_mixture(self):
+        eps = soft_eps(15, atoms=400)
+        mix = EpsilonMixture(atoms=tuple((float(e), 1.0 / eps.size) for e in eps))
+        q_grid = np.linspace(0.0, 6.0, 240).tolist()
+
+        def evaluate(q):
+            return qv_from_qu(mix, q), channel_overlap(mix._label_plan, q).tobytes()
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(evaluate, q_grid))
+        assert threaded == [evaluate(q) for q in q_grid]
 
 
 class TestEpsValidation:

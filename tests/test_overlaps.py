@@ -3,11 +3,13 @@ an independent bracketing root-finder, the certainty special case, the
 collapsed approximation, and the relative-change contraction."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy import optimize
 
+import uncertain_ssl.kernel as kernel_module
 import uncertain_ssl.overlaps as overlaps_module
 from uncertain_ssl.kernel import channel_overlap
 from uncertain_ssl.overlaps import (
@@ -83,6 +85,14 @@ class TestFeatureOverlapMap:
     def test_unit_point(self):
         assert qu_from_qv(1.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.array(True)])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_bool_rejected_not_coerced(self, position, flag):
+        args = [1.0, 1.0, 1.0]
+        args[position] = flag
+        with pytest.raises(ValueError, match="not a bool"):
+            qu_from_qv(*args)
+
     def test_strictly_increasing_and_bounded(self):
         lam, c = 1.7, 2.3
         q_v = np.linspace(0.0, 1.0, 51)
@@ -117,7 +127,8 @@ def soft_mixture(seed, atoms):
 
 
 class TestBatchedLabelOverlapMap:
-    """One kernel call per map evaluation, with the bits of the per-atom sum."""
+    """One kernel call per map evaluation, on one quadrature plan per mixture,
+    with the bits of the per-atom sum."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_equals_per_atom_sum(self, seed):
@@ -138,6 +149,42 @@ class TestBatchedLabelOverlapMap:
             qv_from_qu(soft_mixture(atoms, atoms), 0.6)
         qv_from_qu(EpsilonMixture.single(0.4), 0.6)
         assert calls == [3, 40, 2000, 1]
+
+    def test_plan_built_once_per_mixture(self):
+        mix = soft_mixture(3, 40)
+        plan = mix._label_plan
+        qv_from_qu(mix, 0.6)
+        qv_from_qu(mix, 1.2)
+        assert mix._label_plan is plan
+        twin = EpsilonMixture(atoms=mix.atoms)
+        assert twin == mix and twin._label_plan is not plan
+
+    def test_one_row_per_distinct_squared_confidence(self, monkeypatch):
+        rows, ratio = [], kernel_module._psi_ratio
+
+        def counting(e2, th):
+            rows.append(e2.shape[0])
+            return ratio(e2, th)
+
+        monkeypatch.setattr(kernel_module, "_psi_ratio", counting)
+        eps = np.random.default_rng(4).uniform(0.01, 0.99, 1000)
+        mix = EpsilonMixture.from_samples(np.concatenate([eps, -eps]))
+        assert len(mix.atoms) == 2000
+        qv_from_qu(mix, 0.6)
+        qv_from_qu(EpsilonMixture.certainty(0.3), 0.6)
+        qv_from_qu(EpsilonMixture(atoms=((-0.8, 0.05), (0.0, 0.9), (0.8, 0.05))), 0.6)
+        assert rows == [1000, 1]
+
+    def test_evaluated_mixture_still_pickles(self):
+        mix = soft_mixture(5, 40)
+        value = qv_from_qu(mix, 0.6)
+        copy = pickle.loads(pickle.dumps(mix))
+        assert copy == mix
+        assert qv_from_qu(copy, 0.6) == value
+
+    def test_bool_snr_rejected_not_coerced(self):
+        with pytest.raises(ValueError, match="not a bool"):
+            qv_from_qu(EpsilonMixture.single(0.4), True)
 
     def test_cached_arrays_leave_fields_and_equality_alone(self):
         mix = EpsilonMixture(atoms=((0.5, 0.4), (-0.25, 0.6)))
