@@ -58,6 +58,7 @@ from .risk import (
 from .simulate import (
     SimulationError,
     channel_overlap_mc_stats,
+    _check_labeling,
     _fresh_replicate_errors,
     labeled_needed_empirical,
 )
@@ -210,9 +211,7 @@ def _mixture_from_config(cfg: dict) -> EpsilonMixture:
     if (eta is None) == (atoms is None):
         raise CliError("specify exactly one of 'eta' or 'mixture'")
     if eta is not None:
-        if _json_kind(eta) not in ("integer", "number") or not 0.0 <= eta <= 1.0:
-            raise CliError("eta must be a number in [0, 1]")
-        return EpsilonMixture.certainty(float(eta))
+        return EpsilonMixture.certainty(eta)
     if _json_kind(atoms) != "array" or not all(
         _json_kind(atom) == "array"
         and len(atom) == 2
@@ -241,13 +240,11 @@ def _check_replicate_cells(cells: int, what: str) -> None:
         raise CliError(f"{what} has {cells} cells, more than {MAX_REPLICATE_CELLS}")
 
 
-def _intended_mixture(labeling) -> EpsilonMixture:
-    atoms = []
-    total = 0.0
-    for frac, kappa in labeling:
-        atoms.append((2.0 * float(kappa) - 1.0, float(frac)))
-        total += float(frac)
-    atoms.append((0.0, 1.0 - total))
+def _intended_mixture(blocks) -> EpsilonMixture:
+    """Theory mixture of checked labeling ``blocks``: eps = 2 kappa - 1 at
+    each block's fraction, the rest unlabeled."""
+    atoms = [(2.0 * kappa - 1.0, frac) for frac, kappa in blocks]
+    atoms.append((0.0, 1.0 - sum(frac for frac, _ in blocks)))
     return EpsilonMixture(atoms=tuple(atoms))
 
 
@@ -411,7 +408,7 @@ def cmd_simulate(cfg: dict) -> dict[str, str]:
     n = int(cfg["n"])
     p = int(cfg["p"])
     lam = float(cfg["lambda"])
-    labeling = [(float(f), float(k)) for f, k in cfg["labeling"]]
+    labeling = _check_labeling(cfg["labeling"])
     reps = int(cfg["reps"])
     t_max = int(cfg["t_max"])
     seed = int(cfg["seed"])

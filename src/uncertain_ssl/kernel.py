@@ -23,6 +23,17 @@ level once.  Either overlap accepts a plan in place of its eps array, so the
 overlap system's label map keeps one plan per mixture and passes it at
 every q.
 
+Inputs.  The package's type and range rules are written once each, here;
+every public function applies them to its numeric inputs (seeds excepted)
+before any work, raising ``ValueError`` with the parameter's name.
+``_check_real`` takes a Python or numpy real or a 0-d real array and
+``_check_reals`` an array of reals; a bool, str, bytes, None or other object
+is rejected, never converted.  The range rules build on them:
+``_check_nonneg`` (finite, >= 0), ``_check_positive`` (finite, > 0),
+``_check_unit`` ([0, 1] or (0, 1]) and ``_check_eps`` (every entry in
+[-1, 1]); ``_check_int`` takes an integer that is not a bool, and
+``_check_count`` one that is at least 1.
+
 Conventions.  A sample's label confidence couple (d1, d2), d1 + d2 = 1, is
 summarised by eps = d2 - d1 in [-1, 1]: class 1 maps to y = -1, class 2 to
 y = +1, so eps is the prior mean of y.  eps = 0 means unlabeled, |eps| = 1
@@ -32,6 +43,7 @@ certainty.  All overlap-type quantities depend on eps only through eps**2.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -54,43 +66,77 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-def _check_eps(eps) -> np.ndarray:
-    e = np.asarray(eps, dtype=float)
-    if (np.abs(e) <= 1.0).all():  # one pass; nan fails it too
-        return e
-    if not np.all(np.isfinite(e)):
-        raise ValueError("eps must be finite")
-    if np.any(np.abs(e) > 1.0):
-        raise ValueError("eps must lie in [-1, 1]")
-    return e
+def _check_reals(values, name: str, finite: bool = True) -> np.ndarray:
+    """``values`` as a float array without nan, and without ±inf when ``finite``."""
+    a = np.asarray(values)
+    if a.dtype.kind == "b":
+        raise ValueError(f"{name} must be a number, not a bool")
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a real number, got {values!r}")
+    a = a.astype(float, copy=False)
+    if not (np.isfinite(a) if finite else ~np.isnan(a)).all():
+        raise ValueError(f"{name} must be finite" if finite else f"{name} must not be nan")
+    return a
 
 
 def _check_real(value, name: str) -> float:
-    """``value`` as a float: a Python or numpy bool is rejected rather than
-    read as 0 or 1."""
-    if isinstance(value, (bool, np.bool_)) or getattr(value, "dtype", None) == np.bool_:
-        raise ValueError(f"{name} must be a number, not a bool")
-    return float(value)
+    """``value`` as a float: a Python or numpy real, or a 0-d real array."""
+    if type(value) is float:  # the solver's and the kernel's hot path
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    a = _check_reals(value, name, finite=False)
+    if a.ndim != 0:
+        raise ValueError(f"{name} must be a scalar, got shape {a.shape}")
+    return float(a)
 
 
-def _check_snr(q) -> float:
-    qf = _check_real(q, "q")
-    if not math.isfinite(qf):
-        raise ValueError("q must be finite")
-    if qf < 0.0:
-        raise ValueError("q must be nonnegative")
-    return qf
+def _check_nonneg(value, name: str) -> float:
+    x = _check_real(value, name)
+    if not 0.0 <= x < math.inf:  # nan fails it too
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return x
+
+
+def _check_positive(value, name: str) -> float:
+    x = _check_real(value, name)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be finite and positive")
+    return x
+
+
+def _check_unit(value, name: str, low_open: bool = False) -> float:
+    """``value`` in the unit interval [0, 1], or in (0, 1] when ``low_open``."""
+    x = _check_real(value, name)
+    if not ((0.0 < x) if low_open else (0.0 <= x)) or not x <= 1.0:
+        raise ValueError(f"{name} must lie in {'(' if low_open else '['}0, 1]")
+    return x
+
+
+def _check_eps(eps) -> np.ndarray:
+    e = np.asarray(eps)
+    if e.dtype.kind in "iuf" and (np.abs(e) <= 1.0).all():  # one pass; nan fails it too
+        return e.astype(float, copy=False)
+    _check_reals(eps, "eps")  # a non-real dtype or a non-finite entry
+    raise ValueError("eps must lie in [-1, 1]")
 
 
 def _check_int(value, name: str) -> int:
     """``value`` as an int: Python and numpy integers pass, while a bool or a
     float is rejected rather than truncated."""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)) or getattr(value, "dtype", None) == np.bool_:
         raise ValueError(f"{name} must be an integer, not a bool")
     try:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_count(value, name: str) -> int:
+    i = _check_int(value, name)
+    if i < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return i
 
 
 @dataclass(frozen=True)
@@ -106,8 +152,8 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        z = np.array(self.nodes, dtype=float)
-        w = np.array(self.weights, dtype=float)
+        z = np.array(_check_reals(self.nodes, "nodes"))
+        w = np.array(_check_reals(self.weights, "weights"))
         if z.ndim != 1 or w.ndim != 1 or z.shape != w.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         if np.any(w < 0.0):
@@ -140,7 +186,7 @@ def hermite_rule(n: int = 61) -> QuadratureRule:
     normalised to a probability measure.  61 nodes resolve the bounded smooth
     integrands used here far below every tolerance in this package.
     """
-    x, w = np.polynomial.hermite.hermgauss(_check_int(n, "n"))
+    x, w = np.polynomial.hermite.hermgauss(_check_count(n, "n"))
     weights = w / math.sqrt(math.pi)
     weights = weights / weights.sum()
     return QuadratureRule(nodes=_SQRT2 * x, weights=weights)
@@ -166,9 +212,7 @@ def gaussian_tail(x):
     a float; an array gives an array of the same shape, each entry equal to
     the scalar call.  Non-finite values are rejected.
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("gaussian_tail requires finite input")
+    arr = _check_reals(x, "x")
     return _tail(float(arr)) if arr.ndim == 0 else _tail_array(arr)
 
 
@@ -182,7 +226,7 @@ def posterior_mean(eps, t):
     estimate at ±1 for every t (returned exactly, bypassing the 0/0 ratio at
     saturated tanh).
     """
-    return _posterior_mean(_check_eps(eps), t)
+    return _posterior_mean(_check_eps(eps), _check_reals(t, "t", finite=False))
 
 
 def _posterior_ratio(e, th):
@@ -192,7 +236,7 @@ def _posterior_ratio(e, th):
 
 def _posterior_mean(e, t):
     """``posterior_mean`` for an eps already checked to lie in [-1, 1]."""
-    th = np.tanh(np.asarray(t, dtype=float))
+    th = np.tanh(t)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = _posterior_ratio(e, th)
     out = np.where(e == 1.0, 1.0, out)
@@ -256,7 +300,7 @@ def overlap_integrand(eps, t):
     signal-weighted average d2 f_eps(t) - d1 f_eps(-t) of the posterior mean.
     """
     e = _check_eps(eps)
-    th = np.tanh(np.asarray(t, dtype=float))
+    th = np.tanh(_check_reals(t, "t", finite=False))
     out = _psi_from_tanh(e * e, th)
     return float(out) if out.ndim == 0 else out
 
@@ -273,10 +317,8 @@ def overlap_integrand_series(eps, t, k_max: int):
     e = _check_eps(eps)
     if np.any(np.abs(e) == 1.0):
         raise ValueError("series form requires |eps| < 1")
-    k = _check_int(k_max, "k_max")
-    if k < 1:
-        raise ValueError("k_max must be a positive integer")
-    th = np.tanh(np.asarray(t, dtype=float))
+    k = _check_count(k_max, "k_max")
+    th = np.tanh(_check_reals(t, "t", finite=False))
     r = (e * th) ** 2
     partial = r * (1.0 - r**k) / (1.0 - r)
     out = th + e * e * (1.0 - th) - (1.0 - e * e) * (1.0 - th) * partial
@@ -290,7 +332,7 @@ def overlap_integrand_approx(eps, t):
     higher-order series terms elsewhere, isolating the role of eps**2.
     """
     e = _check_eps(eps)
-    th = np.tanh(np.asarray(t, dtype=float))
+    th = np.tanh(_check_reals(t, "t", finite=False))
     out = _psi_tilde_from_tanh(e * e, th)
     return float(out) if out.ndim == 0 else out
 
@@ -354,7 +396,7 @@ def _quadrature(integrand, eps, q):
     """``integrand``'s rule average at every eps, through ``eps`` itself when
     it is a ``_QuadraturePlan`` and through a plan built here otherwise."""
     plan = eps if isinstance(eps, _QuadraturePlan) else _QuadraturePlan(eps)
-    out = plan(integrand, _check_snr(q))
+    out = plan(integrand, _check_nonneg(q, "q"))
     return float(out) if out.ndim == 0 else out
 
 
@@ -387,10 +429,10 @@ def approx_error_grid(eps_values, q_values) -> np.ndarray:
     eps in {0, 1} are exactly zero (the surrogate is exact there); all q must
     be positive so the denominator cannot vanish.
     """
-    e = _check_eps(np.atleast_1d(np.asarray(eps_values, dtype=float)))
-    q = np.atleast_1d(np.asarray(q_values, dtype=float))
-    if not np.all(np.isfinite(q)) or np.any(q <= 0.0):
-        raise ValueError("q grid values must be finite and positive")
+    e = np.atleast_1d(_check_eps(eps_values))
+    q = np.atleast_1d(_check_reals(q_values, "q_values"))
+    if np.any(q <= 0.0):
+        raise ValueError("q_values must be positive")
     th = np.tanh(q[:, None] + np.sqrt(q)[:, None] * DEFAULT_RULE.nodes[None, :])  # (Q, N)
     e2 = (e * e)[:, None, None]  # (E, 1, 1)
     big = _psi_from_tanh(e2, th[None, :, :]) @ DEFAULT_RULE.weights  # (E, Q)

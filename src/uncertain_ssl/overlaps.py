@@ -29,7 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import _check_int, _check_real, _QuadraturePlan, channel_overlap
+from .kernel import _check_count, _check_eps, _check_nonneg, _check_positive, _check_real
+from .kernel import _check_unit, _QuadraturePlan, channel_overlap
 
 __all__ = [
     "EpsilonMixture",
@@ -67,12 +68,8 @@ class EpsilonMixture:
     def __post_init__(self) -> None:
         if len(self.atoms) == 0:
             raise ValueError("mixture needs at least one atom")
-        eps = np.array([a[0] for a in self.atoms], dtype=float)
-        w = np.array([a[1] for a in self.atoms], dtype=float)
-        if not np.all(np.isfinite(eps)) or np.any(np.abs(eps) > 1.0):
-            raise ValueError("atom eps values must lie in [-1, 1]")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise ValueError("atom weights must be nonnegative")
+        eps = _check_eps([_check_real(e, "eps") for e, _ in self.atoms])
+        w = np.array([_check_nonneg(wj, "atom weight") for _, wj in self.atoms])
         total = float(w.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError("atom weights must sum to 1 (within 1e-9)")
@@ -103,20 +100,18 @@ class EpsilonMixture:
     @classmethod
     def certainty(cls, eta: float) -> "EpsilonMixture":
         """Fraction ``eta`` of certainty labels, the rest unlabeled."""
-        eta = float(eta)
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
+        eta = _check_unit(eta, "eta")
         return cls(atoms=((1.0, eta), (0.0, 1.0 - eta)))
 
     @classmethod
     def single(cls, eps: float) -> "EpsilonMixture":
         """Every sample carries the same signed confidence."""
-        return cls(atoms=((float(eps), 1.0),))
+        return cls(atoms=((eps, 1.0),))
 
     @classmethod
     def from_samples(cls, eps_values) -> "EpsilonMixture":
         """Empirical mixture of a vector of per-sample confidences."""
-        e = np.asarray(eps_values, dtype=float).ravel()
+        e = _check_eps(eps_values).ravel()
         if e.size == 0:
             raise ValueError("need at least one sample")
         vals, counts = np.unique(e, return_counts=True)
@@ -136,10 +131,8 @@ class ProblemParams:
     mixture: EpsilonMixture
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.lam) or self.lam < 0.0:
-            raise ValueError("lam must be finite and nonnegative")
-        if not math.isfinite(self.c) or self.c <= 0.0:
-            raise ValueError("c must be finite and positive")
+        object.__setattr__(self, "lam", _check_nonneg(self.lam, "lam"))
+        object.__setattr__(self, "c", _check_positive(self.c, "c"))
         if not isinstance(self.mixture, EpsilonMixture):
             raise TypeError("mixture must be an EpsilonMixture")
 
@@ -165,14 +158,10 @@ def qu_from_qv(lam: float, c: float, q_v: float) -> float:
     Valued in [0, lam), strictly increasing in q_v when lam > 0.  A bool
     argument is rejected.
     """
-    lam = _check_real(lam, "lam")
-    c = _check_real(c, "c")
+    lam = _check_nonneg(lam, "lam")
+    c = _check_positive(c, "c")
     q_v = _check_real(q_v, "q_v")
-    if not math.isfinite(lam) or lam < 0.0:
-        raise ValueError("lam must be finite and nonnegative")
-    if not math.isfinite(c) or c <= 0.0:
-        raise ValueError("c must be finite and positive")
-    if not math.isfinite(q_v) or not -1e-12 <= q_v <= 1.0 + 1e-12:
+    if not -1e-12 <= q_v <= 1.0 + 1e-12:  # nan fails it too
         raise ValueError("q_v must lie in [0, 1]")
     q_v = min(max(q_v, 0.0), 1.0)
     return lam * lam * c * q_v / (1.0 + lam * c * q_v)
@@ -269,11 +258,8 @@ def solve_overlaps(
     """
     if not isinstance(params, ProblemParams):
         raise TypeError("params must be a ProblemParams")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be positive")
-    max_iter = _check_int(max_iter, "max_iter")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    tol = _check_positive(tol, "tol")
+    max_iter = _check_count(max_iter, "max_iter")
 
     inits = (1.0, max(params.mixture.eps_bar_sq, 1e-6))
     runs = [_solve_from(params, q_v0, tol, max_iter) for q_v0 in inits]
@@ -296,7 +282,7 @@ def solve_certainty(
     max_iter: int = 10000,
 ) -> OverlapSolution:
     """Certainty-labeled special case: mixture {(1, eta), (0, 1 - eta)}."""
-    params = ProblemParams(lam=float(lam), c=float(c), mixture=EpsilonMixture.certainty(eta))
+    params = ProblemParams(lam=lam, c=c, mixture=EpsilonMixture.certainty(eta))
     return solve_overlaps(params, tol=tol, max_iter=max_iter)
 
 
@@ -333,18 +319,12 @@ def sensitivity_ratio(
     q_v + delta probes the map itself and may exceed 1 by the perturbation
     (the map extends smoothly past the physical range).
     """
-    lam = float(lam)
-    c = float(c)
-    q_v = float(q_v)
-    delta = float(delta)
-    if not math.isfinite(lam) or lam < 0.0:
-        raise ValueError("lam must be finite and nonnegative")
-    if not math.isfinite(c) or c <= 0.0:
-        raise ValueError("c must be finite and positive")
-    if not 0.0 < q_v <= 1.0:
-        raise ValueError("q_v must lie in (0, 1]")
+    lam = _check_nonneg(lam, "lam")
+    c = _check_positive(c, "c")
+    q_v = _check_unit(q_v, "q_v", low_open=True)
+    delta = _check_real(delta, "delta")
     if not math.isfinite(delta) or q_v + delta <= 0.0:
-        raise ValueError("the perturbed point q_v + delta must stay positive")
+        raise ValueError("delta must be finite, and the perturbed point q_v + delta positive")
 
     def q_u_map(value: float) -> float:
         return lam * lam * c * value / (1.0 + lam * c * value)

@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .kernel import _check_int, _check_real, channel_overlap, gaussian_tail
+from .kernel import _check_count, _check_nonneg, _check_positive, _check_real, _check_unit
+from .kernel import channel_overlap, gaussian_tail
 from .overlaps import OverlapSolution, qu_from_qv
 
 __all__ = [
@@ -39,13 +40,6 @@ __all__ = [
 
 class InfeasibilityError(ValueError):
     """The requested labeling regime cannot reach the target information level."""
-
-
-def _check_nonneg(x, name: str) -> float:
-    xf = _check_real(x, name)
-    if not math.isfinite(xf) or xf < 0.0:
-        raise ValueError(f"{name} must be finite and nonnegative")
-    return xf
 
 
 def bayes_risk(q_u) -> float:
@@ -77,14 +71,8 @@ def absolute_reduction(e_sup: float, e_semi: float) -> float:
     lands in [0, 1] whenever e_semi <= e_sup.  Noisy empirical inputs with
     e_semi > e_sup yield a negative value rather than an error.
     """
-    es = float(e_sup)
-    ss = float(e_semi)
-    if not (math.isfinite(es) and math.isfinite(ss)):
-        raise ValueError("error rates must be finite")
-    if es <= 0.0:
-        raise ValueError("e_sup must be positive")
-    if ss < 0.0:
-        raise ValueError("e_semi must be nonnegative")
+    es = _check_positive(e_sup, "e_sup")
+    ss = _check_nonneg(e_semi, "e_semi")
     return (es - ss) / es
 
 
@@ -94,13 +82,9 @@ def oracle_relative_reduction(e_sup: float, e_semi: float, e_oracle: float) -> f
     Reads as "how much of the way to oracle error has been done"; requires
     e_oracle < e_sup (the denominator degenerates otherwise).
     """
-    es = float(e_sup)
-    ss = float(e_semi)
-    eo = float(e_oracle)
-    if not (math.isfinite(es) and math.isfinite(ss) and math.isfinite(eo)):
-        raise ValueError("error rates must be finite")
-    if ss < 0.0 or eo < 0.0:
-        raise ValueError("error rates must be nonnegative")
+    es = _check_positive(e_sup, "e_sup")
+    ss = _check_nonneg(e_semi, "e_semi")
+    eo = _check_nonneg(e_oracle, "e_oracle")
     if es <= eo:
         raise ValueError("e_sup must exceed e_oracle (degenerate denominator)")
     return (es - ss) / (es - eo)
@@ -112,25 +96,22 @@ def labeled_needed(eta: float, kappa: float, n: int) -> float:
     A fraction eta of certainty labels and n_l labels of per-sample
     reliability kappa carry the same mean squared confidence exactly when
     n_l = eta n / (2 kappa - 1)^2.  Feasible only for (2 kappa - 1)^2 >= eta:
-    below that, even labeling every sample falls short.  Returns a real;
-    callers round up to a whole sample count.
+    below that, even labeling every sample falls short.  eta lies in (0, 1]
+    and kappa in [0.5, 1], where 0.5 is infeasible.  Returns a real; callers
+    round up to a whole sample count.
     """
-    eta = float(eta)
-    kappa = float(kappa)
-    if not (math.isfinite(eta) and 0.0 < eta <= 1.0):
-        raise ValueError("eta must lie in (0, 1]")
-    if not (math.isfinite(kappa) and 0.5 <= kappa <= 1.0):
+    eta = _check_unit(eta, "eta", low_open=True)
+    kappa = _check_real(kappa, "kappa")
+    if not 0.5 <= kappa <= 1.0:  # nan fails it too
         raise ValueError("kappa must lie in [0.5, 1]")
-    n = _check_int(n, "n")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _check_count(n, "n")
     if kappa == 0.5:
         raise InfeasibilityError("kappa = 0.5 labels carry no information")
     conf_sq = (2.0 * kappa - 1.0) ** 2
     if conf_sq < eta:
         raise InfeasibilityError(
-            f"(2 kappa - 1)^2 = {conf_sq:.6g} < eta = {eta:.6g}: even a fully "
-            "labeled dataset cannot reach the target confidence level"
+            f"(2 kappa - 1)^2 = {conf_sq:.6g} < eta = {eta:.6g}: no labeled count "
+            "can reach the target confidence level"
         )
     return eta / conf_sq * n
 
@@ -141,12 +122,13 @@ def supervised_risk_theory(lam: float, c: float, eta: float) -> float:
     Discarding unlabeled data leaves eta * n certainty-labeled samples, i.e.
     the pinned system q_v = 1 at sample ratio eta c, so the score SNR is
     qu_from_qv(lam, eta * c, 1) and the error its Gaussian tail.  This is the
-    theory baseline the plug-in supervised classifier attains.
+    theory baseline the plug-in supervised classifier attains.  eta, the
+    certainty mixture's fraction, lies in [0, 1], where 0 is infeasible.
     """
-    eta = float(eta)
-    if not (math.isfinite(eta) and 0.0 < eta <= 1.0):
+    eta = _check_unit(eta, "eta")
+    if eta == 0.0:
         raise InfeasibilityError("supervised baseline needs a positive labeled fraction")
-    return bayes_risk(qu_from_qv(lam, float(c) * eta, 1.0))
+    return bayes_risk(qu_from_qv(lam, _check_positive(c, "c") * eta, 1.0))
 
 
 @dataclass(frozen=True)

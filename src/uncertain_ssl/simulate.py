@@ -34,9 +34,10 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import _check_eps, _check_int, _check_snr, _posterior_mean_at, posterior_mean
+from .kernel import _check_count, _check_eps, _check_int, _check_nonneg, _check_real
+from .kernel import _check_unit, _posterior_mean_at, posterior_mean
 from .overlaps import EpsilonMixture, qu_from_qv, qv_from_qu
-from .risk import InfeasibilityError
+from .risk import labeled_needed
 
 __all__ = [
     "SimulationError",
@@ -130,19 +131,28 @@ def _check_sizes(p, n, lam) -> tuple[int, int, float]:
     n = _check_int(n, "n")
     if p < 1 or n < 1:
         raise ValueError("p and n must be positive integers")
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0.0:
-        raise ValueError("lam must be finite and nonnegative")
-    return p, n, lam
+    return p, n, _check_nonneg(lam, "lam")
+
+
+def _check_kappa(kappa) -> float:
+    """A labeler's reliability for a draw, in (0.5, 1]; at 0.5 a label is noise."""
+    kappa = _check_real(kappa, "kappa")
+    if not 0.5 < kappa <= 1.0:  # nan fails it too
+        raise ValueError("kappa must lie in (0.5, 1]")
+    return kappa
 
 
 def _check_labeling(labeling) -> list:
-    blocks = [(float(f), float(k)) for f, k in labeling]
-    for frac, kappa in blocks:
-        if not 0.0 <= frac <= 1.0:
-            raise ValueError("labeling fractions must lie in [0, 1]")
-        if not 0.5 < kappa <= 1.0:
-            raise ValueError("labeler reliability kappa must lie in (0.5, 1]")
+    """The (fraction, kappa) blocks as float pairs, checked."""
+    blocks = []
+    for index, block in enumerate(labeling):
+        try:
+            frac, kappa = block
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"labeling block {index} must be a (fraction, kappa) pair, got {block!r}"
+            ) from None
+        blocks.append((_check_unit(frac, "labeling fraction"), _check_kappa(kappa)))
     if sum(f for f, _ in blocks) > 1.0 + 1e-9:
         raise ValueError("labeling fractions must sum to at most 1")
     return blocks
@@ -230,14 +240,9 @@ def channel_overlap_mc_stats(
     [-1, 1] and a finite nonnegative q are checked, as ``channel_overlap``
     checks them, before any draw.
     """
-    eps = _check_eps(eps)
-    if eps.ndim != 0:
-        raise ValueError("eps must be a scalar")
-    eps = float(eps)
-    q = _check_snr(q)
-    trials = _check_int(trials, "trials")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    eps = float(_check_eps(_check_real(eps, "eps")))
+    q = _check_nonneg(q, "q")
+    trials = _check_count(trials, "trials")
     rng = np.random.default_rng(seed)
     s = np.where(rng.random(trials) < (1.0 + eps) / 2.0, 1.0, -1.0)
     u = math.sqrt(q) * s + rng.standard_normal(trials)
@@ -292,21 +297,19 @@ def classify_semisupervised(
     realised mixture ``EpsilonMixture.from_samples(ds.label_eps)``, both
     taken from the dataset.  ``lam``, the one input the dataset does not fix
     bit for bit, must be finite and nonnegative (``ValueError``) and match
-    ``ds.snr`` within 1e-6 relative (``SimulationError``); it, ``t_max`` and
-    the confidences (in [-1, 1]) are checked before any pass.
+    ``ds.snr`` within 1e-6 relative (``SimulationError``); it, ``t_max``,
+    ``stop_tol`` (finite and nonnegative) and the confidences (in [-1, 1])
+    are checked before any pass.
 
     The self-feedback removal uses the exact per-sample column norm rather
     than its expectation; the calibration trusts (lam, c) through
     the recursion instead of estimating the score SNR from data.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0.0:
-        raise ValueError("lam must be finite and nonnegative")
+    lam = _check_nonneg(lam, "lam")
     if abs(ds.snr - lam) > 1e-6 * max(1.0, lam):
         raise SimulationError(f"lam = {lam} does not match the dataset snr = {ds.snr}")
-    t_max = _check_int(t_max, "t_max")
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
+    t_max = _check_count(t_max, "t_max")
+    stop_tol = _check_nonneg(stop_tol, "stop_tol")
     eps = _check_eps(ds.label_eps)
     n = ds.n
     c = n / ds.p
@@ -548,26 +551,17 @@ def labeled_needed_empirical(
     samples stays unlabeled for evaluation) misses the reference.  Returns
     the counts in the order of ``kappas``.
     """
-    eta = float(eta)
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-    kappas = [float(k) for k in kappas]
+    kappas = [_check_kappa(k) for k in kappas]
     if not kappas:
         raise ValueError("kappas must not be empty")
-    for kappa in kappas:
-        if not 0.5 < kappa <= 1.0:
-            raise ValueError("kappa must lie in (0.5, 1]")
-        if (2.0 * kappa - 1.0) ** 2 < eta:
-            raise InfeasibilityError(
-                f"(2 kappa - 1)^2 = {(2 * kappa - 1) ** 2:.6g} < eta = {eta:.6g}: "
-                "no labeled count can reach the reference confidence level"
-            )
     p, n, lam = _check_sizes(p, n, lam)
+    for kappa in kappas:
+        labeled_needed(eta, kappa, n)  # eta's range, and each kappa's feasibility
     reps = _check_int(reps, "reps")
     t_max = _check_int(t_max, "t_max")
     if reps < 1 or t_max < 1:
         raise ValueError("reps and t_max must be at least 1")
-    n_ref = int(round(eta * n))
+    n_ref = int(round(labeled_needed(eta, 1.0, n)))  # eta n, the reference's count
     hi = n - max(1, int(round(0.05 * n)))
     if n_ref > hi:
         raise SimulationError("reference labeled count leaves too few samples to evaluate")

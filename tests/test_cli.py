@@ -241,6 +241,26 @@ class TestExitCodes:
         assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 2
         assert list(tmp_path.glob("out*")) == []
 
+    @pytest.mark.parametrize(
+        "labeling, message",
+        [
+            ([[0.7, 1.0], [0.6, 1.0]], "labeling fractions must sum to at most 1"),
+            (
+                [[0.2, 1.0, 3]],
+                "labeling block 0 must be a (fraction, kappa) pair, got [0.2, 1.0, 3]",
+            ),
+        ],
+        ids=["fractions-over-one", "block-not-a-pair"],
+    )
+    def test_simulate_labeling_checked_before_the_theory(
+        self, tmp_path, capsys, labeling, message
+    ):
+        cfg = write_config(tmp_path / "cfg.json", {"labeling": labeling})
+        out = tmp_path / "out.dat"
+        assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.glob("out*")) == []
+
     def test_nonconvergence_exit(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",

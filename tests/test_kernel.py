@@ -267,12 +267,6 @@ class TestGaussExpect:
         with pytest.raises(ValueError):
             channel_overlap(0.0, -0.1)
 
-    @pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.array(False)])
-    def test_rejects_bool_snr(self, flag):
-        # A bool used to pass as 0 or 1: channel_overlap(0.3, True) was F(1).
-        with pytest.raises(ValueError, match="q must be a number, not a bool"):
-            channel_overlap(0.3, flag)
-
 
 class TestChannelOverlap:
     def test_zero_snr_returns_squared_confidence(self):

@@ -85,14 +85,6 @@ class TestFeatureOverlapMap:
     def test_unit_point(self):
         assert qu_from_qv(1.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
 
-    @pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.array(True)])
-    @pytest.mark.parametrize("position", [0, 1, 2])
-    def test_bool_rejected_not_coerced(self, position, flag):
-        args = [1.0, 1.0, 1.0]
-        args[position] = flag
-        with pytest.raises(ValueError, match="not a bool"):
-            qu_from_qv(*args)
-
     def test_strictly_increasing_and_bounded(self):
         lam, c = 1.7, 2.3
         q_v = np.linspace(0.0, 1.0, 51)

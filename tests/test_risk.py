@@ -50,13 +50,6 @@ class TestBayesRisk:
         with pytest.raises(ValueError):
             bayes_risk(-0.1)
 
-    @pytest.mark.parametrize("metric", [bayes_risk, oracle_risk, usefulness])
-    @pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.array(True)])
-    def test_bool_rejected_not_coerced(self, metric, flag):
-        # bayes_risk(True) used to read as bayes_risk(1.0).
-        with pytest.raises(ValueError, match="not a bool"):
-            metric(flag)
-
 
 class TestOracleRisk:
     def test_no_signal(self):

@@ -284,6 +284,13 @@ class TestClassifySemisupervised:
         with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
             classify_semisupervised(ds, lam)
 
+    @pytest.mark.parametrize("stop_tol", [float("nan"), -1.0, True, "0.1"])
+    def test_bad_stop_tol_rejected_before_any_pass(self, no_pass, stop_tol):
+        # nan and -1.0 used to run every pass, True to stop after the first
+        ds = generate_dataset(20, 100, 1.0, [(0.3, 0.9)], seed=4)
+        with pytest.raises(ValueError, match="^stop_tol must be"):
+            classify_semisupervised(ds, 1.0, t_max=30, stop_tol=stop_tol)
+
     def test_numpy_integer_t_max_accepted(self):
         ds = generate_dataset(20, 100, 1.0, [(0.3, 0.9)], seed=4)
         plain = classify_semisupervised(ds, 1.0, t_max=3, stop_tol=0.0)
