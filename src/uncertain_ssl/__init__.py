@@ -12,12 +12,10 @@ The package is organised bottom-up:
 
 from .kernel import (
     DEFAULT_RULE,
-    QuadratureRule,
     approx_error_grid,
     channel_overlap,
     channel_overlap_approx,
     gaussian_tail,
-    hermite_rule,
     overlap_integrand,
     overlap_integrand_approx,
     overlap_integrand_series,
@@ -37,13 +35,11 @@ from .overlaps import (
 )
 from .risk import (
     InfeasibilityError,
-    RiskReport,
     absolute_reduction,
     bayes_risk,
     labeled_needed,
     oracle_relative_reduction,
     oracle_risk,
-    risk_report,
     supervised_risk_theory,
     usefulness,
 )
@@ -64,8 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # kernel
-    "QuadratureRule",
-    "hermite_rule",
     "DEFAULT_RULE",
     "gaussian_tail",
     "posterior_mean",
@@ -88,7 +82,6 @@ __all__ = [
     "sensitivity_ratio",
     # risk
     "InfeasibilityError",
-    "RiskReport",
     "bayes_risk",
     "oracle_risk",
     "usefulness",
@@ -96,7 +89,6 @@ __all__ = [
     "oracle_relative_reduction",
     "labeled_needed",
     "supervised_risk_theory",
-    "risk_report",
     # simulate
     "SimulationError",
     "Dataset",

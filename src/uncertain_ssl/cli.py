@@ -37,7 +37,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .kernel import approx_error_grid, channel_overlap
+from .kernel import _check_count, approx_error_grid, channel_overlap
 from .overlaps import (
     ConvergenceError,
     EpsilonMixture,
@@ -52,8 +52,8 @@ from .risk import (
     labeled_needed,
     oracle_relative_reduction,
     oracle_risk,
-    risk_report,
     supervised_risk_theory,
+    usefulness,
 )
 from .simulate import (
     SimulationError,
@@ -212,17 +212,9 @@ def _mixture_from_config(cfg: dict) -> EpsilonMixture:
         raise CliError("specify exactly one of 'eta' or 'mixture'")
     if eta is not None:
         return EpsilonMixture.certainty(eta)
-    if _json_kind(atoms) != "array" or not all(
-        _json_kind(atom) == "array"
-        and len(atom) == 2
-        and all(_json_kind(x) in ("integer", "number") for x in atom)
-        for atom in atoms
-    ):
+    if _json_kind(atoms) != "array":
         raise CliError("mixture must be an array of [eps, weight] number pairs")
-    try:
-        return EpsilonMixture(atoms=tuple((float(e), float(w)) for e, w in atoms))
-    except ValueError as exc:
-        raise CliError(f"invalid mixture: {exc}") from exc
+    return EpsilonMixture(atoms=tuple(atoms))
 
 
 def _grid_size(lo: float, hi: float, step: float) -> int:
@@ -252,14 +244,13 @@ def cmd_solve(cfg: dict) -> dict[str, str]:
     mixture = _mixture_from_config(cfg)
     params = ProblemParams(lam=float(cfg["lambda"]), c=float(cfg["c"]), mixture=mixture)
     solution = solve_overlaps(params, tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"]))
-    report = risk_report(params.lam, solution)
     header = ["q_u", "q_v", "bayes_risk", "oracle_risk", "usefulness", "residual", "iterations"]
     row = [
         solution.q_u,
         solution.q_v,
-        report.bayes_risk,
-        report.oracle_risk,
-        report.usefulness,
+        bayes_risk(solution.q_u),
+        oracle_risk(params.lam),
+        usefulness(solution.q_u),
         solution.residual,
         solution.iterations,
     ]
@@ -307,9 +298,9 @@ def cmd_labeled_needed(cfg: dict) -> dict[str, str]:
     if not etas or any(not 0.0 < e <= 1.0 for e in etas):
         raise CliError("etas must be a nonempty list of values in (0, 1]")
     theory_points = int(cfg["theory_points"])
-    empirical_points = int(cfg["empirical_points"])
-    if theory_points < 2 or empirical_points < 1:
-        raise CliError("theory_points must be >= 2 and empirical_points >= 1")
+    empirical_points = _check_count(cfg["empirical_points"], "empirical_points")
+    if theory_points < 2:
+        raise CliError("theory_points must be at least 2")
     for name, points in (("theory_points", theory_points), ("empirical_points", empirical_points)):
         if len(etas) * points > MAX_GRID_CELLS:
             raise CliError(
@@ -405,15 +396,13 @@ def cmd_reduction(cfg: dict) -> dict[str, str]:
 
 
 def cmd_simulate(cfg: dict) -> dict[str, str]:
-    n = int(cfg["n"])
-    p = int(cfg["p"])
+    n = _check_count(cfg["n"], "n")
+    p = _check_count(cfg["p"], "p")
     lam = float(cfg["lambda"])
     labeling = _check_labeling(cfg["labeling"])
     reps = int(cfg["reps"])
     t_max = int(cfg["t_max"])
     seed = int(cfg["seed"])
-    if n < 1 or p < 1:
-        raise CliError("n and p must be at least 1")
     _check_replicate_cells(p * n, "a replicate (p x n)")
 
     mixture = _intended_mixture(labeling)

@@ -11,8 +11,9 @@ broadcasting is natural).  The building blocks:
 - ``overlap_integrand``  the scalar function whose Gaussian average gives the
                          signal/estimate alignment of that channel,
 - ``channel_overlap``    that alignment F_eps(q) as a function of the channel
-                         SNR q, computed by Gauss-Hermite quadrature for one
-                         eps or a whole array of eps at once,
+                         SNR q, computed by the fixed 61-node Gauss-Hermite
+                         rule ``DEFAULT_RULE`` for one eps or a whole array
+                         of eps at once,
 - ``channel_overlap_approx`` the simplified surrogate that keeps only the
                          eps**2 dependence, exact at eps in {0, ±1}.
 
@@ -24,15 +25,16 @@ overlap system's label map keeps one plan per mixture and passes it at
 every q.
 
 Inputs.  The package's type and range rules are written once each, here;
-every public function applies them to its numeric inputs (seeds excepted)
-before any work, raising ``ValueError`` with the parameter's name.
-``_check_real`` takes a Python or numpy real or a 0-d real array and
-``_check_reals`` an array of reals; a bool, str, bytes, None or other object
-is rejected, never converted.  The range rules build on them:
-``_check_nonneg`` (finite, >= 0), ``_check_positive`` (finite, > 0),
-``_check_unit`` ([0, 1] or (0, 1]) and ``_check_eps`` (every entry in
-[-1, 1]); ``_check_int`` takes an integer that is not a bool, and
-``_check_count`` one that is at least 1.
+every public function applies them to its numeric inputs before any work,
+raising ``ValueError`` with the parameter's name.
+``_check_real`` takes a Python or numpy real within the float range or a
+0-d real array and ``_check_reals`` an array of reals; a bool, a bool entry
+of a list, str, bytes, None or other object is rejected, never converted.
+The range rules build on them: ``_check_nonneg`` (finite, >= 0),
+``_check_positive`` (finite, > 0), ``_check_unit`` ([0, 1] or (0, 1]) and
+``_check_eps`` (every entry in [-1, 1]).  ``_check_count`` takes an integer
+that is not a bool, at least 1 and within the float range, and
+``_check_seed`` passes a seed on as given unless it is or holds a bool.
 
 Conventions.  A sample's label confidence couple (d1, d2), d1 + d2 = 1, is
 summarised by eps = d2 - d1 in [-1, 1]: class 1 maps to y = -1, class 2 to
@@ -45,13 +47,11 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
-    "hermite_rule",
     "DEFAULT_RULE",
     "gaussian_tail",
     "posterior_mean",
@@ -66,14 +66,30 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-def _check_reals(values, name: str, finite: bool = True) -> np.ndarray:
-    """``values`` as a float array without nan, and without ±inf when ``finite``."""
+def _holds_bool(values) -> bool:
+    """Whether ``values`` is a bool, has a bool dtype, or is a list or tuple
+    with a bool entry, which ``np.asarray`` would read as a number among
+    numbers.  An ndarray is read by its dtype alone."""
+    if isinstance(values, (bool, np.bool_)) or getattr(values, "dtype", None) == np.bool_:
+        return True
+    return isinstance(values, (list, tuple)) and any(
+        isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat
+    )
+
+
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as an array of an integer or floating dtype, bools rejected."""
     a = np.asarray(values)
-    if a.dtype.kind == "b":
+    if a.dtype.kind == "b" or (a.ndim and _holds_bool(values)):
         raise ValueError(f"{name} must be a number, not a bool")
     if a.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be a real number, got {values!r}")
-    a = a.astype(float, copy=False)
+    return a
+
+
+def _check_reals(values, name: str, finite: bool = True) -> np.ndarray:
+    """``values`` as a float array without nan, and without ±inf when ``finite``."""
+    a = _real_array(values, name).astype(float, copy=False)
     if not (np.isfinite(a) if finite else ~np.isnan(a)).all():
         raise ValueError(f"{name} must be finite" if finite else f"{name} must not be nan")
     return a
@@ -84,7 +100,10 @@ def _check_real(value, name: str) -> float:
     if type(value) is float:  # the solver's and the kernel's hot path
         return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # a Python int past the float range
+            raise ValueError(f"{name} must lie within the float range") from None
     a = _check_reals(value, name, finite=False)
     if a.ndim != 0:
         raise ValueError(f"{name} must be a scalar, got shape {a.shape}")
@@ -114,85 +133,59 @@ def _check_unit(value, name: str, low_open: bool = False) -> float:
 
 
 def _check_eps(eps) -> np.ndarray:
-    e = np.asarray(eps)
-    if e.dtype.kind in "iuf" and (np.abs(e) <= 1.0).all():  # one pass; nan fails it too
+    e = _real_array(eps, "eps")
+    if (np.abs(e) <= 1.0).all():  # one pass; nan fails it too
         return e.astype(float, copy=False)
-    _check_reals(eps, "eps")  # a non-real dtype or a non-finite entry
+    _check_reals(e, "eps")  # a non-finite entry
     raise ValueError("eps must lie in [-1, 1]")
 
 
-def _check_int(value, name: str) -> int:
-    """``value`` as an int: Python and numpy integers pass, while a bool or a
-    float is rejected rather than truncated."""
-    if isinstance(value, (bool, np.bool_)) or getattr(value, "dtype", None) == np.bool_:
+def _check_count(value, name: str) -> int:
+    """``value`` as an int of at least 1: Python and numpy integers pass, while
+    a bool or a float is rejected rather than truncated, and so is an int past
+    the float range, which every count meets in float arithmetic."""
+    if _holds_bool(value):
         raise ValueError(f"{name} must be an integer, not a bool")
     try:
-        return operator.index(value)
+        i = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _check_count(value, name: str) -> int:
-    i = _check_int(value, name)
     if i < 1:
         raise ValueError(f"{name} must be at least 1")
+    if i > sys.float_info.max:
+        raise ValueError(f"{name} must lie within the float range")
     return i
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Probability rule (nodes, weights) for expectations over Z ~ N(0, 1).
+def _check_seed(seed):
+    """``seed`` for ``numpy.random.default_rng``, as given, except that a
+    bool, or a bool entry of a sequence, which it would read as 0 or 1, is
+    rejected."""
+    if _holds_bool(seed):
+        raise ValueError("seed must be an integer or a sequence of integers, not a bool")
+    return seed
 
-    Weights are nonnegative and sum to one; nodes come in ±z pairs carrying
-    equal weights, so odd moments vanish to rounding and E[Z^2] is 1 to high
-    accuracy.  Arrays are stored read-only.
-    """
 
-    nodes: np.ndarray
-    weights: np.ndarray
+class _HermiteRule:
+    """Gauss-Hermite rule rescaled to the standard normal measure: the
+    physicists' nodes x_j map to z_j = sqrt(2) x_j and the weights are
+    normalised to a probability measure.  Both arrays are read-only."""
 
-    def __post_init__(self) -> None:
-        z = np.array(_check_reals(self.nodes, "nodes"))
-        w = np.array(_check_reals(self.weights, "weights"))
-        if z.ndim != 1 or w.ndim != 1 or z.shape != w.shape:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 within 1e-12")
-        order = np.argsort(z)
-        zs, ws = z[order], w[order]
-        if np.max(np.abs(zs + zs[::-1])) > 1e-12 * max(1.0, float(np.max(np.abs(zs)))):
-            raise ValueError("nodes must be symmetric about 0")
-        if np.max(np.abs(ws - ws[::-1])) > 1e-12:
-            raise ValueError("paired nodes must carry equal weights")
-        if abs(float(w @ z)) > 1e-12:
-            raise ValueError("rule must integrate z to 0 within 1e-12")
-        if abs(float(w @ (z * z)) - 1.0) > 1e-8:
-            raise ValueError("rule must integrate z**2 to 1 within 1e-8")
-        z.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "nodes", z)
-        object.__setattr__(self, "weights", w)
+    def __init__(self, n: int):
+        x, w = np.polynomial.hermite.hermgauss(n)
+        weights = w / math.sqrt(math.pi)
+        self.nodes = _SQRT2 * x
+        self.weights = weights / weights.sum()
+        self.nodes.flags.writeable = False
+        self.weights.flags.writeable = False
 
     def __len__(self) -> int:
         return self.nodes.size
 
 
-def hermite_rule(n: int = 61) -> QuadratureRule:
-    """Gauss-Hermite rule rescaled to the standard normal measure.
-
-    The physicists' nodes x_j are mapped to z_j = sqrt(2) x_j and the weights
-    normalised to a probability measure.  61 nodes resolve the bounded smooth
-    integrands used here far below every tolerance in this package.
-    """
-    x, w = np.polynomial.hermite.hermgauss(_check_count(n, "n"))
-    weights = w / math.sqrt(math.pi)
-    weights = weights / weights.sum()
-    return QuadratureRule(nodes=_SQRT2 * x, weights=weights)
-
-
-DEFAULT_RULE = hermite_rule(61)
+# 61 nodes resolve the bounded smooth integrands used here far below every
+# tolerance in this package.
+DEFAULT_RULE = _HermiteRule(61)
 
 
 def _tail(x: float) -> float:

@@ -68,8 +68,18 @@ class EpsilonMixture:
     def __post_init__(self) -> None:
         if len(self.atoms) == 0:
             raise ValueError("mixture needs at least one atom")
-        eps = _check_eps([_check_real(e, "eps") for e, _ in self.atoms])
-        w = np.array([_check_nonneg(wj, "atom weight") for _, wj in self.atoms])
+        eps, w = [], []
+        for index, atom in enumerate(self.atoms):
+            try:
+                e, wj = atom
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"mixture atom {index} must be an (eps, weight) pair, got {atom!r}"
+                ) from None
+            eps.append(_check_real(e, "eps"))
+            w.append(_check_nonneg(wj, "atom weight"))
+        eps = _check_eps(np.array(eps))
+        w = np.array(w)
         total = float(w.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError("atom weights must sum to 1 (within 1e-9)")
@@ -102,11 +112,6 @@ class EpsilonMixture:
         """Fraction ``eta`` of certainty labels, the rest unlabeled."""
         eta = _check_unit(eta, "eta")
         return cls(atoms=((1.0, eta), (0.0, 1.0 - eta)))
-
-    @classmethod
-    def single(cls, eps: float) -> "EpsilonMixture":
-        """Every sample carries the same signed confidence."""
-        return cls(atoms=((eps, 1.0),))
 
     @classmethod
     def from_samples(cls, eps_values) -> "EpsilonMixture":

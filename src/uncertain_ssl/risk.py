@@ -18,15 +18,13 @@ The feature overlap q_u fixes everything a decision maker cares about:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .kernel import _check_count, _check_nonneg, _check_positive, _check_real, _check_unit
 from .kernel import channel_overlap, gaussian_tail
-from .overlaps import OverlapSolution, qu_from_qv
+from .overlaps import qu_from_qv
 
 __all__ = [
     "InfeasibilityError",
-    "RiskReport",
     "bayes_risk",
     "oracle_risk",
     "usefulness",
@@ -34,7 +32,6 @@ __all__ = [
     "oracle_relative_reduction",
     "labeled_needed",
     "supervised_risk_theory",
-    "risk_report",
 ]
 
 
@@ -130,26 +127,3 @@ def supervised_risk_theory(lam: float, c: float, eta: float) -> float:
         raise InfeasibilityError("supervised baseline needs a positive labeled fraction")
     return bayes_risk(qu_from_qv(lam, _check_positive(c, "c") * eta, 1.0))
 
-
-@dataclass(frozen=True)
-class RiskReport:
-    """Bayes/oracle risks and unlabeled-data usefulness at a solved overlap."""
-
-    bayes_risk: float
-    oracle_risk: float
-    usefulness: float
-    q_u: float
-    q_v: float
-
-
-def risk_report(lam: float, solution: OverlapSolution) -> RiskReport:
-    """Bundle the decision metrics of a solved overlap pair."""
-    if not isinstance(solution, OverlapSolution):
-        raise TypeError("solution must be an OverlapSolution")
-    return RiskReport(
-        bayes_risk=bayes_risk(solution.q_u),
-        oracle_risk=oracle_risk(lam),
-        usefulness=usefulness(solution.q_u),
-        q_u=solution.q_u,
-        q_v=solution.q_v,
-    )

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import _check_count, _check_eps, _check_int, _check_nonneg, _check_real
+from .kernel import _check_count, _check_eps, _check_nonneg, _check_real, _check_seed
 from .kernel import _check_unit, _posterior_mean_at, posterior_mean
 from .overlaps import EpsilonMixture, qu_from_qv, qv_from_qu
 from .risk import labeled_needed
@@ -126,14 +126,6 @@ def _output_from_soft(soft: np.ndarray, ds: Dataset, iterations=None) -> Classif
     )
 
 
-def _check_sizes(p, n, lam) -> tuple[int, int, float]:
-    p = _check_int(p, "p")
-    n = _check_int(n, "n")
-    if p < 1 or n < 1:
-        raise ValueError("p and n must be positive integers")
-    return p, n, _check_nonneg(lam, "lam")
-
-
 def _check_kappa(kappa) -> float:
     """A labeler's reliability for a draw, in (0.5, 1]; at 0.5 a label is noise."""
     kappa = _check_real(kappa, "kappa")
@@ -222,9 +214,9 @@ def generate_dataset(p: int, n: int, lam: float, labeling, seed) -> Dataset:
     block) is fixed, so runs that share a seed and differ only in a block's
     fraction share every other draw (common random numbers).
     """
-    p, n, lam = _check_sizes(p, n, lam)
+    p, n, lam = _check_count(p, "p"), _check_count(n, "n"), _check_nonneg(lam, "lam")
     blocks = _check_labeling(labeling)
-    rng, mu, y, features = _base_draw(p, n, lam, seed)
+    rng, mu, y, features = _base_draw(p, n, lam, _check_seed(seed))
     eps = _draw_labels(rng, y, blocks)
     return Dataset(features=features, truth_labels=y, label_eps=eps, truth_mean=mu)
 
@@ -243,7 +235,7 @@ def channel_overlap_mc_stats(
     eps = float(_check_eps(_check_real(eps, "eps")))
     q = _check_nonneg(q, "q")
     trials = _check_count(trials, "trials")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     s = np.where(rng.random(trials) < (1.0 + eps) / 2.0, 1.0, -1.0)
     u = math.sqrt(q) * s + rng.standard_normal(trials)
     aligned = s * posterior_mean(eps, math.sqrt(q) * u)
@@ -536,14 +528,14 @@ def labeled_needed_empirical(
     subset of the same replicates, is at most zero, so dataset-level
     fluctuations cancel.
 
-    One call does the whole study for one eta.  Every argument but the seed
-    is checked before any draw.  Each replicate's center, truth and noise are
-    then drawn once, the reference runs once, and a probe draws only its
-    labels.  The replicates of the reference and of every probe run on one
-    process pool of min(reps, usable cores) workers, which is shut down
-    before the call returns; the results do not depend on the worker count.
-    The draws and every probe result are local to the call and freed when it
-    returns.
+    One call does the whole study for one eta.  Every argument, the seed
+    for bools only, is checked before any draw.  Each replicate's center,
+    truth and noise are then drawn once, the reference runs once, and a
+    probe draws only its labels.  The replicates of the reference and of
+    every probe run on one process pool of min(reps, usable cores) workers,
+    which is shut down before the call returns; the results do not depend on
+    the worker count.  The draws and every probe result are local to the
+    call and freed when it returns.
 
     Infeasible reliabilities ((2 kappa - 1)^2 < eta) raise
     ``InfeasibilityError``; the search fails with ``SimulationError`` if
@@ -554,13 +546,12 @@ def labeled_needed_empirical(
     kappas = [_check_kappa(k) for k in kappas]
     if not kappas:
         raise ValueError("kappas must not be empty")
-    p, n, lam = _check_sizes(p, n, lam)
+    p, n, lam = _check_count(p, "p"), _check_count(n, "n"), _check_nonneg(lam, "lam")
     for kappa in kappas:
         labeled_needed(eta, kappa, n)  # eta's range, and each kappa's feasibility
-    reps = _check_int(reps, "reps")
-    t_max = _check_int(t_max, "t_max")
-    if reps < 1 or t_max < 1:
-        raise ValueError("reps and t_max must be at least 1")
+    reps = _check_count(reps, "reps")
+    t_max = _check_count(t_max, "t_max")
+    _check_seed(seed)
     n_ref = int(round(labeled_needed(eta, 1.0, n)))  # eta n, the reference's count
     hi = n - max(1, int(round(0.05 * n)))
     if n_ref > hi:

@@ -127,6 +127,13 @@ class TestExitCodes:
         assert run_cli(command, "--reps", "-3", "--out", str(out)) == 2
         assert list(tmp_path.glob("out*")) == []
 
+    @pytest.mark.parametrize("payload", [{"empirical_points": 0}, {"theory_points": 1}])
+    def test_labeled_needed_points_below_their_floor_rejected(self, tmp_path, payload):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert run_cli("labeled-needed", "--config", cfg, "--out", str(out)) == 2
+        assert list(tmp_path.glob("out*")) == []
+
     @pytest.mark.parametrize(
         "command, payload",
         [

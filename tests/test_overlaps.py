@@ -64,6 +64,11 @@ class TestEpsilonMixture:
         with pytest.raises(ValueError):
             EpsilonMixture(atoms=((1.5, 1.0),))
 
+    @pytest.mark.parametrize("atom", [(0.5, 1.0, 3), (0.5,), 0.5, None])
+    def test_atom_that_is_not_a_pair_rejected(self, atom):
+        with pytest.raises(ValueError, match=r"mixture atom 1 must be an \(eps, weight\) pair"):
+            EpsilonMixture(atoms=((0.0, 0.5), atom))
+
     def test_certainty_factory(self):
         mix = EpsilonMixture.certainty(0.2)
         assert mix.atoms == ((1.0, 0.2), (0.0, 0.8))
@@ -95,12 +100,12 @@ class TestFeatureOverlapMap:
 
 class TestLabelOverlapMap:
     def test_all_certain_is_one(self):
-        mix = EpsilonMixture.single(1.0)
+        mix = EpsilonMixture(((1.0, 1.0),))
         for q_u in (0.0, 0.3, 5.0):
             assert qv_from_qu(mix, q_u) == 1.0
 
     def test_all_unlabeled_at_zero(self):
-        assert qv_from_qu(EpsilonMixture.single(0.0), 0.0) == 0.0
+        assert qv_from_qu(EpsilonMixture(((0.0, 1.0),)), 0.0) == 0.0
 
     def test_certainty_mixture_affine_identity(self):
         eta = 0.3
@@ -139,7 +144,7 @@ class TestBatchedLabelOverlapMap:
         monkeypatch.setattr(overlaps_module, "channel_overlap", counting)
         for atoms in (3, 40, 2000):
             qv_from_qu(soft_mixture(atoms, atoms), 0.6)
-        qv_from_qu(EpsilonMixture.single(0.4), 0.6)
+        qv_from_qu(EpsilonMixture(((0.4, 1.0),)), 0.6)
         assert calls == [3, 40, 2000, 1]
 
     def test_plan_built_once_per_mixture(self):
@@ -176,7 +181,7 @@ class TestBatchedLabelOverlapMap:
 
     def test_bool_snr_rejected_not_coerced(self):
         with pytest.raises(ValueError, match="not a bool"):
-            qv_from_qu(EpsilonMixture.single(0.4), True)
+            qv_from_qu(EpsilonMixture(((0.4, 1.0),)), True)
 
     def test_cached_arrays_leave_fields_and_equality_alone(self):
         mix = EpsilonMixture(atoms=((0.5, 0.4), (-0.25, 0.6)))
@@ -305,14 +310,14 @@ class TestSolveApprox:
         assert abs(exact.q_v - approx.q_v) < 1e-10
 
     def test_exact_for_all_unlabeled(self):
-        params = ProblemParams(lam=1.0, c=5.0, mixture=EpsilonMixture.single(0.0))
+        params = ProblemParams(lam=1.0, c=5.0, mixture=EpsilonMixture(((0.0, 1.0),)))
         assert abs(solve_overlaps(params).q_u - solve_approx(params).q_u) < 1e-10
 
     def test_within_surrogate_budget_for_soft_labels(self):
         # The pointwise surrogate error (at most ~7.6% on the grid) amplifies
         # through the fixed point by 1/(1 - slope); at this worst point the
         # solved q_v gap is 8.69%, so the budget is 0.09, not the pointwise 0.08.
-        params = ProblemParams(lam=1.0, c=1.0, mixture=EpsilonMixture.single(0.5))
+        params = ProblemParams(lam=1.0, c=1.0, mixture=EpsilonMixture(((0.5, 1.0),)))
         exact = solve_overlaps(params)
         approx = solve_approx(params)
         rel_v = abs(approx.q_v - exact.q_v) / exact.q_v

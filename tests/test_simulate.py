@@ -150,6 +150,40 @@ class TestGenerateDataset:
         assert ds.features.tobytes() == plain.features.tobytes()
 
 
+BOOL_SEEDS = [True, False, np.True_, np.array(True), [3, True], (np.False_, 2)]
+SEEDED_CALLS = {
+    "generate_dataset": lambda seed: generate_dataset(4, 10, 1.0, [(0.2, 0.9)], seed=seed),
+    "channel_overlap_mc_stats": lambda seed: channel_overlap_mc_stats(0.3, 0.7, 10, seed=seed),
+    "labeled_needed_empirical": lambda seed: labeled_needed_empirical(
+        10, 40, 1.0, 0.2, [0.9], seed=seed, reps=2, t_max=5
+    ),
+}
+
+
+class TestSeeds:
+    """A seed goes to ``default_rng`` as given, which would read a bool as 0
+    or 1; a bool seed, or a bool entry of a sequence seed, is rejected before
+    any draw."""
+
+    @pytest.mark.parametrize("seed", BOOL_SEEDS, ids=repr)
+    @pytest.mark.parametrize("name", SEEDED_CALLS)
+    def test_bool_seed_rejected_before_any_draw(self, monkeypatch, name, seed):
+        def no_draw(*args):
+            raise AssertionError("a draw started before the seed was checked")
+
+        monkeypatch.setattr(simulate, "_base_draw", no_draw)
+        monkeypatch.setattr(simulate.np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match="seed must be an integer .*, not a bool"):
+            SEEDED_CALLS[name](seed)
+
+    @pytest.mark.parametrize("seed", [1, np.int64(1), [1], (3, 2), np.array([3, 2])])
+    def test_integer_and_sequence_seeds_pass_as_given(self, seed):
+        ds = generate_dataset(4, 10, 1.0, [(0.2, 0.9)], seed=seed)
+        rng = np.random.default_rng(seed)
+        direction = rng.standard_normal(4)
+        assert ds.truth_mean.tobytes() == (direction / np.linalg.norm(direction)).tobytes()
+
+
 class TestChannelOverlapMonteCarlo:
     def test_certain_prior_every_trial(self):
         assert channel_overlap_mc_stats(1.0, 3.0, 1000, seed=5) == (1.0, 0.0)
@@ -506,13 +540,13 @@ class TestLabeledNeededEmpirical:
             ({"kappas": []}, "kappas must not be empty"),
             ({"kappas": [0.9, 0.5]}, "kappa must lie in"),
             ({"kappas": [0.9, float("nan")]}, "kappa must lie in"),
-            ({"p": 0}, "p and n must be positive"),
+            ({"p": 0}, "p must be at least 1"),
             ({"n": 40.5}, "n must be an integer"),
             ({"lam": -1.0}, "lam must be finite"),
-            ({"reps": 0}, "reps and t_max must be at least 1"),
+            ({"reps": 0}, "reps must be at least 1"),
             ({"reps": 2.5}, "reps must be an integer"),
             ({"reps": True}, "reps must be an integer, not a bool"),
-            ({"t_max": 0}, "reps and t_max must be at least 1"),
+            ({"t_max": 0}, "t_max must be at least 1"),
             ({"t_max": 20.0}, "t_max must be an integer"),
             ({"eta": 0.5, "kappas": [1.0, 0.6]}, "no labeled count can reach"),
             ({"eta": 0.97, "kappas": [1.0]}, "reference labeled count leaves too few"),
