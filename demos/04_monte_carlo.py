@@ -40,7 +40,7 @@ for r in range(10):
     ds = generate_dataset(p, n, lam, [(eta, 1.0)], seed=[51, r])
     oracle_err.append(classify_oracle(ds).error_unlabeled)
     sup_err.append(classify_supervised(ds).error_unlabeled)
-    out = classify_semisupervised(ds, lam, t_max=30)
+    out = classify_semisupervised(ds, t_max=30)
     semi_err.append(out.error_unlabeled)
     iters.append(out.iterations)
 

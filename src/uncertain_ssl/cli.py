@@ -88,10 +88,7 @@ def _fmt(value) -> str:
         raise TypeError("boolean table cells are not supported")
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return format(v, ".12g")
+    return format(float(value), ".12g")
 
 
 def _write_text(path: str, text: str) -> None:

@@ -28,8 +28,9 @@ Inputs.  The package's type and range rules are written once each, here;
 every public function applies them to its numeric inputs before any work,
 raising ``ValueError`` with the parameter's name.
 ``_check_real`` takes a Python or numpy real within the float range or a
-0-d real array and ``_check_reals`` an array of reals; a bool, a bool entry
-of a list, str, bytes, None or other object is rejected, never converted.
+0-d real array and ``_check_reals`` a rectangular array of reals; a bool, a
+bool entry of a list, a ragged list, str, bytes, None or other object is
+rejected, never converted.
 The range rules build on them: ``_check_nonneg`` (finite, >= 0),
 ``_check_positive`` (finite, > 0), ``_check_unit`` ([0, 1] or (0, 1]) and
 ``_check_eps`` (every entry in [-1, 1]).  ``_check_count`` takes an integer
@@ -78,8 +79,12 @@ def _holds_bool(values) -> bool:
 
 
 def _real_array(values, name: str) -> np.ndarray:
-    """``values`` as an array of an integer or floating dtype, bools rejected."""
-    a = np.asarray(values)
+    """``values`` as an array of an integer or floating dtype, bools and
+    ragged nesting rejected."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # a ragged nesting, which numpy cannot shape
+        raise ValueError(f"{name} must be a real number or a rectangular array of them") from None
     if a.dtype.kind == "b" or (a.ndim and _holds_bool(values)):
         raise ValueError(f"{name} must be a number, not a bool")
     if a.dtype.kind not in "iuf":

@@ -66,10 +66,16 @@ class EpsilonMixture:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if len(self.atoms) == 0:
+        try:
+            atoms = tuple(self.atoms)
+        except TypeError:
+            raise ValueError(
+                f"mixture atoms must be a sequence of (eps, weight) pairs, got {self.atoms!r}"
+            ) from None
+        if not atoms:
             raise ValueError("mixture needs at least one atom")
         eps, w = [], []
-        for index, atom in enumerate(self.atoms):
+        for index, atom in enumerate(atoms):
             try:
                 e, wj = atom
             except (TypeError, ValueError):
@@ -186,8 +192,9 @@ def qv_from_qu(mixture: EpsilonMixture, q_u: float) -> float:
     return float(sum((w * channel_overlap(mixture._label_plan, q_u)).tolist()))
 
 
-def _secant_polish(defect, q0: float, max_steps: int = 60, f_tol: float = 1e-14):
-    """Refine a root of ``defect`` near q0 by clamped secant steps.
+def _secant_polish(defect, q0: float):
+    """Refine a root of ``defect`` near q0 by at most 60 clamped secant steps,
+    stopping once |defect| falls below 1e-14.
 
     Keeps the best-|defect| point seen; the residual-tolerance fixed point
     parks O(sqrt(tol)) away from the root when the map slope approaches one,
@@ -202,8 +209,8 @@ def _secant_polish(defect, q0: float, max_steps: int = 60, f_tol: float = 1e-14)
     f1 = defect(x1)
     if abs(f1) < abs(best_f):
         best_x, best_f = x1, f1
-    for _ in range(max_steps):
-        if f1 == f0 or abs(best_f) < f_tol:
+    for _ in range(60):
+        if f1 == f0 or abs(best_f) < 1e-14:
             break
         x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
         x2 = min(max(x2, 0.0), 1.0)
@@ -279,38 +286,23 @@ def solve_overlaps(
     return max(converged, key=lambda r: r.q_u)
 
 
-def solve_certainty(
-    lam: float,
-    c: float,
-    eta: float,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-) -> OverlapSolution:
-    """Certainty-labeled special case: mixture {(1, eta), (0, 1 - eta)}."""
-    params = ProblemParams(lam=lam, c=c, mixture=EpsilonMixture.certainty(eta))
-    return solve_overlaps(params, tol=tol, max_iter=max_iter)
+def solve_certainty(lam: float, c: float, eta: float) -> OverlapSolution:
+    """Certainty-labeled special case: mixture {(1, eta), (0, 1 - eta)},
+    solved by ``solve_overlaps`` at its default tolerance and iteration cap."""
+    return solve_overlaps(ProblemParams(lam=lam, c=c, mixture=EpsilonMixture.certainty(eta)))
 
 
-def solve_approx(
-    params: ProblemParams,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-) -> OverlapSolution:
+def solve_approx(params: ProblemParams) -> OverlapSolution:
     """Approximate solve with the label map collapsed onto eps_bar_sq.
 
     Replaces the mixture average by eps_bar_sq + (1 - eps_bar_sq) F(q_u),
-    i.e. the certainty system at eta = eps_bar_sq; exact whenever every atom
-    has eps**2 in {0, 1}.
+    i.e. the certainty system at eta = eps_bar_sq, solved as
+    ``solve_certainty`` solves it; exact whenever every atom has eps**2 in
+    {0, 1}.
     """
     if not isinstance(params, ProblemParams):
         raise TypeError("params must be a ProblemParams")
-    return solve_certainty(
-        params.lam,
-        params.c,
-        params.mixture.eps_bar_sq,
-        tol=tol,
-        max_iter=max_iter,
-    )
+    return solve_certainty(params.lam, params.c, params.mixture.eps_bar_sq)
 
 
 def sensitivity_ratio(

@@ -53,7 +53,8 @@ __all__ = [
 
 
 class SimulationError(RuntimeError):
-    """Degenerate simulation state (no usable labels, zero scores, size mismatch)."""
+    """Degenerate simulation state (no usable labels, zero scores) or a
+    labeled-count search that cannot meet its reference."""
 
 
 @dataclass
@@ -270,9 +271,11 @@ def classify_supervised(ds: Dataset) -> ClassifierOutput:
     return _output_from_soft(np.tanh(scores), ds)
 
 
-def classify_semisupervised(
-    ds: Dataset, lam: float, t_max: int = 50, stop_tol: float = 1e-6
-) -> ClassifierOutput:
+# The semi-supervised passes stop once the mean absolute update falls below this.
+_STOP_TOL = 1e-6
+
+
+def classify_semisupervised(ds: Dataset, t_max: int = 50) -> ClassifierOutput:
     """Iterative posterior-mean classifier calibrated by the overlap maps.
 
     Starting from the prior means v = eps, each pass forms the plug-in
@@ -280,29 +283,22 @@ def classify_semisupervised(
     removed (s_i = x_i' m - ||x_i||^2 v_i / n), rescales the scores to the
     Gaussian-channel law u ~ q_u y + sqrt(q_u) Z predicted by the overlap
     recursion run alongside, and denoises with the posterior mean.  Stops at
-    ``t_max`` passes or when the mean absolute update falls below
-    ``stop_tol``.
+    ``t_max`` passes or when the mean absolute update falls below 1e-6.
 
     The recursion q_u = qu_from_qv(lam, c, q_v), q_v = qv_from_qu(mixture,
     q_u) starts from q_v = eps_bar_sq and takes one step per pass, so a run
-    computes no step beyond the pass it reaches.  It runs on c = n/p and the
-    realised mixture ``EpsilonMixture.from_samples(ds.label_eps)``, both
-    taken from the dataset.  ``lam``, the one input the dataset does not fix
-    bit for bit, must be finite and nonnegative (``ValueError``) and match
-    ``ds.snr`` within 1e-6 relative (``SimulationError``); it, ``t_max``,
-    ``stop_tol`` (finite and nonnegative) and the confidences (in [-1, 1])
-    are checked before any pass.
+    computes no step beyond the pass it reaches.  Its inputs all come from
+    the dataset: lam = ``ds.snr``, c = n/p and the realised mixture
+    ``EpsilonMixture.from_samples(ds.label_eps)``.  ``t_max`` and the
+    confidences (in [-1, 1]) are checked before any pass.
 
     The self-feedback removal uses the exact per-sample column norm rather
     than its expectation; the calibration trusts (lam, c) through
     the recursion instead of estimating the score SNR from data.
     """
-    lam = _check_nonneg(lam, "lam")
-    if abs(ds.snr - lam) > 1e-6 * max(1.0, lam):
-        raise SimulationError(f"lam = {lam} does not match the dataset snr = {ds.snr}")
     t_max = _check_count(t_max, "t_max")
-    stop_tol = _check_nonneg(stop_tol, "stop_tol")
     eps = _check_eps(ds.label_eps)
+    lam = ds.snr
     n = ds.n
     c = n / ds.p
     mixture = EpsilonMixture.from_samples(eps)
@@ -330,7 +326,7 @@ def classify_semisupervised(
         v_new = denoise(u)
         delta = float(np.add.reduce(np.abs(v_new - v))) / n
         v = v_new
-        if delta < stop_tol:
+        if delta < _STOP_TOL:
             break
     return _output_from_soft(v, ds, iterations=iterations)
 
@@ -351,7 +347,7 @@ def _usable_cores() -> int:
 def _fresh_replicate(p, n, lam, labeling, t_max, stream) -> tuple:
     ds = generate_dataset(p, n, lam, labeling, seed=stream)
     oracle = classify_oracle(ds).error_unlabeled
-    semi = classify_semisupervised(ds, lam, t_max=t_max).error_unlabeled
+    semi = classify_semisupervised(ds, t_max=t_max).error_unlabeled
     sup = classify_supervised(ds).error_unlabeled if ds.n_labeled > 0 else None
     return oracle, sup, semi
 
@@ -417,11 +413,11 @@ def _hold_bank(bank: list) -> None:
     _worker_bank = bank
 
 
-def _replicate_hard_labels(lam: float, blocks, t_max: int, r: int) -> np.ndarray:
+def _replicate_hard_labels(blocks, t_max: int, r: int) -> np.ndarray:
     """In a pool worker: replicate r's semi-supervised hard labels under the
     checked label ``blocks``."""
     ds = _dataset_from_bank(_worker_bank[r], blocks)
-    return classify_semisupervised(ds, lam, t_max=t_max).hard_labels
+    return classify_semisupervised(ds, t_max=t_max).hard_labels
 
 
 def _replicate_pool(bank: list):
@@ -445,7 +441,7 @@ def _replicate_pool(bank: list):
     )
 
 
-def _hard_labels(pool, bank, lam: float, n_labeled: int, kappa: float, t_max: int) -> list:
+def _hard_labels(pool, bank, n_labeled: int, kappa: float, t_max: int) -> list:
     """Per replicate, in order, the semi-supervised hard labels when the first
     ``n_labeled`` samples carry kappa-reliable labels; the replicates run on
     ``pool``, a ``_replicate_pool(bank)``.  A failing replicate raises as in
@@ -460,18 +456,16 @@ def _hard_labels(pool, bank, lam: float, n_labeled: int, kappa: float, t_max: in
     the three interleaved).
     """
     blocks = _check_labeling([(n_labeled / bank[0][1].size, kappa)])
-    run = functools.partial(_replicate_hard_labels, lam, blocks, t_max)
+    run = functools.partial(_replicate_hard_labels, blocks, t_max)
     return list(pool.map(run, range(len(bank))))
 
 
-def _probe(
-    pool, bank, reference_hard, lam: float, n_labeled: int, kappa: float, t_max: int
-) -> float:
+def _probe(pool, bank, reference_hard, n_labeled: int, kappa: float, t_max: int) -> float:
     """Mean over replicates of the candidate's error minus the reference's,
     both on the candidate's unlabeled subset."""
     diffs = []
     for (_, y, _, _), cand_hard, ref_hard in zip(
-        bank, _hard_labels(pool, bank, lam, n_labeled, kappa, t_max), reference_hard
+        bank, _hard_labels(pool, bank, n_labeled, kappa, t_max), reference_hard
     ):
         sl = slice(n_labeled, y.size)
         truth = y[sl]
@@ -481,7 +475,7 @@ def _probe(
     return float(np.mean(diffs))
 
 
-def _search_count(pool, bank, reference_hard, lam, kappa, t_max, n_ref: int, hi: int) -> int:
+def _search_count(pool, bank, reference_hard, kappa, t_max, n_ref: int, hi: int) -> int:
     """Smallest labeled count whose probe meets the reference, by doubling
     from ``n_ref`` up to ``hi`` and then integer bisection; each count is
     probed at most once.  At kappa = 1 the probe at ``n_ref`` would repeat
@@ -490,7 +484,7 @@ def _search_count(pool, bank, reference_hard, lam, kappa, t_max, n_ref: int, hi:
 
     def satisfied(n_l: int) -> bool:
         if n_l not in paired:
-            paired[n_l] = _probe(pool, bank, reference_hard, lam, n_l, kappa, t_max)
+            paired[n_l] = _probe(pool, bank, reference_hard, n_l, kappa, t_max)
         return paired[n_l] <= 0.0
 
     if satisfied(n_ref):
@@ -559,7 +553,5 @@ def labeled_needed_empirical(
 
     bank = _draw_bank(p, n, lam, seed, reps)
     with _replicate_pool(bank) as pool:
-        reference_hard = _hard_labels(pool, bank, lam, n_ref, 1.0, t_max)
-        return [
-            _search_count(pool, bank, reference_hard, lam, k, t_max, n_ref, hi) for k in kappas
-        ]
+        reference_hard = _hard_labels(pool, bank, n_ref, 1.0, t_max)
+        return [_search_count(pool, bank, reference_hard, k, t_max, n_ref, hi) for k in kappas]

@@ -177,7 +177,7 @@ def test_criterion_6_theory_vs_simulation():
     errors = []
     for r in range(seeds):
         ds = generate_dataset(p, n, lam, [(eta, 1.0)], seed=[1234, r])
-        errors.append(classify_semisupervised(ds, lam, t_max=30).error_unlabeled)
+        errors.append(classify_semisupervised(ds, t_max=30).error_unlabeled)
     gap = abs(float(np.mean(errors)) - theory)
     elapsed = time.perf_counter() - start
     ok = gap <= 0.03 and elapsed < 180.0

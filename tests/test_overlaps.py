@@ -69,6 +69,11 @@ class TestEpsilonMixture:
         with pytest.raises(ValueError, match=r"mixture atom 1 must be an \(eps, weight\) pair"):
             EpsilonMixture(atoms=((0.0, 0.5), atom))
 
+    @pytest.mark.parametrize("atoms", [5, None])
+    def test_atoms_that_are_not_a_sequence_rejected(self, atoms):
+        with pytest.raises(ValueError, match=r"^mixture atoms must be a sequence"):
+            EpsilonMixture(atoms=atoms)
+
     def test_certainty_factory(self):
         mix = EpsilonMixture.certainty(0.2)
         assert mix.atoms == ((1.0, 0.2), (0.0, 0.8))
@@ -219,7 +224,7 @@ class TestSolveOverlaps:
         for lam in LAM_GRID:
             for c in C_GRID:
                 for eta in ETA_GRID:
-                    solution = solve_certainty(lam, c, eta, tol=1e-10)
+                    solution = solve_certainty(lam, c, eta)
                     assert solution.converged
                     assert solution.residual < 1e-10
                     # the label overlap can never fall below the mean

@@ -2,8 +2,10 @@
 
 Every name in ``uncertain_ssl.__all__``, and every public classmethod of an
 exported class, is used by the package or the demos outside the module that
-defines it, unless ``USED_ONLY_BY_READERS`` gives it a reason.  No module of
-the package or the demos imports a name it never uses.
+defines it, unless ``USED_ONLY_BY_READERS`` gives it a reason.  Every
+parameter with a default, of every exported function, is passed by some call
+there outside its module.  No module of the package or the demos imports a
+name it never uses.
 """
 
 import ast
@@ -66,7 +68,8 @@ def _public_names() -> dict[str, Path]:
 
 
 PUBLIC = _public_names()
-USED = {path: _used_names(_tree(path)) for path in SOURCES}
+TREES = {path: _tree(path) for path in SOURCES}
+USED = {path: _used_names(tree) for path, tree in TREES.items()}
 
 
 @pytest.mark.parametrize("name", sorted(PUBLIC))
@@ -78,6 +81,48 @@ def test_public_name_used_outside_its_module(name):
         assert not users, f"{name} is used by {users}; drop it from USED_ONLY_BY_READERS"
     else:
         assert users, f"{name} is public, but nothing outside {home.name} uses it"
+
+
+def _defaulted_parameters() -> dict[str, tuple[Path, int]]:
+    """``function.parameter`` -> (home file, position) for every parameter
+    with a default of every exported function."""
+    found = {}
+    for name in uncertain_ssl.__all__:
+        obj = getattr(uncertain_ssl, name)
+        if not inspect.isfunction(obj):
+            continue
+        for position, param in enumerate(inspect.signature(obj).parameters.values()):
+            if param.default is not param.empty:
+                found[f"{name}.{param.name}"] = (_home(name), position)
+    return found
+
+
+def _passes(call: ast.Call, function: str, param: str, position: int) -> bool:
+    """Whether ``call`` calls ``function`` and passes ``param`` to it."""
+    func = call.func
+    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if called != function:
+        return False
+    return len(call.args) > position or any(kw.arg == param for kw in call.keywords)
+
+
+DEFAULTED = _defaulted_parameters()
+CALLS = {
+    path: [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    for path, tree in TREES.items()
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTED))
+def test_defaulted_parameter_passed_outside_its_module(name):
+    home, position = DEFAULTED[name]
+    function, _, param = name.partition(".")
+    callers = [
+        path.name
+        for path, calls in CALLS.items()
+        if path != home and any(_passes(call, function, param, position) for call in calls)
+    ]
+    assert callers, f"nothing outside {home.name} passes {param} to {function}"
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -103,6 +148,6 @@ def _exported(tree: ast.Module) -> set[str]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_import(path):
-    tree = _tree(path)
+    tree = TREES[path]
     unused = _imported_names(tree) - USED[path] - _exported(tree)
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"

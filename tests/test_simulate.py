@@ -285,7 +285,7 @@ class TestClassifySupervised:
 class TestClassifySemisupervised:
     def test_all_certain_labels_stay_pinned(self):
         ds = generate_dataset(50, 400, 1.0, [(1.0, 1.0)], seed=9)
-        out = classify_semisupervised(ds, 1.0)
+        out = classify_semisupervised(ds)
         np.testing.assert_array_equal(out.soft_scores, ds.label_eps)
         assert out.error_unlabeled is None
         assert out.iterations == 1
@@ -293,7 +293,7 @@ class TestClassifySemisupervised:
 
     def test_no_signal_is_coin_flip(self):
         ds = generate_dataset(40, 4000, 0.0, [(0.2, 1.0)], seed=10)
-        out = classify_semisupervised(ds, 0.0)
+        out = classify_semisupervised(ds)
         assert abs(out.error_unlabeled - 0.5) < 4.0 * binomial_se(0.5, ds.n_unlabeled)
 
     @pytest.fixture
@@ -309,32 +309,18 @@ class TestClassifySemisupervised:
     def test_non_integer_t_max_rejected_before_any_pass(self, no_pass, t_max):
         ds = generate_dataset(20, 100, 1.0, [(0.3, 0.9)], seed=4)
         with pytest.raises(ValueError, match="t_max must be an integer"):
-            classify_semisupervised(ds, 1.0, t_max=t_max, stop_tol=0.0)
-
-    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
-    def test_bad_lam_rejected_before_any_pass(self, no_pass, lam):
-        # the snr comparison is false for nan and inf, so it would let both pass
-        ds = generate_dataset(20, 100, 1.0, [(0.3, 0.9)], seed=4)
-        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
-            classify_semisupervised(ds, lam)
-
-    @pytest.mark.parametrize("stop_tol", [float("nan"), -1.0, True, "0.1"])
-    def test_bad_stop_tol_rejected_before_any_pass(self, no_pass, stop_tol):
-        # nan and -1.0 used to run every pass, True to stop after the first
-        ds = generate_dataset(20, 100, 1.0, [(0.3, 0.9)], seed=4)
-        with pytest.raises(ValueError, match="^stop_tol must be"):
-            classify_semisupervised(ds, 1.0, t_max=30, stop_tol=stop_tol)
+            classify_semisupervised(ds, t_max=t_max)
 
     def test_numpy_integer_t_max_accepted(self):
         ds = generate_dataset(20, 100, 1.0, [(0.3, 0.9)], seed=4)
-        plain = classify_semisupervised(ds, 1.0, t_max=3, stop_tol=0.0)
-        out = classify_semisupervised(ds, 1.0, t_max=np.int32(3), stop_tol=0.0)
+        plain = classify_semisupervised(ds, t_max=3)
+        out = classify_semisupervised(ds, t_max=np.int32(3))
         assert out.iterations == plain.iterations == 3
         assert out.soft_scores.tobytes() == plain.soft_scores.tobytes()
 
     def test_no_labels_runs_without_failure(self):
         ds = generate_dataset(40, 400, 1.0, [], seed=11)
-        out = classify_semisupervised(ds, 1.0)
+        out = classify_semisupervised(ds)
         assert out.error_unlabeled is not None
 
     def test_degenerate_scores_rejected(self):
@@ -352,12 +338,7 @@ class TestClassifySemisupervised:
             truth_mean=mu,
         )
         with pytest.raises(SimulationError):
-            classify_semisupervised(ds, 1.0)
-
-    def test_mismatched_snr_rejected(self):
-        ds = generate_dataset(40, 400, 1.0, [(0.2, 1.0)], seed=12)
-        with pytest.raises(SimulationError):
-            classify_semisupervised(ds, 2.0)
+            classify_semisupervised(ds)
 
     def test_bad_confidence_rejected_before_the_passes(self, monkeypatch):
         # The confidences are checked once, when the realised mixture is
@@ -367,18 +348,18 @@ class TestClassifySemisupervised:
         ds = generate_dataset(30, 60, 1.0, [(0.2, 0.9)], seed=14)
         bad = replace(ds, label_eps=np.where(ds.label_eps > 0.0, 1.5, ds.label_eps))
         with pytest.raises(ValueError):
-            classify_semisupervised(bad, 1.0)
+            classify_semisupervised(bad)
 
         def checked(*args):
             raise AssertionError("the pass loop called the checked posterior_mean")
 
         monkeypatch.setattr(simulate_module, "posterior_mean", checked)
-        assert classify_semisupervised(ds, 1.0, t_max=3).iterations >= 1
+        assert classify_semisupervised(ds, t_max=3).iterations >= 1
 
     def test_deterministic(self):
         ds = generate_dataset(30, 600, 2.0, [(0.2, 0.9)], seed=13)
-        out_a = classify_semisupervised(ds, 2.0)
-        out_b = classify_semisupervised(ds, 2.0)
+        out_a = classify_semisupervised(ds)
+        out_b = classify_semisupervised(ds)
         np.testing.assert_array_equal(out_a.soft_scores, out_b.soft_scores)
 
     def test_error_ordering_across_methods(self):
@@ -388,7 +369,7 @@ class TestClassifySemisupervised:
         for r in range(reps):
             ds = generate_dataset(p, n, lam, [(eta, 1.0)], seed=[404, r])
             oracle_err.append(classify_oracle(ds).error_unlabeled)
-            semi_err.append(classify_semisupervised(ds, lam).error_unlabeled)
+            semi_err.append(classify_semisupervised(ds).error_unlabeled)
             sup_err.append(classify_supervised(ds).error_unlabeled)
         se = binomial_se(float(np.mean(sup_err)), reps * int(n * (1 - eta)))
         assert np.mean(oracle_err) <= np.mean(semi_err) + 2.0 * se
@@ -404,7 +385,7 @@ class TestClassifySemisupervised:
             return from_samples(eps_values)
 
         monkeypatch.setattr(EpsilonMixture, "from_samples", counting)
-        assert classify_semisupervised(ds, 1.0, t_max=5, stop_tol=0.0).iterations == 5
+        assert classify_semisupervised(ds, t_max=5).iterations == 5
         assert len(built) == 1
         assert built[0].tobytes() == ds.label_eps.tobytes()
 
@@ -468,7 +449,7 @@ class TestLeanPassLoop:
             if stops_early:
                 assert iterations < t_max
             for _ in range(2):  # a second run gives the same scores
-                out = classify_semisupervised(ds, ds.snr, t_max=t_max)
+                out = classify_semisupervised(ds, t_max=t_max)
                 assert out.soft_scores.tobytes() == soft.tobytes()
                 assert out.hard_labels.tobytes() == simulate._hard_decisions(soft).tobytes()
                 assert out.iterations == iterations
@@ -483,7 +464,7 @@ class TestLeanPassLoop:
 
         monkeypatch.setattr(simulate, "qv_from_qu", counting)
         ds = generate_dataset(60, 300, 2.5, [(0.4, 1.0)], seed=3)
-        out = classify_semisupervised(ds, ds.snr, t_max=10**6)
+        out = classify_semisupervised(ds, t_max=10**6)
         assert out.iterations < 200
         assert len(calls) == out.iterations - 1
         # the label map is fed the score SNRs of the serial recursion
@@ -509,7 +490,7 @@ class TestLabeledNeededEmpirical:
     def test_unreachable_target_fails(self, monkeypatch):
         probes = []
 
-        def never_meets_the_reference(pool, bank, reference_hard, lam, n_labeled, kappa, t_max):
+        def never_meets_the_reference(pool, bank, reference_hard, n_labeled, kappa, t_max):
             probes.append(n_labeled)
             return 1.0
 
@@ -606,7 +587,7 @@ class TestFreshReplicates:
             expected.append((
                 classify_oracle(ds).error_unlabeled,
                 classify_supervised(ds).error_unlabeled,
-                classify_semisupervised(ds, self.LAM, t_max=self.T_MAX).error_unlabeled,
+                classify_semisupervised(ds, t_max=self.T_MAX).error_unlabeled,
             ))
         for _ in self.each_core_set(monkeypatch):
             assert self.errors() == expected
@@ -722,10 +703,10 @@ class TestReplicateBank:
             base_draws.append(args[3])
             return base_draw(*args)
 
-        def counting_hard_labels(pool, bank, lam, n_labeled, kappa, t_max):
+        def counting_hard_labels(pool, bank, n_labeled, kappa, t_max):
             if kappa == 1.0:
                 references.append(n_labeled)
-            return hard_labels(pool, bank, lam, n_labeled, kappa, t_max)
+            return hard_labels(pool, bank, n_labeled, kappa, t_max)
 
         monkeypatch.setattr(simulate, "_base_draw", counting_base_draw)
         monkeypatch.setattr(simulate, "_hard_labels", counting_hard_labels)
@@ -740,9 +721,9 @@ class TestReplicateBank:
         runs = []
         hard_labels = simulate._hard_labels
 
-        def counting_hard_labels(pool, bank, lam, n_labeled, kappa, t_max):
+        def counting_hard_labels(pool, bank, n_labeled, kappa, t_max):
             runs.append((n_labeled, kappa))
-            return hard_labels(pool, bank, lam, n_labeled, kappa, t_max)
+            return hard_labels(pool, bank, n_labeled, kappa, t_max)
 
         monkeypatch.setattr(simulate, "_hard_labels", counting_hard_labels)
         counts = labeled_needed_empirical(
@@ -754,15 +735,15 @@ class TestReplicateBank:
         # the probe it skips would give exactly the 0.0 it is seeded with
         bank = simulate._draw_bank(p, n, lam, seed, reps)
         with simulate._replicate_pool(bank) as pool:
-            reference = hard_labels(pool, bank, lam, n_ref, 1.0, t_max)
-            assert simulate._probe(pool, bank, reference, lam, n_ref, 1.0, t_max) == 0.0
+            reference = hard_labels(pool, bank, n_ref, 1.0, t_max)
+            assert simulate._probe(pool, bank, reference, n_ref, 1.0, t_max) == 0.0
 
     @pytest.mark.parametrize("p, n, lam, eta, kappa, seed, target, count", GOLDEN)
     def test_golden_counts(self, p, n, lam, eta, kappa, seed, target, count):
         n_ref = round(eta * n)
         bank = simulate._draw_bank(p, n, lam, seed, 3)
         with simulate._replicate_pool(bank) as pool:
-            reference = simulate._hard_labels(pool, bank, lam, n_ref, 1.0, 20)
+            reference = simulate._hard_labels(pool, bank, n_ref, 1.0, 20)
         errors = [float(np.mean(h[n_ref:] != e[1][n_ref:])) for h, e in zip(reference, bank)]
         assert float(np.mean(errors)) == target
         found = labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=3, t_max=20)
