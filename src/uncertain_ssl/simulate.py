@@ -16,7 +16,7 @@ eta fraction of certain ones.  It draws its replicates and runs its
 reference inside the call, scores the replicates on a process pool that
 ends with the call, and keeps nothing afterwards.
 
-Randomness.  All draws use ``numpy.random.default_rng`` (PCG64) with explicit
+Randomness.  All draws use ``numpy.random.default_rng`` with explicit
 seeding; replicate r of a study derives its stream from the seed sequence
 ``(seed, r)``, so replicates are independent and every run is reproducible
 bit for bit.
@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .kernel import _check_count, _check_eps, _check_nonneg, _check_real, _check_seed
-from .kernel import _check_unit, _posterior_mean_at, posterior_mean
+from .kernel import _check_unit, _posterior_mean_at, _real_array, posterior_mean
 from .overlaps import EpsilonMixture, qu_from_qv, qv_from_qu
 from .risk import labeled_needed
 
@@ -63,13 +63,33 @@ class Dataset:
 
     ``features`` is p x n with column i distributed as y_i * truth_mean plus
     standard normal noise; ``label_eps`` holds each sample's signed confidence
-    (0 for unlabeled).
+    (0 for unlabeled).  Each field is checked on construction; ``features``
+    by its shape and dtype only, since a check per entry would cost a pass
+    over the matrix for every replicate.
     """
 
     features: np.ndarray
     truth_labels: np.ndarray
     label_eps: np.ndarray
     truth_mean: np.ndarray
+
+    def __post_init__(self):
+        features = self.features
+        if not (
+            isinstance(features, np.ndarray) and features.ndim == 2 and features.dtype.kind in "iuf"
+        ):
+            raise ValueError("features must be a 2-D real array")
+        p, n = features.shape
+        y = _real_array(self.truth_labels, "truth_labels")
+        if y.shape != (n,) or not (np.abs(y) == 1).all():
+            raise ValueError(f"truth_labels must be {n} values of ±1, one per sample")
+        eps = _real_array(self.label_eps, "label_eps")
+        if eps.shape != (n,) or not (np.abs(eps) <= 1.0).all():  # nan fails it too
+            raise ValueError(f"label_eps must be {n} values in [-1, 1], one per sample")
+        mu = _real_array(self.truth_mean, "truth_mean")
+        if mu.shape != (p,) or not np.isfinite(mu).all():
+            raise ValueError(f"truth_mean must be {p} finite values, one per feature")
+        self.truth_labels, self.label_eps, self.truth_mean = y, eps.astype(float, copy=False), mu
 
     @property
     def p(self) -> int:
@@ -82,10 +102,6 @@ class Dataset:
     @property
     def n_labeled(self) -> int:
         return int(np.count_nonzero(self.label_eps))
-
-    @property
-    def n_unlabeled(self) -> int:
-        return self.n - self.n_labeled
 
     @property
     def snr(self) -> float:
@@ -156,12 +172,15 @@ _ROW_BLOCK_CELLS = 1 << 15
 
 
 def _base_draw(p: int, n: int, lam: float, seed):
-    """Center, shuffled truth and features; returns them with the generator.
+    """One replicate's random numbers, drawn from ``seed`` in this order: the
+    center, the shuffled truth, the features and one reliability uniform per
+    sample; returns (mu, y, features, uniforms).
 
-    The generator is left just after the noise draw, where the label blocks
-    continue the stream.  The class means are added into the noise matrix in
-    place, a block of rows at a time, so the draw holds one p x n matrix;
-    noise + mean is mean + noise bit for bit.
+    A labeling block reads the uniforms of its own samples.  The generator
+    gives its doubles in stream order, so these are, bit for bit, the
+    uniforms that drawing each block's in turn after the noise would give.  The class means
+    are added into the noise matrix in place, a block of rows at a time, so
+    the draw holds one p x n matrix; noise + mean is mean + noise bit for bit.
     """
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(p)
@@ -179,11 +198,12 @@ def _base_draw(p: int, n: int, lam: float, seed):
     for start in range(0, p, step):
         block = features[start : start + step]
         block += mu[start : start + step, None] * y
-    return rng, mu, y, features
+    return mu, y, features, rng.random(n)
 
 
-def _draw_labels(rng, y: np.ndarray, blocks) -> np.ndarray:
-    """Signed confidences of the checked ``blocks``, drawn from ``rng`` in order."""
+def _dataset(draw, blocks) -> Dataset:
+    """The dataset of a ``_base_draw`` under the checked label ``blocks``."""
+    mu, y, features, uniforms = draw
     n = y.size
     eps = np.zeros(n, dtype=float)
     start = 0
@@ -192,11 +212,10 @@ def _draw_labels(rng, y: np.ndarray, blocks) -> np.ndarray:
         if start + count > n:
             raise ValueError("labeling blocks exceed the sample count")
         sl = slice(start, start + count)
-        correct = rng.random(count) < kappa
-        report = np.where(correct, y[sl], -y[sl])
+        report = np.where(uniforms[sl] < kappa, y[sl], -y[sl])
         eps[sl] = report * (2.0 * kappa - 1.0)
         start += count
-    return eps
+    return Dataset(features=features, truth_labels=y, label_eps=eps, truth_mean=mu)
 
 
 def generate_dataset(p: int, n: int, lam: float, labeling, seed) -> Dataset:
@@ -211,15 +230,14 @@ def generate_dataset(p: int, n: int, lam: float, labeling, seed) -> Dataset:
     The center is a uniformly random direction scaled to ||mu||^2 = lam, the
     ±1 truth is balanced (counts differ by at most one, the odd sample going
     to +1) and shuffled.  The draw order (center direction, truth permutation,
-    noise matrix, then one reliability uniform per labeled sample block by
-    block) is fixed, so runs that share a seed and differ only in a block's
-    fraction share every other draw (common random numbers).
+    noise matrix, then one reliability uniform per sample, which decides that
+    sample's report if a block labels it) is fixed and does not depend on
+    ``labeling``, so runs that share a seed and differ only in their labeling
+    share every draw (common random numbers).
     """
     p, n, lam = _check_count(p, "p"), _check_count(n, "n"), _check_nonneg(lam, "lam")
     blocks = _check_labeling(labeling)
-    rng, mu, y, features = _base_draw(p, n, lam, _check_seed(seed))
-    eps = _draw_labels(rng, y, blocks)
-    return Dataset(features=features, truth_labels=y, label_eps=eps, truth_mean=mu)
+    return _dataset(_base_draw(p, n, lam, _check_seed(seed)), blocks)
 
 
 def channel_overlap_mc_stats(
@@ -289,15 +307,15 @@ def classify_semisupervised(ds: Dataset, t_max: int = 50) -> ClassifierOutput:
     q_u) starts from q_v = eps_bar_sq and takes one step per pass, so a run
     computes no step beyond the pass it reaches.  Its inputs all come from
     the dataset: lam = ``ds.snr``, c = n/p and the realised mixture
-    ``EpsilonMixture.from_samples(ds.label_eps)``.  ``t_max`` and the
-    confidences (in [-1, 1]) are checked before any pass.
+    ``EpsilonMixture.from_samples(ds.label_eps)``.  ``t_max`` is checked
+    before any pass; the dataset checked its confidences when it was built.
 
     The self-feedback removal uses the exact per-sample column norm rather
     than its expectation; the calibration trusts (lam, c) through
     the recursion instead of estimating the score SNR from data.
     """
     t_max = _check_count(t_max, "t_max")
-    eps = _check_eps(ds.label_eps)
+    eps = ds.label_eps
     lam = ds.snr
     n = ds.n
     c = n / ds.p
@@ -378,74 +396,50 @@ def _fresh_replicate_errors(p, n, lam, labeling, seed, reps: int, t_max: int) ->
         return results
 
 
-def _draw_bank(p: int, n: int, lam: float, seed, reps: int) -> list:
-    """Per replicate r of (seed, r): (mu, y, features) and the generator
-    state after the noise draw.
-
-    Restoring the state and drawing the label blocks rebuilds exactly the
-    dataset ``generate_dataset`` draws from (seed, r), so every probe of a
-    labeled-count search shares one draw of each replicate.
-    """
-    bank = []
-    for r in range(reps):
-        rng, mu, y, features = _base_draw(p, n, lam, _rep_stream(seed, r))
-        bank.append((mu, y, features, rng.bit_generator.state))
-    return bank
+# The replicate draws of a labeled-count search, in a worker of its pool only:
+# the pool's initializer sets them, and the calling process never does.
+_worker_draws: list = []
 
 
-def _dataset_from_bank(entry, blocks) -> Dataset:
-    """The replicate's dataset with the checked label ``blocks`` drawn afresh."""
-    mu, y, features, state = entry
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = state
-    return Dataset(
-        features=features, truth_labels=y, label_eps=_draw_labels(rng, y, blocks), truth_mean=mu
-    )
+def _hold_draws(draws: list) -> None:
+    global _worker_draws
+    _worker_draws = draws
 
 
-# The replicate bank of a labeled-count search, in a worker of its pool only:
-# the pool's initializer sets it, and the calling process never does.
-_worker_bank: list = []
+def _replicate_wrong(n_labeled: int, kappa: float, t_max: int, r: int) -> np.ndarray:
+    """In a pool worker: where replicate r's semi-supervised hard labels miss
+    the truth when its first ``n_labeled`` samples carry kappa-reliable labels."""
+    draw = _worker_draws[r]
+    ds = _dataset(draw, [(n_labeled / draw[1].size, kappa)])
+    return classify_semisupervised(ds, t_max=t_max).hard_labels != ds.truth_labels
 
 
-def _hold_bank(bank: list) -> None:
-    global _worker_bank
-    _worker_bank = bank
+def _replicate_pool(draws: list):
+    """A process pool of min(reps, usable cores) workers that each hold ``draws``.
 
-
-def _replicate_hard_labels(blocks, t_max: int, r: int) -> np.ndarray:
-    """In a pool worker: replicate r's semi-supervised hard labels under the
-    checked label ``blocks``."""
-    ds = _dataset_from_bank(_worker_bank[r], blocks)
-    return classify_semisupervised(ds, t_max=t_max).hard_labels
-
-
-def _replicate_pool(bank: list):
-    """A process pool of min(reps, usable cores) workers that each hold ``bank``.
-
-    The workers are forked where the platform offers fork, so the bank is not
-    pickled and its pages are shared copy-on-write; elsewhere the platform's
-    default start method pickles it once per worker.  ``multiprocessing`` is
-    imported here, not at module level, to keep it off every command's
-    start-up.
+    The workers are forked where the platform offers fork, so the draws are
+    not pickled and their pages are shared copy-on-write; elsewhere the
+    platform's default start method pickles them once per worker.
+    ``multiprocessing`` is imported here, not at module level, to keep it off
+    every command's start-up.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     methods = multiprocessing.get_all_start_methods()  # the platform default first
     return ProcessPoolExecutor(
-        max_workers=min(len(bank), _usable_cores()),
+        max_workers=min(len(draws), _usable_cores()),
         mp_context=multiprocessing.get_context("fork" if "fork" in methods else methods[0]),
-        initializer=_hold_bank,
-        initargs=(bank,),
+        initializer=_hold_draws,
+        initargs=(draws,),
     )
 
 
-def _hard_labels(pool, bank, n_labeled: int, kappa: float, t_max: int) -> list:
-    """Per replicate, in order, the semi-supervised hard labels when the first
-    ``n_labeled`` samples carry kappa-reliable labels; the replicates run on
-    ``pool``, a ``_replicate_pool(bank)``.  A failing replicate raises as in
-    a serial loop: the first in replicate order.
+def _wrong_samples(pool, reps: int, n_labeled: int, kappa: float, t_max: int) -> list:
+    """Per replicate, in order, the ``_replicate_wrong`` mask at (n_labeled,
+    kappa); the ``reps`` replicates run on ``pool``, a ``_replicate_pool``.  A
+    failing replicate raises as in a serial loop: the first in replicate
+    order.
 
     Processes, not threads: a 200 x 1000 pass takes about 125 us, its
     recursion step about 20 us of that (one BLAS thread, 2-core host), and
@@ -455,36 +449,27 @@ def _hard_labels(pool, bank, n_labeled: int, kappa: float, t_max: int) -> list:
     on two threads and 3.4 s on two forked workers (medians of 11 runs each,
     the three interleaved).
     """
-    blocks = _check_labeling([(n_labeled / bank[0][1].size, kappa)])
-    run = functools.partial(_replicate_hard_labels, blocks, t_max)
-    return list(pool.map(run, range(len(bank))))
+    run = functools.partial(_replicate_wrong, n_labeled, kappa, t_max)
+    return list(pool.map(run, range(reps)))
 
 
-def _probe(pool, bank, reference_hard, n_labeled: int, kappa: float, t_max: int) -> float:
-    """Mean over replicates of the candidate's error minus the reference's,
-    both on the candidate's unlabeled subset."""
-    diffs = []
-    for (_, y, _, _), cand_hard, ref_hard in zip(
-        bank, _hard_labels(pool, bank, n_labeled, kappa, t_max), reference_hard
-    ):
-        sl = slice(n_labeled, y.size)
-        truth = y[sl]
-        cand = float(np.mean(cand_hard[sl] != truth))
-        ref = float(np.mean(ref_hard[sl] != truth))
-        diffs.append(cand - ref)
-    return float(np.mean(diffs))
-
-
-def _search_count(pool, bank, reference_hard, kappa, t_max, n_ref: int, hi: int) -> int:
+def _search_count(pool, reference_wrong: list, kappa, t_max, n_ref: int, hi: int) -> int:
     """Smallest labeled count whose probe meets the reference, by doubling
     from ``n_ref`` up to ``hi`` and then integer bisection; each count is
-    probed at most once.  At kappa = 1 the probe at ``n_ref`` would repeat
-    the reference run exactly, so its paired mean is 0.0 without a run."""
+    probed at most once.  The probe at n_l is the mean over replicates of the
+    candidate's error minus the reference's, both on the samples from n_l
+    on, which the candidate leaves unlabeled; it meets the reference at most
+    zero.  At kappa = 1 the probe at ``n_ref`` would repeat the reference run
+    exactly, so its paired mean is 0.0 without a run."""
     paired: dict[int, float] = {n_ref: 0.0} if kappa == 1.0 else {}
 
     def satisfied(n_l: int) -> bool:
         if n_l not in paired:
-            paired[n_l] = _probe(pool, bank, reference_hard, n_l, kappa, t_max)
+            wrong = _wrong_samples(pool, len(reference_wrong), n_l, kappa, t_max)
+            paired[n_l] = float(np.mean([
+                float(np.mean(cand[n_l:])) - float(np.mean(ref[n_l:]))
+                for cand, ref in zip(wrong, reference_wrong)
+            ]))
         return paired[n_l] <= 0.0
 
     if satisfied(n_ref):
@@ -523,13 +508,15 @@ def labeled_needed_empirical(
     fluctuations cancel.
 
     One call does the whole study for one eta.  Every argument, the seed
-    for bools only, is checked before any draw.  Each replicate's center,
-    truth and noise are then drawn once, the reference runs once, and a
-    probe draws only its labels.  The replicates of the reference and of
-    every probe run on one process pool of min(reps, usable cores) workers,
-    which is shut down before the call returns; the results do not depend on
-    the worker count.  The draws and every probe result are local to the
-    call and freed when it returns.
+    for bools only, is checked before any draw.  Each replicate's random
+    numbers (center, truth, noise and one reliability uniform per sample)
+    are then drawn once, the reference runs once, and a probe builds its
+    labels from the stored uniforms, so each probe sees the dataset
+    ``generate_dataset`` draws from (seed, r) under its labeling.  The
+    replicates of the reference and of every probe run on one process pool
+    of min(reps, usable cores) workers, which is shut down before the call
+    returns; the results do not depend on the worker count.  The draws and
+    every probe result are local to the call and freed when it returns.
 
     Infeasible reliabilities ((2 kappa - 1)^2 < eta) raise
     ``InfeasibilityError``; the search fails with ``SimulationError`` if
@@ -551,7 +538,7 @@ def labeled_needed_empirical(
     if n_ref > hi:
         raise SimulationError("reference labeled count leaves too few samples to evaluate")
 
-    bank = _draw_bank(p, n, lam, seed, reps)
-    with _replicate_pool(bank) as pool:
-        reference_hard = _hard_labels(pool, bank, n_ref, 1.0, t_max)
-        return [_search_count(pool, bank, reference_hard, k, t_max, n_ref, hi) for k in kappas]
+    draws = [_base_draw(p, n, lam, _rep_stream(seed, r)) for r in range(reps)]
+    with _replicate_pool(draws) as pool:
+        reference_wrong = _wrong_samples(pool, reps, n_ref, 1.0, t_max)
+        return [_search_count(pool, reference_wrong, k, t_max, n_ref, hi) for k in kappas]

@@ -3,6 +3,7 @@
 Every name in ``uncertain_ssl.__all__``, and every public classmethod of an
 exported class, is used by the package or the demos outside the module that
 defines it, unless ``USED_ONLY_BY_READERS`` gives it a reason.  Every
+property of an exported class is read by the package or the demos.  Every
 parameter with a default, of every exported function, is passed by some call
 there outside its module.  No module of the package or the demos imports a
 name it never uses.
@@ -81,6 +82,36 @@ def test_public_name_used_outside_its_module(name):
         assert not users, f"{name} is used by {users}; drop it from USED_ONLY_BY_READERS"
     else:
         assert users, f"{name} is public, but nothing outside {home.name} uses it"
+
+
+def _public_properties() -> list[str]:
+    """``Class.property`` for every public property of every exported class."""
+    found = []
+    for name in uncertain_ssl.__all__:
+        obj = getattr(uncertain_ssl, name)
+        if inspect.isclass(obj):
+            found += [
+                f"{name}.{attr}"
+                for attr, raw in vars(obj).items()
+                if isinstance(raw, property) and not attr.startswith("_")
+            ]
+    return found
+
+
+READ_ATTRIBUTES = {
+    node.attr
+    for tree in TREES.values()
+    for node in ast.walk(tree)
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+}
+
+
+@pytest.mark.parametrize("name", sorted(_public_properties()))
+def test_public_property_read(name):
+    # A property's definition is a function, not an attribute read, so it
+    # does not count as a use of itself.
+    attr = name.rpartition(".")[2]
+    assert attr in READ_ATTRIBUTES, f"{name} is public, but nothing in the package or demos reads it"
 
 
 def _defaulted_parameters() -> dict[str, tuple[Path, int]]:

@@ -2,6 +2,7 @@
 scalar channel lemma against quadrature, classifier calibration against known
 error levels, and the labeled-count search protocol."""
 
+import hashlib
 import json
 import math
 import multiprocessing
@@ -36,6 +37,30 @@ GOLDEN = [
 ]
 
 
+# sha256 of generate_dataset(12, 90, 1.3, labeling, seed)'s features,
+# truth_labels, label_eps and truth_mean bytes, in that order, recorded from
+# the draw that took each block's reliability uniforms from the generator in
+# turn after the noise.
+DRAW_GOLDEN = [
+    ([], 5, "892e83be72188915233a1c9301f9a80af144058a73b2d2aedf1c62c7b8e666af"),
+    ([], [3, 1], "1c4aaba59ce98e1d4f9957c796198399636d5db0e25a1183d8e72f7c937c3a31"),
+    ([(0.3, 1.0)], 5, "79b8718a67954d985da912c9906e3a86f2486181a8831e631e168398f1e2e601"),
+    ([(0.3, 1.0)], [3, 1], "983b42394b86a3b6235ebd6b44abcec7e8a859bad162f8bb28f84931f97db16b"),
+    (
+        [(0.2, 0.9), (0.3, 1.0)],
+        5,
+        "7327f2fb4b04441731f728e06c824a191d9ab7816325a6f2754c0a5f025c288a",
+    ),
+    (
+        [(0.2, 0.9), (0.3, 1.0)],
+        [3, 1],
+        "2ae645709b8566ad4c254b3cd5aa31384ba66f18976fbce5a990395afeb7d619",
+    ),
+]
+
+DATASET_FIELDS = ("features", "truth_labels", "label_eps", "truth_mean")
+
+
 def binomial_se(rate: float, count: int) -> float:
     return math.sqrt(rate * (1.0 - rate) / count)
 
@@ -46,7 +71,6 @@ class TestGenerateDataset:
         assert ds.features.shape == (40, 501)
         assert ds.p == 40 and ds.n == 501
         assert ds.n_labeled == round(0.4 * 501)
-        assert ds.n_labeled + ds.n_unlabeled == ds.n
         assert ds.snr == pytest.approx(1.7, rel=1e-12)
         assert abs(int(ds.truth_labels.sum())) <= 1
 
@@ -64,7 +88,15 @@ class TestGenerateDataset:
     def test_perfect_labelers_match_truth(self):
         ds = generate_dataset(5, 400, 1.0, [(1.0, 1.0)], seed=9)
         np.testing.assert_array_equal(np.sign(ds.label_eps), ds.truth_labels)
-        assert ds.n_unlabeled == 0
+        assert ds.n_labeled == ds.n
+
+    @pytest.mark.parametrize("labeling, seed, digest", DRAW_GOLDEN)
+    def test_golden_draw(self, labeling, seed, digest):
+        ds = generate_dataset(12, 90, 1.3, labeling, seed=seed)
+        h = hashlib.sha256()
+        for field in DATASET_FIELDS:
+            h.update(getattr(ds, field).tobytes())
+        assert h.hexdigest() == digest
 
     def test_empty_labeling(self):
         ds = generate_dataset(5, 100, 1.0, [], seed=1)
@@ -158,6 +190,54 @@ SEEDED_CALLS = {
         10, 40, 1.0, 0.2, [0.9], seed=seed, reps=2, t_max=5
     ),
 }
+
+
+# (field, bad value from a p = 4, n = 10 dataset) per case.
+BAD_FIELDS = {
+    "features-1d": ("features", lambda ds: ds.features[0]),
+    "features-3d": ("features", lambda ds: ds.features[None]),
+    "features-complex": ("features", lambda ds: ds.features.astype(complex)),
+    "features-bool": ("features", lambda ds: ds.features > 0.0),
+    "features-list": ("features", lambda ds: ds.features.tolist()),
+    "truth-all-zero": ("truth_labels", lambda ds: np.zeros(10, dtype=np.int64)),
+    "truth-short": ("truth_labels", lambda ds: ds.truth_labels[:7]),
+    "truth-two": ("truth_labels", lambda ds: 2 * ds.truth_labels),
+    "truth-bool": ("truth_labels", lambda ds: ds.truth_labels > 0),
+    "eps-short": ("label_eps", lambda ds: ds.label_eps[:7]),
+    "eps-2d": ("label_eps", lambda ds: ds.label_eps[None]),
+    "eps-over-one": ("label_eps", lambda ds: np.where(ds.label_eps > 0.0, 1.5, ds.label_eps)),
+    "eps-nan": ("label_eps", lambda ds: np.full(10, np.nan)),
+    "eps-string": ("label_eps", lambda ds: ["a"] * 10),
+    "mean-short": ("truth_mean", lambda ds: ds.truth_mean[:3]),
+    "mean-long": ("truth_mean", lambda ds: np.append(ds.truth_mean, 0.0)),
+    "mean-nan": ("truth_mean", lambda ds: np.full(4, np.nan)),
+    "mean-inf": ("truth_mean", lambda ds: np.array([np.inf, 0.0, 0.0, 0.0])),
+}
+
+
+class TestDatasetChecks:
+    """A ``Dataset`` checks its fields when it is built, so that no classifier
+    runs on a mismatched or out-of-range field: a short ``truth_mean`` or
+    ``label_eps``, a nan center or all-zero truth labels once ran to a result
+    or failed with an ``IndexError``."""
+
+    @pytest.mark.parametrize("case", BAD_FIELDS)
+    def test_bad_field_rejected_with_its_name(self, case):
+        ds = generate_dataset(4, 10, 1.0, [(0.3, 0.9)], seed=2)
+        field, bad = BAD_FIELDS[case]
+        with pytest.raises(ValueError, match=field):
+            replace(ds, **{field: bad(ds)})
+
+    def test_checked_fields_kept_as_given(self):
+        ds = generate_dataset(4, 10, 1.0, [(0.3, 0.9)], seed=2)
+        again = replace(ds)
+        for field in DATASET_FIELDS:
+            assert getattr(again, field) is getattr(ds, field)
+
+    def test_integer_confidences_read_as_floats(self):
+        ds = generate_dataset(4, 10, 1.0, [], seed=2)
+        labeled = replace(ds, label_eps=np.array([1, -1] + [0] * 8))
+        assert labeled.label_eps.dtype == float and labeled.n_labeled == 2
 
 
 class TestSeeds:
@@ -294,7 +374,7 @@ class TestClassifySemisupervised:
     def test_no_signal_is_coin_flip(self):
         ds = generate_dataset(40, 4000, 0.0, [(0.2, 1.0)], seed=10)
         out = classify_semisupervised(ds)
-        assert abs(out.error_unlabeled - 0.5) < 4.0 * binomial_se(0.5, ds.n_unlabeled)
+        assert abs(out.error_unlabeled - 0.5) < 4.0 * binomial_se(0.5, ds.n - ds.n_labeled)
 
     @pytest.fixture
     def no_pass(self, monkeypatch):
@@ -341,13 +421,13 @@ class TestClassifySemisupervised:
             classify_semisupervised(ds)
 
     def test_bad_confidence_rejected_before_the_passes(self, monkeypatch):
-        # The confidences are checked once, when the realised mixture is
-        # built, and not again by the denoiser inside the pass loop.
+        # The confidences are checked once, when the dataset is built, and
+        # not again by the denoiser inside the pass loop.
         import uncertain_ssl.simulate as simulate_module
 
         ds = generate_dataset(30, 60, 1.0, [(0.2, 0.9)], seed=14)
-        bad = replace(ds, label_eps=np.where(ds.label_eps > 0.0, 1.5, ds.label_eps))
         with pytest.raises(ValueError):
+            bad = replace(ds, label_eps=np.where(ds.label_eps > 0.0, 1.5, ds.label_eps))
             classify_semisupervised(bad)
 
         def checked(*args):
@@ -489,12 +569,16 @@ class TestLabeledNeededEmpirical:
 
     def test_unreachable_target_fails(self, monkeypatch):
         probes = []
+        wrong_samples = simulate._wrong_samples
 
-        def never_meets_the_reference(pool, bank, reference_hard, n_labeled, kappa, t_max):
+        def never_meets_the_reference(pool, reps, n_labeled, kappa, t_max):
+            wrong = wrong_samples(pool, reps, n_labeled, kappa, t_max)
+            if kappa == 1.0:  # the reference run
+                return wrong
             probes.append(n_labeled)
-            return 1.0
+            return [np.ones_like(w) for w in wrong]  # every sample wrong
 
-        monkeypatch.setattr(simulate, "_probe", never_meets_the_reference)
+        monkeypatch.setattr(simulate, "_wrong_samples", never_meets_the_reference)
         with pytest.raises(SimulationError, match="not reached at kappa = 0.9 .* up to 380"):
             labeled_needed_empirical(50, 400, 1.0, 0.2, [0.9], seed=1, reps=2)
         assert probes == [80, 160, 320, 380]
@@ -666,7 +750,7 @@ class TestFreshReplicates:
 
 
 class TestReplicateBank:
-    """The labeled-count search draws each replicate once and rebuilds every
+    """The labeled-count search draws each replicate once and builds every
     probe's dataset from that draw; the result must be the dataset
     ``generate_dataset`` draws from the same stream, bit for bit."""
 
@@ -679,17 +763,15 @@ class TestReplicateBank:
         ids=["empty", "kappa-1", "kappa-below-1", "two-blocks"],
     )
     def test_rebuilt_dataset_equals_generate_dataset(self, seed, labeling):
-        bank = simulate._draw_bank(self.P, self.N, self.LAM, seed, self.REPS)
         blocks = simulate._check_labeling(labeling)
-        assert len(bank) == self.REPS
-        for r, entry in enumerate(bank):
-            # twice from one entry: a probe must not advance the stored state
+        for r in range(self.REPS):
+            stream = simulate._rep_stream(seed, r)
+            draw = simulate._base_draw(self.P, self.N, self.LAM, stream)
+            # twice from one draw: a probe must not change the stored draw
             for _ in range(2):
-                rebuilt = simulate._dataset_from_bank(entry, blocks)
-                fresh = generate_dataset(
-                    self.P, self.N, self.LAM, labeling, seed=simulate._rep_stream(seed, r)
-                )
-                for field in ("features", "truth_labels", "label_eps", "truth_mean"):
+                rebuilt = simulate._dataset(draw, blocks)
+                fresh = generate_dataset(self.P, self.N, self.LAM, labeling, seed=stream)
+                for field in DATASET_FIELDS:
                     a, b = getattr(rebuilt, field), getattr(fresh, field)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
@@ -697,19 +779,19 @@ class TestReplicateBank:
         p, n, lam, eta, seed, reps = 20, 120, 1.0, 0.1, 8, 3
         base_draws = []
         references = []
-        base_draw, hard_labels = simulate._base_draw, simulate._hard_labels
+        base_draw, wrong_samples = simulate._base_draw, simulate._wrong_samples
 
         def counting_base_draw(*args):
             base_draws.append(args[3])
             return base_draw(*args)
 
-        def counting_hard_labels(pool, bank, n_labeled, kappa, t_max):
+        def counting_wrong_samples(pool, reps, n_labeled, kappa, t_max):
             if kappa == 1.0:
                 references.append(n_labeled)
-            return hard_labels(pool, bank, n_labeled, kappa, t_max)
+            return wrong_samples(pool, reps, n_labeled, kappa, t_max)
 
         monkeypatch.setattr(simulate, "_base_draw", counting_base_draw)
-        monkeypatch.setattr(simulate, "_hard_labels", counting_hard_labels)
+        monkeypatch.setattr(simulate, "_wrong_samples", counting_wrong_samples)
         counts = labeled_needed_empirical(p, n, lam, eta, (0.95, 0.9, 0.85), seed=seed, reps=reps)
         assert len(counts) == 3 and all(isinstance(c, int) for c in counts)
         assert base_draws == [[seed, r] for r in range(reps)]
@@ -719,32 +801,35 @@ class TestReplicateBank:
         p, n, lam, eta, seed, reps, t_max = 20, 120, 1.0, 0.1, 8, 3, 20
         n_ref = round(eta * n)
         runs = []
-        hard_labels = simulate._hard_labels
+        wrong_samples = simulate._wrong_samples
 
-        def counting_hard_labels(pool, bank, n_labeled, kappa, t_max):
+        def counting_wrong_samples(pool, reps, n_labeled, kappa, t_max):
             runs.append((n_labeled, kappa))
-            return hard_labels(pool, bank, n_labeled, kappa, t_max)
+            return wrong_samples(pool, reps, n_labeled, kappa, t_max)
 
-        monkeypatch.setattr(simulate, "_hard_labels", counting_hard_labels)
+        monkeypatch.setattr(simulate, "_wrong_samples", counting_wrong_samples)
         counts = labeled_needed_empirical(
             p, n, lam, eta, (0.9, 1.0), seed=seed, reps=reps, t_max=t_max
         )
         assert runs[0] == (n_ref, 1.0)
         assert runs.count((n_ref, 1.0)) == 1  # the kappa = 1 search ran no copy
         assert any(kappa == 1.0 for _, kappa in runs[1:]) and counts[1] <= n_ref
-        # the probe it skips would give exactly the 0.0 it is seeded with
-        bank = simulate._draw_bank(p, n, lam, seed, reps)
-        with simulate._replicate_pool(bank) as pool:
-            reference = hard_labels(pool, bank, n_ref, 1.0, t_max)
-            assert simulate._probe(pool, bank, reference, n_ref, 1.0, t_max) == 0.0
+        # the probe it skips would repeat the reference run, so its paired
+        # mean is exactly the 0.0 it is seeded with
+        draws = [simulate._base_draw(p, n, lam, [seed, r]) for r in range(reps)]
+        with simulate._replicate_pool(draws) as pool:
+            reference = wrong_samples(pool, reps, n_ref, 1.0, t_max)
+            again = wrong_samples(pool, reps, n_ref, 1.0, t_max)
+        for a, b in zip(reference, again):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("p, n, lam, eta, kappa, seed, target, count", GOLDEN)
     def test_golden_counts(self, p, n, lam, eta, kappa, seed, target, count):
         n_ref = round(eta * n)
-        bank = simulate._draw_bank(p, n, lam, seed, 3)
-        with simulate._replicate_pool(bank) as pool:
-            reference = simulate._hard_labels(pool, bank, n_ref, 1.0, 20)
-        errors = [float(np.mean(h[n_ref:] != e[1][n_ref:])) for h, e in zip(reference, bank)]
+        draws = [simulate._base_draw(p, n, lam, simulate._rep_stream(seed, r)) for r in range(3)]
+        with simulate._replicate_pool(draws) as pool:
+            reference = simulate._wrong_samples(pool, 3, n_ref, 1.0, 20)
+        errors = [float(np.mean(wrong[n_ref:])) for wrong in reference]
         assert float(np.mean(errors)) == target
         found = labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=3, t_max=20)
         assert found == [count]
@@ -761,8 +846,8 @@ class TestReplicatePool:
         sizes = []
         make_pool = simulate._replicate_pool
 
-        def recording_pool(bank):
-            pool = make_pool(bank)
+        def recording_pool(draws):
+            pool = make_pool(draws)
             sizes.append(pool._max_workers)
             return pool
 
@@ -783,7 +868,7 @@ class TestReplicatePool:
 
     def test_spawned_workers_give_the_same_counts(self, monkeypatch):
         # without fork, the worker function and the initializer are pickled
-        # and the bank is sent to each worker
+        # and the draws are sent to each worker
         p, n, lam, eta, kappa, seed, _, count = GOLDEN[0]
         methods = []
         get_context = multiprocessing.get_context
@@ -806,18 +891,18 @@ class TestReplicatePool:
         ``ValueError`` early; forked workers inherit the patch."""
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("the patch reaches the workers only through fork")
-        rebuild = simulate._dataset_from_bank
+        build = simulate._dataset
 
-        def failing_rebuild(entry, blocks):
-            r = next(i for i, e in enumerate(simulate._worker_bank) if e is entry)
+        def failing_build(draw, blocks):
+            r = next(i for i, d in enumerate(simulate._worker_draws) if d is draw)
             if r == 1:
                 time.sleep(0.2)  # with 4 workers, replicate 3 fails first in time
                 raise SimulationError(f"replicate {r} failed")
             if r == 3:
                 raise ValueError(f"replicate {r} failed")
-            return rebuild(entry, blocks)
+            return build(draw, blocks)
 
-        monkeypatch.setattr(simulate, "_dataset_from_bank", failing_rebuild)
+        monkeypatch.setattr(simulate, "_dataset", failing_build)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 4)
 
     def test_worker_failure_raises_as_the_serial_loop(self, failing_workers):
