@@ -10,11 +10,8 @@ Run:  python3 demos/02_overlap_system.py
 
 from uncertain_ssl import (
     EpsilonMixture,
-    ProblemParams,
     bayes_risk,
     sensitivity_ratio,
-    solve_approx,
-    solve_certainty,
     solve_overlaps,
 )
 
@@ -22,7 +19,7 @@ lam, c = 2.0, 1.0
 
 print(f"== Certainty labels at lam={lam}, c={c} ==")
 for eta in (0.0, 0.2, 0.5, 1.0):
-    sol = solve_certainty(lam, c, eta)
+    sol = solve_overlaps(lam, c, EpsilonMixture.certainty(eta))
     print(
         f"  eta={eta:.1f}: q_u={sol.q_u:.6f} q_v={sol.q_v:.6f} "
         f"risk={bayes_risk(sol.q_u):.4f} ({sol.iterations} iterations, "
@@ -32,9 +29,9 @@ for eta in (0.0, 0.2, 0.5, 1.0):
 print()
 print("== A soft-label mixture and its collapsed approximation ==")
 mixture = EpsilonMixture(atoms=((0.8, 0.25), (0.4, 0.25), (0.0, 0.5)))
-params = ProblemParams(lam=lam, c=c, mixture=mixture)
-exact = solve_overlaps(params)
-approx = solve_approx(params)
+exact = solve_overlaps(lam, c, mixture)
+# the collapsed approximation: the certainty system at eta = eps_bar_sq
+approx = solve_overlaps(lam, c, EpsilonMixture.certainty(mixture.eps_bar_sq))
 print(f"  mean squared confidence: {mixture.eps_bar_sq:.4f}")
 print(f"  exact solve:  q_u={exact.q_u:.6f} q_v={exact.q_v:.6f}")
 print(f"  collapsed:    q_u={approx.q_u:.6f} q_v={approx.q_v:.6f}")
@@ -57,7 +54,7 @@ print("== Two mixtures with the same information content ==")
 mix_hard = EpsilonMixture(atoms=((1.0, 0.2), (0.0, 0.8)))
 mix_soft = EpsilonMixture(atoms=((0.5, 0.8), (0.0, 0.2)))
 for name, mix in (("20% certain", mix_hard), ("80% half-sure", mix_soft)):
-    sol = solve_overlaps(ProblemParams(lam=lam, c=c, mixture=mix))
+    sol = solve_overlaps(lam, c, mix)
     print(
         f"  {name}: eps_bar_sq={mix.eps_bar_sq:.2f}  q_u={sol.q_u:.5f}  "
         f"risk={bayes_risk(sol.q_u):.5f}"

@@ -5,13 +5,14 @@ Run:  python3 demos/03_risk_metrics.py
 """
 
 from uncertain_ssl import (
+    EpsilonMixture,
     InfeasibilityError,
     absolute_reduction,
     bayes_risk,
     labeled_needed,
     oracle_relative_reduction,
     oracle_risk,
-    solve_certainty,
+    solve_overlaps,
     supervised_risk_theory,
     usefulness,
 )
@@ -27,7 +28,7 @@ print()
 print("== Error levels and reductions at eta=0.2 across the SNR ==")
 for lam in (0.5, 1.0, 2.0, 4.0):
     e_sup = supervised_risk_theory(lam, 1.0, 0.2)
-    e_semi = bayes_risk(solve_certainty(lam, 1.0, 0.2).q_u)
+    e_semi = bayes_risk(solve_overlaps(lam, 1.0, EpsilonMixture.certainty(0.2)).q_u)
     e_oracle = oracle_risk(lam)
     print(
         f"  lam={lam:.1f}: sup={e_sup:.4f} semi={e_semi:.4f} "

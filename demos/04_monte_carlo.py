@@ -9,7 +9,6 @@ import numpy as np
 
 from uncertain_ssl import (
     EpsilonMixture,
-    ProblemParams,
     bayes_risk,
     channel_overlap,
     channel_overlap_mc_stats,
@@ -31,7 +30,7 @@ print()
 lam, n, p, eta = 2.0, 2000, 2000, 0.2
 print(f"== Campaign: lam={lam}, n=p={n}, {eta:.0%} certain labels, 10 seeds ==")
 mixture = EpsilonMixture.certainty(eta)
-solution = solve_overlaps(ProblemParams(lam=lam, c=n / p, mixture=mixture))
+solution = solve_overlaps(lam, n / p, mixture)
 print(f"  solved overlaps: q_u={solution.q_u:.5f}, q_v={solution.q_v:.5f}")
 print(f"  predicted risks: semi={bayes_risk(solution.q_u):.4f}, oracle={oracle_risk(lam):.4f}")
 

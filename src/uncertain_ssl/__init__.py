@@ -4,7 +4,7 @@ Gaussian-mixture classification with uncertain labels.
 The package is organised bottom-up:
 
 - ``kernel``    scalar special functions and Gaussian expectations,
-- ``overlaps``  the coupled overlap fixed-point system and its variants,
+- ``overlaps``  the coupled overlap fixed-point system and its two maps,
 - ``risk``      Bayes/oracle risks, usefulness, and labeling requirements,
 - ``simulate``  synthetic data, channel checks, and reference classifiers,
 - ``cli``       the figure-data command line front end.
@@ -25,12 +25,9 @@ from .overlaps import (
     ConvergenceError,
     EpsilonMixture,
     OverlapSolution,
-    ProblemParams,
     qu_from_qv,
     qv_from_qu,
     sensitivity_ratio,
-    solve_approx,
-    solve_certainty,
     solve_overlaps,
 )
 from .risk import (
@@ -71,14 +68,11 @@ __all__ = [
     "approx_error_grid",
     # overlaps
     "EpsilonMixture",
-    "ProblemParams",
     "OverlapSolution",
     "ConvergenceError",
     "qu_from_qv",
     "qv_from_qu",
     "solve_overlaps",
-    "solve_certainty",
-    "solve_approx",
     "sensitivity_ratio",
     # risk
     "InfeasibilityError",

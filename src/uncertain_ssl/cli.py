@@ -38,13 +38,7 @@ import scipy
 
 from . import __version__
 from .kernel import _check_count, approx_error_grid, channel_overlap
-from .overlaps import (
-    ConvergenceError,
-    EpsilonMixture,
-    ProblemParams,
-    solve_certainty,
-    solve_overlaps,
-)
+from .overlaps import ConvergenceError, EpsilonMixture, solve_overlaps
 from .risk import (
     InfeasibilityError,
     absolute_reduction,
@@ -239,14 +233,16 @@ def _intended_mixture(blocks) -> EpsilonMixture:
 
 def cmd_solve(cfg: dict) -> dict[str, str]:
     mixture = _mixture_from_config(cfg)
-    params = ProblemParams(lam=float(cfg["lambda"]), c=float(cfg["c"]), mixture=mixture)
-    solution = solve_overlaps(params, tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"]))
+    lam = float(cfg["lambda"])
+    solution = solve_overlaps(
+        lam, float(cfg["c"]), mixture, tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"])
+    )
     header = ["q_u", "q_v", "bayes_risk", "oracle_risk", "usefulness", "residual", "iterations"]
     row = [
         solution.q_u,
         solution.q_v,
         bayes_risk(solution.q_u),
-        oracle_risk(params.lam),
+        oracle_risk(lam),
         usefulness(solution.q_u),
         solution.residual,
         solution.iterations,
@@ -335,8 +331,6 @@ def _empirical_reduction(p, n, lam, eta, kappa, seed_parts, reps, t_max):
     oracles, sups, semis = zip(*errors)
     if None in oracles:
         raise SimulationError("reduction needs unlabeled samples to score")
-    if None in sups:
-        raise SimulationError("supervised classifier needs labeled samples")
     e_sup = float(np.mean(sups))
     e_semi = float(np.mean(semis))
     e_oracle = float(np.mean(oracles))
@@ -380,7 +374,7 @@ def cmd_reduction(cfg: dict) -> dict[str, str]:
     for index, (lam, c) in enumerate(points):
         n = int(round(c * p))
         e_sup_th = supervised_risk_theory(lam, c, eta)
-        e_semi_th = bayes_risk(solve_certainty(lam, c, eta).q_u)
+        e_semi_th = bayes_risk(solve_overlaps(lam, c, EpsilonMixture.certainty(eta)).q_u)
         e_oracle_th = oracle_risk(lam)
         bound_abs = absolute_reduction(e_sup_th, e_semi_th)
         bound_oracle = oracle_relative_reduction(e_sup_th, e_semi_th, e_oracle_th)
@@ -403,19 +397,17 @@ def cmd_simulate(cfg: dict) -> dict[str, str]:
     _check_replicate_cells(p * n, "a replicate (p x n)")
 
     mixture = _intended_mixture(labeling)
-    params = ProblemParams(lam=lam, c=n / p, mixture=mixture)
-    solution = solve_overlaps(params)
+    solution = solve_overlaps(lam, n / p, mixture)
     risk_th = bayes_risk(solution.q_u)
     oracle_th = oracle_risk(lam)
 
     errors = _fresh_replicate_errors(p, n, lam, labeling, seed, reps, t_max)
     oracle_err, sup_err, semi_err = zip(*errors)
-    if None in oracle_err + semi_err:
+    if None in oracle_err:
         raise SimulationError("simulate needs unlabeled samples to score")
-    sup_err = [e for e in sup_err if e is not None]
     e_oracle = float(np.mean(oracle_err))
     e_semi = float(np.mean(semi_err))
-    e_sup = float(np.mean(sup_err)) if sup_err else float("nan")
+    e_sup = float(np.mean(sup_err))
 
     header = [
         "error_oracle",

@@ -11,14 +11,18 @@ the posterior-mean labels with the truth).  They solve
 
 where the mixture (eps_j, w_j) is the empirical distribution of per-sample
 label confidences and F is the scalar channel overlap.  ``solve_overlaps``
-iterates the damped pair of maps from two initialisations (q_v = 1 and a
-small floor above the mixture's mean squared confidence), polishes each end
-point with a secant refinement of the scalar defect, and returns the
-converged solution with the larger q_u.
+solves it from (lam, c, mixture): it iterates the damped pair of maps from
+two initialisations (q_v = 1 and q_v = max(eps_bar_sq, 1e-6), the mixture's
+mean squared confidence floored at 1e-6), polishes each end point with a
+secant refinement of the scalar defect, and returns the converged solution
+with the larger q_u.
 
 The classical certainty-labeled system (a fraction eta of hard labels, the
-rest unlabeled) is the special case mixture {(1, eta), (0, 1 - eta)}, for
-which q_v = eta + (1 - eta) F(q_u).
+rest unlabeled) is the mixture ``EpsilonMixture.certainty(eta)``, that is
+{(1, eta), (0, 1 - eta)}, for which q_v = eta + (1 - eta) F(q_u).  The
+collapsed approximation of a mixture replaces its label map by
+eps_bar_sq + (1 - eps_bar_sq) F(q_u): it is the certainty system at
+eta = eps_bar_sq, exact whenever every atom has eps**2 in {0, 1}.
 """
 
 from __future__ import annotations
@@ -34,14 +38,11 @@ from .kernel import _check_unit, _QuadraturePlan, channel_overlap
 
 __all__ = [
     "EpsilonMixture",
-    "ProblemParams",
     "OverlapSolution",
     "ConvergenceError",
     "qu_from_qv",
     "qv_from_qu",
     "solve_overlaps",
-    "solve_certainty",
-    "solve_approx",
     "sensitivity_ratio",
 ]
 
@@ -130,25 +131,6 @@ class EpsilonMixture:
 
 
 @dataclass(frozen=True)
-class ProblemParams:
-    """Everything the overlap system needs: SNR, sample ratio, confidence mixture.
-
-    ``c`` is the samples-per-dimension ratio n/p; ``lam`` the class separation
-    SNR ||mu||^2 of the centered ±mu mixture.
-    """
-
-    lam: float
-    c: float
-    mixture: EpsilonMixture
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", _check_nonneg(self.lam, "lam"))
-        object.__setattr__(self, "c", _check_positive(self.c, "c"))
-        if not isinstance(self.mixture, EpsilonMixture):
-            raise TypeError("mixture must be an EpsilonMixture")
-
-
-@dataclass(frozen=True)
 class OverlapSolution:
     """Solution of the overlap system with convergence diagnostics.
 
@@ -167,13 +149,16 @@ def qu_from_qv(lam: float, c: float, q_v: float) -> float:
     """Feature-overlap map q_u = lam^2 c q_v / (1 + lam c q_v).
 
     Valued in [0, lam), strictly increasing in q_v when lam > 0.  A bool
-    argument is rejected.
+    argument is rejected, and so is a (lam, c) pair whose lam * lam * c
+    overflows.
     """
     lam = _check_nonneg(lam, "lam")
     c = _check_positive(c, "c")
     q_v = _check_real(q_v, "q_v")
     if not -1e-12 <= q_v <= 1.0 + 1e-12:  # nan fails it too
         raise ValueError("q_v must lie in [0, 1]")
+    if not math.isfinite(lam * lam * c):
+        raise ValueError(f"lam * lam * c must be finite, got lam = {lam:g} and c = {c:g}")
     q_v = min(max(q_v, 0.0), 1.0)
     return lam * lam * c * q_v / (1.0 + lam * c * q_v)
 
@@ -224,10 +209,8 @@ def _secant_polish(defect, q0: float):
 
 
 def _solve_from(
-    params: ProblemParams, q_v0: float, tol: float, max_iter: int
+    lam: float, c: float, mixture: EpsilonMixture, q_v0: float, tol: float, max_iter: int
 ) -> OverlapSolution:
-    lam, c, mixture = params.lam, params.c, params.mixture
-
     def defect(q_v: float) -> float:
         return q_v - qv_from_qu(mixture, qu_from_qv(lam, c, q_v))
 
@@ -256,11 +239,14 @@ def _solve_from(
 
 
 def solve_overlaps(
-    params: ProblemParams,
+    lam: float,
+    c: float,
+    mixture: EpsilonMixture,
     tol: float = 1e-10,
     max_iter: int = 10000,
 ) -> OverlapSolution:
-    """Solve the coupled overlap system by damped alternating iteration.
+    """Solve the coupled overlap system at SNR ``lam``, sample ratio ``c``
+    and label-confidence ``mixture`` by damped alternating iteration.
 
     Runs from both q_v = 1 and q_v = max(eps_bar_sq, 1e-6) (the floor lets the
     iterate escape the uninformative point when it is unstable), polishes each
@@ -268,13 +254,15 @@ def solve_overlaps(
     converged solution with the larger q_u.  Raises ``ConvergenceError`` with
     the best iterate when no initialisation meets the residual tolerance.
     """
-    if not isinstance(params, ProblemParams):
-        raise TypeError("params must be a ProblemParams")
+    lam = _check_nonneg(lam, "lam")
+    c = _check_positive(c, "c")
+    if not isinstance(mixture, EpsilonMixture):
+        raise TypeError("mixture must be an EpsilonMixture")
     tol = _check_positive(tol, "tol")
     max_iter = _check_count(max_iter, "max_iter")
 
-    inits = (1.0, max(params.mixture.eps_bar_sq, 1e-6))
-    runs = [_solve_from(params, q_v0, tol, max_iter) for q_v0 in inits]
+    inits = (1.0, max(mixture.eps_bar_sq, 1e-6))
+    runs = [_solve_from(lam, c, mixture, q_v0, tol, max_iter) for q_v0 in inits]
     converged = [r for r in runs if r.converged]
     if not converged:
         best = min(runs, key=lambda r: r.residual)
@@ -284,25 +272,6 @@ def solve_overlaps(
             best,
         )
     return max(converged, key=lambda r: r.q_u)
-
-
-def solve_certainty(lam: float, c: float, eta: float) -> OverlapSolution:
-    """Certainty-labeled special case: mixture {(1, eta), (0, 1 - eta)},
-    solved by ``solve_overlaps`` at its default tolerance and iteration cap."""
-    return solve_overlaps(ProblemParams(lam=lam, c=c, mixture=EpsilonMixture.certainty(eta)))
-
-
-def solve_approx(params: ProblemParams) -> OverlapSolution:
-    """Approximate solve with the label map collapsed onto eps_bar_sq.
-
-    Replaces the mixture average by eps_bar_sq + (1 - eps_bar_sq) F(q_u),
-    i.e. the certainty system at eta = eps_bar_sq, solved as
-    ``solve_certainty`` solves it; exact whenever every atom has eps**2 in
-    {0, 1}.
-    """
-    if not isinstance(params, ProblemParams):
-        raise TypeError("params must be a ProblemParams")
-    return solve_certainty(params.lam, params.c, params.mixture.eps_bar_sq)
 
 
 def sensitivity_ratio(

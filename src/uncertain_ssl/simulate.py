@@ -206,15 +206,14 @@ def _dataset(draw, blocks) -> Dataset:
     mu, y, features, uniforms = draw
     n = y.size
     eps = np.zeros(n, dtype=float)
-    start = 0
+    start, cumulative = 0, 0.0
     for frac, kappa in blocks:
-        count = int(round(frac * n))
-        if start + count > n:
-            raise ValueError("labeling blocks exceed the sample count")
-        sl = slice(start, start + count)
+        cumulative += frac
+        end = min(round(cumulative * n), n)
+        sl = slice(start, end)
         report = np.where(uniforms[sl] < kappa, y[sl], -y[sl])
         eps[sl] = report * (2.0 * kappa - 1.0)
-        start += count
+        start = end
     return Dataset(features=features, truth_labels=y, label_eps=eps, truth_mean=mu)
 
 
@@ -222,10 +221,11 @@ def generate_dataset(p: int, n: int, lam: float, labeling, seed) -> Dataset:
     """Draw a balanced two-class Gaussian sample with block-wise labeling.
 
     ``labeling`` is a sequence of (fraction, kappa) blocks: consecutive index
-    ranges of round(fraction * n) samples each receive a reported class that
-    matches the truth with probability kappa in (0.5, 1], and the confidence
-    couple assigns probability kappa to the report, i.e.
-    eps = report * (2 kappa - 1).  Remaining samples stay unlabeled (eps = 0).
+    ranges, block i ending at min(round((f_1 + ... + f_i) n), n), each
+    receive a reported class that matches the truth with probability kappa
+    in (0.5, 1], and the confidence couple assigns probability kappa to the
+    report, i.e. eps = report * (2 kappa - 1).  Remaining samples stay
+    unlabeled (eps = 0); fractions that sum to 1 label every sample.
 
     The center is a uniformly random direction scaled to ||mu||^2 = lam, the
     ±1 truth is balanced (counts differ by at most one, the odd sample going
@@ -365,15 +365,16 @@ def _usable_cores() -> int:
 def _fresh_replicate(p, n, lam, labeling, t_max, stream) -> tuple:
     ds = generate_dataset(p, n, lam, labeling, seed=stream)
     oracle = classify_oracle(ds).error_unlabeled
+    sup = classify_supervised(ds).error_unlabeled
     semi = classify_semisupervised(ds, t_max=t_max).error_unlabeled
-    sup = classify_supervised(ds).error_unlabeled if ds.n_labeled > 0 else None
     return oracle, sup, semi
 
 
 def _fresh_replicate_errors(p, n, lam, labeling, seed, reps: int, t_max: int) -> list:
     """Per replicate r of (seed, r), in order: the unlabeled-sample errors
-    (oracle, supervised or None without labels, semi-supervised) on a fresh
-    draw.
+    (oracle, supervised, semi-supervised) on a fresh draw, each None when
+    the draw leaves no sample unlabeled.  A draw without a labeled sample
+    fails with the supervised classifier's ``SimulationError``.
 
     Replicates are independent and their numpy work releases the GIL, so they
     run on min(reps, usable cores) threads, each holding one replicate; the

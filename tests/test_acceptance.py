@@ -20,10 +20,8 @@ from uncertain_ssl.kernel import (
 )
 from uncertain_ssl.overlaps import (
     EpsilonMixture,
-    ProblemParams,
     qu_from_qv,
     sensitivity_ratio,
-    solve_certainty,
     solve_overlaps,
 )
 from uncertain_ssl.risk import (
@@ -96,15 +94,12 @@ def test_criterion_2_certainty_equivalence():
         for c in (0.5, 1.0, 5.0):
             for eta in (0.0, 0.2, 0.5, 1.0):
                 mixture = EpsilonMixture(atoms=((1.0, eta), (0.0, 1.0 - eta)))
-                solution = solve_overlaps(ProblemParams(lam=lam, c=c, mixture=mixture))
-                wrapper = solve_certainty(lam, c, eta)
+                solution = solve_overlaps(lam, c, mixture)
                 q_u_direct, q_v_direct = _certainty_oracle(lam, c, eta)
                 worst = max(
                     worst,
                     abs(solution.q_u - q_u_direct),
                     abs(solution.q_v - q_v_direct),
-                    abs(solution.q_u - wrapper.q_u),
-                    abs(solution.q_v - wrapper.q_v),
                 )
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 5.0
@@ -173,7 +168,7 @@ def test_criterion_6_theory_vs_simulation():
     at lam = 2, c = 1, n = p = 2000, 20% certain labels, 10 seeds, < 3 min."""
     start = time.perf_counter()
     lam, n, p, eta, seeds = 2.0, 2000, 2000, 0.2, 10
-    theory = bayes_risk(solve_certainty(lam, 1.0, eta).q_u)
+    theory = bayes_risk(solve_overlaps(lam, 1.0, EpsilonMixture.certainty(eta)).q_u)
     errors = []
     for r in range(seeds):
         ds = generate_dataset(p, n, lam, [(eta, 1.0)], seed=[1234, r])
@@ -232,7 +227,7 @@ def test_criterion_8_reduction_curve_laws():
 
     def bounds(lam: float, c: float) -> tuple[float, float]:
         e_sup = supervised_risk_theory(lam, c, eta)
-        e_semi = bayes_risk(solve_certainty(lam, c, eta).q_u)
+        e_semi = bayes_risk(solve_overlaps(lam, c, EpsilonMixture.certainty(eta)).q_u)
         e_orc = oracle_risk(lam)
         return (
             absolute_reduction(e_sup, e_semi),

@@ -268,6 +268,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.glob("out*")) == []
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("simulate", {"n": 40, "p": 10, "labeling": [], "reps": 2, "t_max": 5}),
+            # round(0.01 * 20) = 0 labeled samples per replicate
+            ("reduction", {"eta": 0.01, "p": 20, "lambdas": [1.0], "reps": 2, "t_max": 5}),
+        ],
+    )
+    def test_no_labeled_sample_exits_4(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out = tmp_path / "out.dat"
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "error: supervised classifier needs labeled samples\n"
+        assert "nan" not in captured.out
+        assert list(tmp_path.glob("out*")) == []
+
     def test_nonconvergence_exit(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",

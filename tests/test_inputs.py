@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import uncertain_ssl
-from uncertain_ssl import EpsilonMixture, ProblemParams, generate_dataset
+from uncertain_ssl import EpsilonMixture, generate_dataset
 from uncertain_ssl import kernel, overlaps, simulate
 
 # A bool entry of a list counts as a bool: numpy would read it as 1.0.
@@ -79,7 +79,7 @@ def _kw(**kwargs):
 
 
 def _solve_args():
-    return dict(params=ProblemParams(1.0, 1.0, _mixture()), tol=1e-10, max_iter=100)
+    return dict(lam=1.0, c=1.0, mixture=_mixture(), tol=1e-10, max_iter=100)
 
 
 # t = ±inf is in t's domain: the posterior mean and the integrands have
@@ -113,11 +113,11 @@ ROWS = [
     ),
     *rows("EpsilonMixture.certainty", _kw(eta=0.2), "eta"),
     *rows("EpsilonMixture.from_samples", _kw(eps_values=[0.5, 0.0]), (("eps_values",), "eps")),
-    *rows("ProblemParams", lambda: dict(lam=1.0, c=1.0, mixture=_mixture()), "lam", "c"),
     *rows("qu_from_qv", _kw(lam=1.0, c=1.0, q_v=0.5), "lam", "c", "q_v"),
     # q_u reaches the kernel's check of the channel SNR, which calls it q
     *rows("qv_from_qu", lambda: dict(mixture=_mixture(), q_u=0.5), (("q_u",), "q")),
-    *rows("solve_overlaps", _solve_args, "tol", "max_iter"),
+    *rows("solve_overlaps", _solve_args, "lam", "c", "tol", "max_iter"),
+    *rows("ProblemParams", lambda: dict(lam=1.0, c=1.0, mixture=_mixture()), "lam", "c"),
     *rows("solve_certainty", _kw(lam=1.0, c=1.0, eta=0.2), "lam", "c", "eta"),
     *rows(
         "sensitivity_ratio", _kw(lam=1.0, c=1.0, q_v=0.5, delta=0.01), "lam", "c", "q_v", "delta"
@@ -153,9 +153,20 @@ ROWS = [
     ),
 ]
 
+# Two entry points that the package no longer has, kept as rows under their
+# names: each is now the direct call that replaced it.  ProblemParams's lam
+# and c checks run at the top of solve_overlaps with its default tol and
+# max_iter; solve_certainty is solve_overlaps on EpsilonMixture.certainty(eta),
+# so a bad eta must stop there before the solver starts.
+FORMER = {
+    "ProblemParams": lambda lam, c, mixture: overlaps.solve_overlaps(lam, c, mixture),
+    "solve_certainty": lambda lam, c, eta: overlaps.solve_overlaps(
+        lam, c, EpsilonMixture.certainty(eta)
+    ),
+}
+
 # Parameters that take no number themselves.
 NOT_NUMERIC = {
-    "params": "a ProblemParams, whose lam and c have rows",
     "mixture": "an EpsilonMixture, whose atoms have rows",
     "ds": "a Dataset the library drew",
     "seed": "a numpy seed: an int, a sequence of ints, or None for fresh entropy; "
@@ -174,6 +185,8 @@ NO_CHECKED_INPUT = {
 
 
 def _resolve(name: str):
+    if name in FORMER:
+        return FORMER[name]
     obj = uncertain_ssl
     for part in name.split("."):
         obj = getattr(obj, part)
@@ -260,9 +273,27 @@ def test_every_numeric_parameter_has_a_row():
 
 
 def test_rows_name_public_callables_and_parameters():
-    public = _public_callables()
+    public = {**_public_callables(), **FORMER}
+    assert not FORMER.keys() & _public_callables().keys()
     for r in ROWS:
         assert r.path[0] in inspect.signature(public[r.name]).parameters, r
+
+
+def test_solve_overlaps_rejects_a_non_mixture_before_any_work(monkeypatch):
+    forbid_work(monkeypatch)
+    with pytest.raises(TypeError, match="^mixture must be an EpsilonMixture$"):
+        overlaps.solve_overlaps(1.0, 1.0, ((1.0, 0.2), (0.0, 0.8)))
+
+
+# lam and c each within the float range, but lam * lam * c past it: the
+# feature map names both rather than letting inf / inf reach the kernel.
+@pytest.mark.parametrize("lam, c", [(1e300, 1.0), (1e150, 1e10)], ids=["lam", "c"])
+def test_overflowing_feature_map_names_lam_and_c(lam, c):
+    message = r"^lam \* lam \* c must be finite, got lam = .+ and c = "
+    with pytest.raises(ValueError, match=message):
+        overlaps.qu_from_qv(lam, c, 0.5)
+    with pytest.raises(ValueError, match=message):
+        overlaps.solve_overlaps(lam, c, _mixture())
 
 
 def test_numpy_reals_and_0d_arrays_accepted():

@@ -15,12 +15,9 @@ from uncertain_ssl.kernel import channel_overlap
 from uncertain_ssl.overlaps import (
     ConvergenceError,
     EpsilonMixture,
-    ProblemParams,
     qu_from_qv,
     qv_from_qu,
     sensitivity_ratio,
-    solve_approx,
-    solve_certainty,
     solve_overlaps,
 )
 
@@ -202,20 +199,19 @@ class TestBatchedLabelOverlapMap:
 class TestSolveOverlaps:
     def test_no_signal_forces_zero_feature_overlap(self):
         mix = EpsilonMixture(atoms=((0.6, 0.5), (0.0, 0.5)))
-        solution = solve_overlaps(ProblemParams(lam=0.0, c=1.0, mixture=mix))
+        solution = solve_overlaps(0.0, 1.0, mix)
         assert solution.q_u == 0.0
         assert solution.q_v == pytest.approx(qv_from_qu(mix, 0.0), abs=1e-10)
         assert solution.q_v == pytest.approx(mix.eps_bar_sq, abs=1e-10)
 
     def test_pinned_label_overlap_closed_form(self):
-        solution = solve_certainty(0.25, 5.0, 1.0)
+        solution = solve_overlaps(0.25, 5.0, EpsilonMixture.certainty(1.0))
         assert solution.q_v == pytest.approx(1.0, abs=1e-12)
         assert solution.q_u == pytest.approx(0.25 * 1.25 / 2.25, abs=1e-12)
 
     def test_self_consistency_residual(self):
         mix = EpsilonMixture(atoms=((1.0, 0.2), (0.0, 0.8)))
-        params = ProblemParams(lam=1.0, c=1.0, mixture=mix)
-        solution = solve_overlaps(params)
+        solution = solve_overlaps(1.0, 1.0, mix)
         assert solution.converged
         assert abs(solution.q_u - qu_from_qv(1.0, 1.0, solution.q_v)) < 1e-9
         assert abs(solution.q_v - qv_from_qu(mix, solution.q_u)) < 1e-9
@@ -224,7 +220,7 @@ class TestSolveOverlaps:
         for lam in LAM_GRID:
             for c in C_GRID:
                 for eta in ETA_GRID:
-                    solution = solve_certainty(lam, c, eta)
+                    solution = solve_overlaps(lam, c, EpsilonMixture.certainty(eta))
                     assert solution.converged
                     assert solution.residual < 1e-10
                     # the label overlap can never fall below the mean
@@ -237,7 +233,7 @@ class TestSolveOverlaps:
         c_grid = (0.5, 1.0, 2.0, 5.0)
         eta_grid = (0.0, 0.2, 0.5, 1.0)
         q_u = {
-            (lam, c, eta): solve_certainty(lam, c, eta).q_u
+            (lam, c, eta): solve_overlaps(lam, c, EpsilonMixture.certainty(eta)).q_u
             for lam in lam_grid
             for c in c_grid
             for eta in eta_grid
@@ -262,18 +258,18 @@ class TestSolveOverlaps:
             raise AssertionError("iterated before max_iter was checked")
 
         monkeypatch.setattr(overlaps_module, "_solve_from", no_iteration)
-        params = ProblemParams(lam=2.0, c=1.0, mixture=EpsilonMixture.certainty(0.2))
         with pytest.raises(ValueError, match="max_iter must be an integer"):
-            solve_overlaps(params, max_iter=max_iter)
+            solve_overlaps(2.0, 1.0, EpsilonMixture.certainty(0.2), max_iter=max_iter)
 
     def test_numpy_integer_max_iter_accepted(self):
-        params = ProblemParams(lam=2.0, c=1.0, mixture=EpsilonMixture.certainty(0.2))
-        assert solve_overlaps(params, max_iter=np.int64(10000)) == solve_overlaps(params)
+        mix = EpsilonMixture.certainty(0.2)
+        assert solve_overlaps(2.0, 1.0, mix, max_iter=np.int64(10000)) == solve_overlaps(
+            2.0, 1.0, mix
+        )
 
     def test_non_convergence_carries_last_iterate(self):
-        params = ProblemParams(lam=2.0, c=1.0, mixture=EpsilonMixture.certainty(0.2))
         with pytest.raises(ConvergenceError) as info:
-            solve_overlaps(params, tol=1e-16, max_iter=2)
+            solve_overlaps(2.0, 1.0, EpsilonMixture.certainty(0.2), tol=1e-16, max_iter=2)
         assert info.value.last.iterations >= 1
         assert math.isfinite(info.value.last.q_v)
 
@@ -282,49 +278,53 @@ class TestSolveCertainty:
     def test_fully_labeled_closed_form(self):
         for lam in (0.5, 2.0):
             for c in (1.0, 3.0):
-                solution = solve_certainty(lam, c, 1.0)
+                solution = solve_overlaps(lam, c, EpsilonMixture.certainty(1.0))
                 assert solution.q_v == pytest.approx(1.0, abs=1e-12)
                 assert solution.q_u == pytest.approx(
                     lam * lam * c / (1.0 + lam * c), abs=1e-12
                 )
 
     def test_no_signal(self):
-        assert solve_certainty(0.0, 2.0, 0.4).q_u == 0.0
+        assert solve_overlaps(0.0, 2.0, EpsilonMixture.certainty(0.4)).q_u == 0.0
 
     def test_matches_general_solver_on_two_atom_mixture(self):
         mix = EpsilonMixture(atoms=((1.0, 0.2), (0.0, 0.8)))
-        general = solve_overlaps(ProblemParams(lam=2.0, c=1.0, mixture=mix))
-        special = solve_certainty(2.0, 1.0, 0.2)
+        general = solve_overlaps(2.0, 1.0, mix)
+        special = solve_overlaps(2.0, 1.0, EpsilonMixture.certainty(0.2))
         assert abs(general.q_u - special.q_u) < 1e-9
         assert abs(general.q_v - special.q_v) < 1e-9
 
     def test_matches_independent_root_finder(self):
         q_u, q_v = certainty_fixed_point_oracle(2.0, 1.0, 0.2)
-        solution = solve_certainty(2.0, 1.0, 0.2)
+        solution = solve_overlaps(2.0, 1.0, EpsilonMixture.certainty(0.2))
         assert abs(solution.q_u - q_u) < 1e-9
         assert abs(solution.q_v - q_v) < 1e-9
+
+
+def collapsed(lam, c, mixture):
+    """The collapsed approximation: the certainty system at eta = eps_bar_sq."""
+    return solve_overlaps(lam, c, EpsilonMixture.certainty(mixture.eps_bar_sq))
 
 
 class TestSolveApprox:
     def test_exact_for_certainty_style_mixtures(self):
         mix = EpsilonMixture(atoms=((1.0, 0.3), (0.0, 0.7)))
-        params = ProblemParams(lam=1.5, c=1.0, mixture=mix)
-        exact = solve_overlaps(params)
-        approx = solve_approx(params)
+        exact = solve_overlaps(1.5, 1.0, mix)
+        approx = collapsed(1.5, 1.0, mix)
         assert abs(exact.q_u - approx.q_u) < 1e-10
         assert abs(exact.q_v - approx.q_v) < 1e-10
 
     def test_exact_for_all_unlabeled(self):
-        params = ProblemParams(lam=1.0, c=5.0, mixture=EpsilonMixture(((0.0, 1.0),)))
-        assert abs(solve_overlaps(params).q_u - solve_approx(params).q_u) < 1e-10
+        mix = EpsilonMixture(((0.0, 1.0),))
+        assert abs(solve_overlaps(1.0, 5.0, mix).q_u - collapsed(1.0, 5.0, mix).q_u) < 1e-10
 
     def test_within_surrogate_budget_for_soft_labels(self):
         # The pointwise surrogate error (at most ~7.6% on the grid) amplifies
         # through the fixed point by 1/(1 - slope); at this worst point the
         # solved q_v gap is 8.69%, so the budget is 0.09, not the pointwise 0.08.
-        params = ProblemParams(lam=1.0, c=1.0, mixture=EpsilonMixture(((0.5, 1.0),)))
-        exact = solve_overlaps(params)
-        approx = solve_approx(params)
+        mix = EpsilonMixture(((0.5, 1.0),))
+        exact = solve_overlaps(1.0, 1.0, mix)
+        approx = collapsed(1.0, 1.0, mix)
         rel_v = abs(approx.q_v - exact.q_v) / exact.q_v
         rel_u = abs(approx.q_u - exact.q_u) / exact.q_u
         assert rel_v <= 0.09

@@ -6,16 +6,21 @@ defines it, unless ``USED_ONLY_BY_READERS`` gives it a reason.  Every
 property of an exported class is read by the package or the demos.  Every
 parameter with a default, of every exported function, is passed by some call
 there outside its module.  No module of the package or the demos imports a
-name it never uses.
+name it never uses.  Every name the README spells in inline code as
+``module.name``, or as a bare API-style name, is one the package has.
 """
 
 import ast
+import builtins
+import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 import uncertain_ssl
+from uncertain_ssl import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "uncertain_ssl"
@@ -182,3 +187,69 @@ def test_no_unused_import(path):
     tree = TREES[path]
     unused = _imported_names(tree) - USED[path] - _exported(tree)
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+# Last parts that make a dotted span a file name, like `usefulness.dat`.
+FILE_SUFFIXES = {"dat", "json"}
+
+
+def _readme_spans() -> list[str]:
+    """The README's inline code spans, its fenced blocks left out."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    return re.findall(r"`([^`\n]+)`", text)
+
+
+def _lookup(dotted: str):
+    """The object a dotted name under the package names; AttributeError if none."""
+    head, *rest = dotted.split(".")
+    if head in MODULES:
+        obj = importlib.import_module(f"uncertain_ssl.{head}")
+    else:
+        obj = getattr(uncertain_ssl, head)
+    for part in rest:
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_readme_dotted_references_resolve():
+    # a span that starts with a package module or an exported name, such as
+    # `kernel.DEFAULT_RULE` or `EpsilonMixture.from_samples(ds.label_eps)`
+    missing = []
+    for span in _readme_spans():
+        match = re.match(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)
+        if match is None:
+            continue
+        parts = match.group().split(".")
+        if parts[0] not in MODULES | set(uncertain_ssl.__all__) or parts[-1] in FILE_SUFFIXES:
+            continue
+        try:
+            _lookup(match.group())
+        except AttributeError:
+            missing.append(match.group())
+    assert missing == []
+
+
+def _package_words() -> set[str]:
+    """Every exported name, attribute or field of an exported class,
+    parameter of an exported function and config key of a command, and every
+    builtin."""
+    words = set(uncertain_ssl.__all__) | set(dir(builtins))
+    for name in uncertain_ssl.__all__:
+        obj = getattr(uncertain_ssl, name)
+        if inspect.isclass(obj):
+            words |= set(dir(obj)) | set(getattr(obj, "__dataclass_fields__", ()))
+        elif callable(obj):
+            words |= set(inspect.signature(obj).parameters)
+    for command in cli._COMMANDS.values():
+        words |= set(command.defaults)
+    return words
+
+
+def test_readme_names_are_package_names():
+    # a bare span written like an API name: snake_case with an underscore,
+    # or a capitalised CamelCase word such as `EpsilonMixture`
+    api_like = re.compile(r"[A-Za-z]\w*_\w*|[A-Z][a-z]\w*")
+    words = _package_words()
+    unknown = [s for s in _readme_spans() if api_like.fullmatch(s) and s not in words]
+    assert unknown == []

@@ -5,14 +5,7 @@ equal-information equivalence between labeling settings."""
 import numpy as np
 import pytest
 
-from uncertain_ssl.overlaps import (
-    EpsilonMixture,
-    ProblemParams,
-    qu_from_qv,
-    solve_approx,
-    solve_certainty,
-    solve_overlaps,
-)
+from uncertain_ssl.overlaps import EpsilonMixture, qu_from_qv, solve_overlaps
 from uncertain_ssl.risk import (
     InfeasibilityError,
     absolute_reduction,
@@ -59,7 +52,7 @@ class TestOracleRisk:
 
     def test_lower_bounds_bayes_risk_at_finite_ratio(self):
         for lam in (0.25, 1.0, 2.0, 4.0):
-            solution = solve_certainty(lam, 1.0, 0.3)
+            solution = solve_overlaps(lam, 1.0, EpsilonMixture.certainty(0.3))
             assert oracle_risk(lam) <= bayes_risk(solution.q_u)
 
 
@@ -161,7 +154,7 @@ class TestSupervisedRiskTheory:
     def test_never_beats_semisupervised(self):
         for lam in (0.5, 1.0, 2.0):
             for c in (0.5, 1.0, 5.0):
-                semi = bayes_risk(solve_certainty(lam, c, 0.2).q_u)
+                semi = bayes_risk(solve_overlaps(lam, c, EpsilonMixture.certainty(0.2)).q_u)
                 assert supervised_risk_theory(lam, c, 0.2) >= semi - 1e-12
 
 
@@ -169,8 +162,7 @@ class TestRiskReport:
     """The risks the ``solve`` command reports next to a solved overlap pair."""
 
     def test_invariant_ordering(self):
-        params = ProblemParams(lam=2.0, c=1.0, mixture=EpsilonMixture.certainty(0.2))
-        solution = solve_overlaps(params)
+        solution = solve_overlaps(2.0, 1.0, EpsilonMixture.certainty(0.2))
         assert oracle_risk(2.0) <= bayes_risk(solution.q_u) <= 0.5
         assert 0.0 <= usefulness(solution.q_u) <= 1.0
 
@@ -189,16 +181,17 @@ class TestEquivalenceOfSettings:
     def test_collapsed_solver_identical(self):
         for lam in (0.5, 1.0, 2.0):
             for c in (0.5, 1.0, 5.0):
-                sol_a = solve_approx(ProblemParams(lam=lam, c=c, mixture=self.MIX_A))
-                sol_b = solve_approx(ProblemParams(lam=lam, c=c, mixture=self.MIX_B))
+                # the collapsed solve is the certainty system at eta = eps_bar_sq
+                sol_a = solve_overlaps(lam, c, EpsilonMixture.certainty(self.MIX_A.eps_bar_sq))
+                sol_b = solve_overlaps(lam, c, EpsilonMixture.certainty(self.MIX_B.eps_bar_sq))
                 assert sol_a.q_u == sol_b.q_u
                 assert sol_a.q_v == sol_b.q_v
 
     def test_exact_solver_within_propagated_budget(self):
         for lam in (0.5, 1.0, 2.0):
             for c in (0.5, 1.0, 5.0):
-                sol_a = solve_overlaps(ProblemParams(lam=lam, c=c, mixture=self.MIX_A))
-                sol_b = solve_overlaps(ProblemParams(lam=lam, c=c, mixture=self.MIX_B))
+                sol_a = solve_overlaps(lam, c, self.MIX_A)
+                sol_b = solve_overlaps(lam, c, self.MIX_B)
                 rel_v = abs(sol_a.q_v - sol_b.q_v) / sol_a.q_v
                 rel_u = abs(sol_a.q_u - sol_b.q_u) / sol_a.q_u
                 risk_gap = abs(bayes_risk(sol_a.q_u) - bayes_risk(sol_b.q_u))

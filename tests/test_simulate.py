@@ -98,6 +98,16 @@ class TestGenerateDataset:
             h.update(getattr(ds, field).tobytes())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "n, confidences", [(3, [1.0, 1.0, 0.5]), (5, [1.0, 1.0, 0.5, 0.5, 0.5])]
+    )
+    def test_blocks_summing_to_one_label_every_sample(self, n, confidences):
+        # block i ends at round of the running fraction times n, so the
+        # halves of an odd n split 2 + 1 and 2 + 3 with none left over
+        ds = generate_dataset(2, n, 1.0, [(0.5, 1.0), (0.5, 0.75)], seed=0)
+        assert ds.n_labeled == n
+        assert np.abs(ds.label_eps).tolist() == confidences
+
     def test_empty_labeling(self):
         ds = generate_dataset(5, 100, 1.0, [], seed=1)
         assert ds.n_labeled == 0
