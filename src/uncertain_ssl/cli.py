@@ -78,6 +78,8 @@ class CliError(Exception):
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most cells; %-formatting gives format()'s text, faster
+        return "%.12g" % value
     if isinstance(value, (bool, np.bool_)):
         raise TypeError("boolean table cells are not supported")
     if isinstance(value, (int, np.integer)):
@@ -102,7 +104,7 @@ def _write_text(path: str, text: str) -> None:
 def _table_text(header: list[str], rows, break_after: set[int] | None = None) -> str:
     lines = [" ".join(header)]
     for index, row in enumerate(rows):
-        lines.append(" ".join(_fmt(v) for v in row))
+        lines.append(" ".join(map(_fmt, row)))
         if break_after and index in break_after:
             lines.append("")
     return "\n".join(lines) + "\n"
@@ -264,9 +266,9 @@ def cmd_approx_error(cfg: dict) -> dict[str, str]:
     surface = approx_error_grid(eps_grid, q_grid)
     rows = []
     breaks = set()
-    for i, eps in enumerate(eps_grid):
-        for j, q in enumerate(q_grid):
-            rows.append([eps, q, surface[i, j]])
+    q_list = q_grid.tolist()
+    for eps, errs in zip(eps_grid.tolist(), surface.tolist()):
+        rows.extend([eps, q, err] for q, err in zip(q_list, errs))
         breaks.add(len(rows) - 1)
     return {"": _table_text(["eps", "q", "err"], rows, break_after=breaks)}
 

@@ -15,7 +15,9 @@ solves it from (lam, c, mixture): it iterates the damped pair of maps from
 two initialisations (q_v = 1 and q_v = max(eps_bar_sq, 1e-6), the mixture's
 mean squared confidence floored at 1e-6), polishes each end point with a
 secant refinement of the scalar defect, and returns the converged solution
-with the larger q_u.
+with the larger q_u.  It checks lam, c and the finiteness of lam * lam * c
+once, before iterating; ``qu_from_qv``, ``sensitivity_ratio`` and the
+solver's iterations share one private copy of the feature map.
 
 The classical certainty-labeled system (a fraction eta of hard labels, the
 rest unlabeled) is the mixture ``EpsilonMixture.certainty(eta)``, that is
@@ -145,6 +147,19 @@ class OverlapSolution:
     converged: bool
 
 
+def _check_gain(lam: float, c: float) -> None:
+    """Reject a checked (lam, c) pair whose lam * lam * c overflows, so that
+    inf / inf never reaches the feature map."""
+    if not math.isfinite(lam * lam * c):
+        raise ValueError(f"lam * lam * c must be finite, got lam = {lam:g} and c = {c:g}")
+
+
+def _feature_map(lam: float, c: float, q_v: float) -> float:
+    """q_u = lam^2 c q_v / (1 + lam c q_v) at a (lam, c) pair that passed
+    ``_check_gain``; the one copy of the formula."""
+    return lam * lam * c * q_v / (1.0 + lam * c * q_v)
+
+
 def qu_from_qv(lam: float, c: float, q_v: float) -> float:
     """Feature-overlap map q_u = lam^2 c q_v / (1 + lam c q_v).
 
@@ -157,10 +172,8 @@ def qu_from_qv(lam: float, c: float, q_v: float) -> float:
     q_v = _check_real(q_v, "q_v")
     if not -1e-12 <= q_v <= 1.0 + 1e-12:  # nan fails it too
         raise ValueError("q_v must lie in [0, 1]")
-    if not math.isfinite(lam * lam * c):
-        raise ValueError(f"lam * lam * c must be finite, got lam = {lam:g} and c = {c:g}")
-    q_v = min(max(q_v, 0.0), 1.0)
-    return lam * lam * c * q_v / (1.0 + lam * c * q_v)
+    _check_gain(lam, c)
+    return _feature_map(lam, c, min(max(q_v, 0.0), 1.0))
 
 
 def qv_from_qu(mixture: EpsilonMixture, q_u: float) -> float:
@@ -168,13 +181,14 @@ def qv_from_qu(mixture: EpsilonMixture, q_u: float) -> float:
 
     One kernel call on the mixture's quadrature plan, built on its first
     evaluation, gives every atom's overlap with the bits of the call on its
-    eps array: each distinct eps**2 is tabulated once and eps**2 = 1 costs
-    no row.  The weighted terms are summed as Python floats in atom order.
+    eps array: each distinct eps**2 is evaluated once, and eps**2 in {0, 1}
+    costs no table row.  The weighted terms are summed as Python floats in
+    atom order.
     """
     if not isinstance(mixture, EpsilonMixture):
         raise TypeError("mixture must be an EpsilonMixture")
     w = mixture._arrays[1]
-    return float(sum((w * channel_overlap(mixture._label_plan, q_u)).tolist()))
+    return sum((w * channel_overlap(mixture._label_plan, q_u)).tolist())
 
 
 def _secant_polish(defect, q0: float):
@@ -211,13 +225,15 @@ def _secant_polish(defect, q0: float):
 def _solve_from(
     lam: float, c: float, mixture: EpsilonMixture, q_v0: float, tol: float, max_iter: int
 ) -> OverlapSolution:
-    def defect(q_v: float) -> float:
-        return q_v - qv_from_qu(mixture, qu_from_qv(lam, c, q_v))
+    def defect(q_v: float) -> float:  # the polish keeps q_v in [0, 1]
+        return q_v - qv_from_qu(mixture, _feature_map(lam, c, q_v))
 
     q_v = q_v0
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        target = qv_from_qu(mixture, qu_from_qv(lam, c, q_v))
+        # q_v stays >= 0, but the label map's rounding can carry it just past
+        # 1, where qu_from_qv would clamp it; so does the conditional.
+        target = qv_from_qu(mixture, _feature_map(lam, c, q_v if q_v < 1.0 else 1.0))
         if abs(target - q_v) < tol:
             break
         q_v = q_v + 0.5 * (target - q_v)  # damped: halfway to the map's value
@@ -227,7 +243,7 @@ def _solve_from(
         # polished iterate this small means no larger root exists (at the
         # marginal slope the double root defeats any residual tolerance).
         q_v = 0.0
-    q_u = qu_from_qv(lam, c, q_v)
+    q_u = _feature_map(lam, c, q_v)
     residual = abs(q_v - qv_from_qu(mixture, q_u))
     return OverlapSolution(
         q_u=q_u,
@@ -260,6 +276,7 @@ def solve_overlaps(
         raise TypeError("mixture must be an EpsilonMixture")
     tol = _check_positive(tol, "tol")
     max_iter = _check_count(max_iter, "max_iter")
+    _check_gain(lam, c)
 
     inits = (1.0, max(mixture.eps_bar_sq, 1e-6))
     runs = [_solve_from(lam, c, mixture, q_v0, tol, max_iter) for q_v0 in inits]
@@ -283,7 +300,8 @@ def sensitivity_ratio(
     relative changes by the factor 1/(1 + lam c q_v), which is also the limit
     of the ratio of the two components as delta -> 0.  The perturbed point
     q_v + delta probes the map itself and may exceed 1 by the perturbation
-    (the map extends smoothly past the physical range).
+    (the map extends smoothly past the physical range).  A (lam, c) pair
+    whose lam * lam * c overflows is rejected, as by ``qu_from_qv``.
     """
     lam = _check_nonneg(lam, "lam")
     c = _check_positive(c, "c")
@@ -291,12 +309,9 @@ def sensitivity_ratio(
     delta = _check_real(delta, "delta")
     if not math.isfinite(delta) or q_v + delta <= 0.0:
         raise ValueError("delta must be finite, and the perturbed point q_v + delta positive")
-
-    def q_u_map(value: float) -> float:
-        return lam * lam * c * value / (1.0 + lam * c * value)
-
-    q_u = q_u_map(q_v)
-    d_qu = q_u_map(q_v + delta) - q_u
+    _check_gain(lam, c)
+    q_u = _feature_map(lam, c, q_v)
+    d_qu = _feature_map(lam, c, q_v + delta) - q_u
     rel_v = abs(delta) / q_v
     rel_u = abs(d_qu) / q_u if q_u > 0.0 else 0.0
     return rel_u, rel_v

@@ -28,7 +28,6 @@ import functools
 import math
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -382,7 +381,11 @@ def _fresh_replicate_errors(p, n, lam, labeling, seed, reps: int, t_max: int) ->
     thread is in flight and each stream is built when its replicate is
     submitted, so only the list of results grows with ``reps``.  A failing
     replicate raises as in a serial loop: the first in replicate order.
+    ``concurrent.futures`` is imported here, as in ``_replicate_pool``, to
+    keep it and ``logging`` off every command's start-up.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     run = functools.partial(_fresh_replicate, p, n, lam, labeling, t_max)
     streams = (_rep_stream(seed, r) for r in range(reps))
     workers = min(reps, _usable_cores())

@@ -602,11 +602,12 @@ class TestStartup:
         assert done.stdout.splitlines()[-1] == "[]"
 
     def test_import_loads_no_process_pool(self):
-        # The labeled-count search imports its process pool when it runs.
+        # The labeled-count search imports its process pool, and the fresh
+        # replicates their thread pool, when they run.
         script = (
             "import sys\n"
             "import uncertain_ssl.cli\n"
-            "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+            "pool = ('multiprocessing', 'concurrent')\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in pool or m in pool))\n"
         )
         paths = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]

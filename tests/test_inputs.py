@@ -294,6 +294,8 @@ def test_overflowing_feature_map_names_lam_and_c(lam, c):
         overlaps.qu_from_qv(lam, c, 0.5)
     with pytest.raises(ValueError, match=message):
         overlaps.solve_overlaps(lam, c, _mixture())
+    with pytest.raises(ValueError, match=message):
+        overlaps.sensitivity_ratio(lam, c, 0.5, 0.01)
 
 
 def test_numpy_reals_and_0d_arrays_accepted():

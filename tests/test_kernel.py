@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+import uncertain_ssl.kernel as kernel_module
 from uncertain_ssl.kernel import (
     DEFAULT_RULE,
     _posterior_mean_at,
@@ -334,6 +335,14 @@ class TestChannelOverlapBatched:
             channel_overlap(np.array(bad), 1.0)
 
 
+INTEGRANDS = [
+    (channel_overlap, _psi_ratio, _psi_from_tanh),
+    (channel_overlap_approx, _psi_tilde_sum, _psi_tilde_from_tanh),
+]
+# Rows per tabulated block.
+BLOCK = kernel_module._TABLE_BLOCK_CELLS // len(DEFAULT_RULE)
+
+
 class TestQuadraturePlan:
     """The plan reads eps**2 in {0, 1} without a table row and tabulates each
     other distinct eps**2 once, with the bits of the per-eps reference."""
@@ -345,17 +354,10 @@ class TestQuadraturePlan:
         assert _psi_from_tanh(0.0, th).tobytes() == th.tobytes()
         assert _psi_tilde_from_tanh(0.0, th).tobytes() == th.tobytes()
 
-    @pytest.mark.parametrize("q", [0.0, 1e-9, 0.37, 2.0, 40.0])
-    @pytest.mark.parametrize(
-        "overlap, integrand, reference",
-        [
-            (channel_overlap, _psi_ratio, _psi_from_tanh),
-            (channel_overlap_approx, _psi_tilde_sum, _psi_tilde_from_tanh),
-        ],
-    )
-    def test_equals_the_per_eps_dot_loop(self, overlap, integrand, reference, q):
-        soft = np.random.default_rng(14).uniform(-1.0, 1.0, 50)
-        eps = np.concatenate([[-1.0, 0.0, 1.0, -0.0], soft, -soft, soft[:10], [0.0, -1.0]])
+    @staticmethod
+    def per_eps_dot_loop(reference, eps, q):
+        """The reference: one plain 1-d weights @ integrand product per eps,
+        clamped at eps**2, with eps**2 returned as is at q = 0 and |eps| = 1."""
         th = np.tanh(q + math.sqrt(q) * DEFAULT_RULE.nodes)
         expected = []
         for e in eps:
@@ -364,10 +366,34 @@ class TestQuadraturePlan:
                 expected.append(e2)
             else:
                 expected.append(max(float(DEFAULT_RULE.weights @ reference(e2, th)), e2))
+        return expected
+
+    @pytest.mark.parametrize("q", [0.0, 1e-9, 0.37, 2.0, 40.0])
+    @pytest.mark.parametrize("overlap, integrand, reference", INTEGRANDS)
+    def test_equals_the_per_eps_dot_loop(self, overlap, integrand, reference, q):
+        soft = np.random.default_rng(14).uniform(-1.0, 1.0, 50)
+        eps = np.concatenate([[-1.0, 0.0, 1.0, -0.0], soft, -soft, soft[:10], [0.0, -1.0]])
+        expected = self.per_eps_dot_loop(reference, eps, q)
         plan = _QuadraturePlan(eps)
-        assert plan(integrand, q).tolist() == expected
+        assert plan(integrand, q)[plan.index].tolist() == expected
         assert overlap(plan, q).tolist() == expected
         assert overlap(eps, q).tolist() == expected
+
+    @pytest.mark.parametrize("q", [0.0, 1e-9, 0.37, 40.0])
+    @pytest.mark.parametrize("overlap, integrand, reference", INTEGRANDS)
+    @pytest.mark.parametrize("tabulated", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_every_block_split_keeps_the_bits(self, overlap, integrand, reference, q, tabulated):
+        # Level counts on each side of the block size, with and without the
+        # untabulated levels 0 and 1, and with levels shared by +eps and -eps.
+        soft = np.linspace(0.05, 0.95, tabulated)
+        for ends in ([], [0.0, -1.0], [1.0, -0.0, 0.0]):
+            eps = np.concatenate([soft, ends, -soft[::3]])
+            plan = _QuadraturePlan(eps)
+            values = plan(integrand, q)
+            assert values.size == tabulated + len({e * e for e in ends})
+            expected = self.per_eps_dot_loop(reference, eps, q)
+            assert values[plan.index].tolist() == expected
+            assert overlap(plan, q).tolist() == expected
 
     @pytest.mark.parametrize("eps", [0.3, -1.0, np.array([[0.5, -0.5], [0.0, 1.0]]), np.array([])])
     def test_plan_in_place_of_eps(self, eps):

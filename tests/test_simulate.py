@@ -2,6 +2,7 @@
 scalar channel lemma against quadrature, classifier calibration against known
 error levels, and the labeled-count search protocol."""
 
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -656,12 +657,13 @@ class TestFreshReplicates:
     def pool_sizes(self, monkeypatch):
         sizes = []
 
-        class RecordingPool(simulate.ThreadPoolExecutor):
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+        # simulate imports the pool class when a run starts, from here.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         return sizes
 
     def each_core_set(self, monkeypatch):
