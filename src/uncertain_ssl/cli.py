@@ -328,23 +328,15 @@ def cmd_labeled_needed(cfg: dict) -> dict[str, str]:
     }
 
 
-def _empirical_reduction(p, n, lam, eta, kappa, seed_parts, reps, t_max):
-    errors = _fresh_replicate_errors(p, n, lam, [(eta, kappa)], seed_parts, reps, t_max)
-    oracles, sups, semis = zip(*errors)
-    if None in oracles:
-        raise SimulationError("reduction needs unlabeled samples to score")
-    e_sup = float(np.mean(sups))
-    e_semi = float(np.mean(semis))
-    e_oracle = float(np.mean(oracles))
-    try:
-        algo_abs = absolute_reduction(e_sup, e_semi)
-    except ValueError:
-        algo_abs = float("nan")
-    try:
-        algo_oracle = oracle_relative_reduction(e_sup, e_semi, e_oracle)
-    except ValueError:
-        algo_oracle = float("nan")
-    return algo_abs, algo_oracle
+def _check_increasing(name: str, values: list) -> None:
+    if not values or any(b <= a for a, b in zip(values, values[1:])):
+        raise CliError(f"{name} must be nonempty and strictly increasing")
+
+
+def _mean_errors(errors: list) -> list:
+    """Per point of a ``_fresh_replicate_errors`` result, the replicate means
+    (oracle, supervised, semi-supervised) of the unlabeled-sample errors."""
+    return [tuple(float(np.mean(column)) for column in zip(*point)) for point in errors]
 
 
 def cmd_reduction(cfg: dict) -> dict[str, str]:
@@ -357,33 +349,43 @@ def cmd_reduction(cfg: dict) -> dict[str, str]:
     reps = int(cfg["reps"])
     t_max = int(cfg["t_max"])
     seed = int(cfg["seed"])
+    key, x_name = ("lambdas", "lambda") if sweep == "lambda" else ("cs", "alpha")
+    values = [float(v) for v in cfg[key]]
+    _check_increasing(key, values)
     if sweep == "lambda":
-        values = [float(v) for v in cfg["lambdas"]]
-        fixed_c = float(cfg["c"])
-        points = [(lam, fixed_c) for lam in values]
-        x_name = "lambda"
+        points = [(lam, float(cfg["c"])) for lam in values]
     else:
-        values = [float(v) for v in cfg["cs"]]
-        fixed_lam = float(cfg["lambda"])
-        points = [(fixed_lam, c) for c in values]
-        x_name = "alpha"
-    if not values or any(b <= a for a, b in zip(values, values[1:])):
-        raise CliError("sweep grid must be nonempty and strictly increasing")
+        points = [(float(cfg["lambda"]), c) for c in values]
     largest_n = max(int(round(c * p)) for _, c in points)
     _check_replicate_cells(p * largest_n, "a replicate (p x largest n)")
 
-    rows = []
-    for index, (lam, c) in enumerate(points):
-        n = int(round(c * p))
+    # Every point's theory first, so that a bad sweep value fails before any draw.
+    bounds = []
+    for lam, c in points:
         e_sup_th = supervised_risk_theory(lam, c, eta)
         e_semi_th = bayes_risk(solve_overlaps(lam, c, EpsilonMixture.certainty(eta)).q_u)
         e_oracle_th = oracle_risk(lam)
-        bound_abs = absolute_reduction(e_sup_th, e_semi_th)
-        bound_oracle = oracle_relative_reduction(e_sup_th, e_semi_th, e_oracle_th)
-        algo_abs, algo_oracle = _empirical_reduction(
-            p, n, lam, eta, kappa, [seed, index], reps, t_max
-        )
-        rows.append([values[index], algo_abs, algo_oracle, bound_abs, bound_oracle])
+        bounds.append((
+            absolute_reduction(e_sup_th, e_semi_th),
+            oracle_relative_reduction(e_sup_th, e_semi_th, e_oracle_th),
+        ))
+    draws = [
+        (p, int(round(c * p)), lam, [(eta, kappa)], [seed, index])
+        for index, (lam, c) in enumerate(points)
+    ]
+    errors = _fresh_replicate_errors(draws, reps, t_max)
+
+    rows = []
+    for x, bound, (e_oracle, e_sup, e_semi) in zip(values, bounds, _mean_errors(errors)):
+        try:
+            algo_abs = absolute_reduction(e_sup, e_semi)
+        except ValueError:
+            algo_abs = float("nan")
+        try:
+            algo_oracle = oracle_relative_reduction(e_sup, e_semi, e_oracle)
+        except ValueError:
+            algo_oracle = float("nan")
+        rows.append([x, algo_abs, algo_oracle, *bound])
     header = [x_name, "algo_abs", "algo_oracle", "bound_abs", "bound_oracle"]
     return {"": _table_text(header, rows)}
 
@@ -403,13 +405,8 @@ def cmd_simulate(cfg: dict) -> dict[str, str]:
     risk_th = bayes_risk(solution.q_u)
     oracle_th = oracle_risk(lam)
 
-    errors = _fresh_replicate_errors(p, n, lam, labeling, seed, reps, t_max)
-    oracle_err, sup_err, semi_err = zip(*errors)
-    if None in oracle_err:
-        raise SimulationError("simulate needs unlabeled samples to score")
-    e_oracle = float(np.mean(oracle_err))
-    e_semi = float(np.mean(semi_err))
-    e_sup = float(np.mean(sup_err))
+    errors = _fresh_replicate_errors([(p, n, lam, labeling, seed)], reps, t_max)
+    [(e_oracle, e_sup, e_semi)] = _mean_errors(errors)
 
     header = [
         "error_oracle",
@@ -439,9 +436,8 @@ def cmd_simulate(cfg: dict) -> dict[str, str]:
 def cmd_channel_check(cfg: dict) -> dict[str, str]:
     eps_values = [float(e) for e in cfg["eps_values"]]
     q_values = [float(q) for q in cfg["q_values"]]
-    for name, grid in (("eps_values", eps_values), ("q_values", q_values)):
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise CliError(f"{name} must be nonempty and strictly increasing")
+    _check_increasing("eps_values", eps_values)
+    _check_increasing("q_values", q_values)
     trials = int(cfg["trials"])
     seed = int(cfg["seed"])
     _check_replicate_cells(trials, "each channel draw (trials)")

@@ -7,7 +7,9 @@ broadcasting is natural).  The building blocks:
                          standard library's ``math.erfc`` (within 1e-14
                          relative of ``scipy.special.erfc`` on [-8.5, 8.5]),
 - ``posterior_mean``     MMSE estimate of a ±1 signal with prior mean eps
-                         observed through a Gaussian channel,
+                         observed through a Gaussian channel, by the one
+                         fixed-prior form ``_posterior_mean_at`` that the
+                         classifier also calls,
 - ``overlap_integrand``  the scalar function whose Gaussian average gives the
                          signal/estimate alignment of that channel,
 - ``channel_overlap``    that alignment F_eps(q) as a function of the channel
@@ -15,14 +17,15 @@ broadcasting is natural).  The building blocks:
                          rule ``DEFAULT_RULE`` for one eps or a whole array
                          of eps at once,
 - ``channel_overlap_approx`` the simplified surrogate that keeps only the
-                         eps**2 dependence, exact at eps in {0, ±1}.
+                         eps**2 dependence, eps**2 + (1 - eps**2) F_0(q),
+                         exact at eps in {0, ±1}.
 
-Both overlaps run through one quadrature plan per eps array
+``channel_overlap`` runs through one quadrature plan per eps array
 (``_QuadraturePlan``): it checks eps and finds the distinct eps**2 levels
 once.  An evaluation gives each level its value and nothing more: eps**2 = 1
 is 1, eps**2 = 0 is one dot product of tanh with the weights, and every
 other level is tabulated once, in blocks of rows small enough to stay in
-cache.  Either overlap accepts a plan in place of its eps array, so the
+cache.  ``channel_overlap`` accepts a plan in place of its eps array, so the
 overlap system's label map keeps one plan per mixture and passes it at
 every q.
 
@@ -224,9 +227,10 @@ def posterior_mean(eps, t):
     Monotone nondecreasing in t, valued in [-1, 1], with the odd symmetry
     f_eps(-t) = -f_{-eps}(t).  The degenerate priors eps = ±1 pin the
     estimate at ±1 for every t (returned exactly, bypassing the 0/0 ratio at
-    saturated tanh).
+    saturated tanh).  eps and t broadcast against each other.
     """
-    return _posterior_mean(_check_eps(eps), _check_reals(t, "t", finite=False))
+    out = _posterior_mean_at(_check_eps(eps))(_check_reals(t, "t", finite=False))
+    return float(out) if out.ndim == 0 else out
 
 
 def _posterior_ratio(e, th):
@@ -234,34 +238,23 @@ def _posterior_ratio(e, th):
     return (th + e) / (1.0 + e * th)
 
 
-def _posterior_mean(e, t):
-    """``posterior_mean`` for an eps already checked to lie in [-1, 1]."""
-    th = np.tanh(t)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = _posterior_ratio(e, th)
-    out = np.where(e == 1.0, 1.0, out)
-    out = np.where(e == -1.0, -1.0, out)
-    return float(out) if out.ndim == 0 else out
-
-
 def _posterior_mean_at(e: np.ndarray):
-    """``_posterior_mean`` at a fixed checked 1-D eps array, as a function of
-    a t array of the same shape, equal to it bit for bit.
+    """The posterior mean at a checked eps array, as a function of a t array
+    that broadcasts against it; the one copy of the denoiser.
 
-    The pinned priors eps = ±1 are located once.  Without them the
+    The pinned priors eps = ±1 are located once, on ``e`` as given, and one
+    masked copy of ``e`` broadcasts them into the result.  Without them the
     denominator 1 + eps tanh t stays positive, so the ratio needs neither the
     error state nor the pinning.
     """
-    plus = np.flatnonzero(e == 1.0)
-    minus = np.flatnonzero(e == -1.0)
-    if plus.size == 0 and minus.size == 0:
+    pins = np.abs(e) == 1.0
+    if not pins.any():
         return lambda t: _posterior_ratio(e, np.tanh(t))
 
     def pinned(t):
         with np.errstate(invalid="ignore", divide="ignore"):
-            out = _posterior_ratio(e, np.tanh(t))
-        out[plus] = 1.0
-        out[minus] = -1.0
+            out = np.asarray(_posterior_ratio(e, np.tanh(t)))
+        np.copyto(out, e, where=pins)
         return out
 
     return pinned
@@ -270,11 +263,6 @@ def _posterior_mean_at(e: np.ndarray):
 def _psi_ratio(e2, th):
     """Overlap integrand at eps**2 < 1, where 1 - eps**2 tanh**2 >= 1 - eps**2 > 0."""
     return (th + e2 * (1.0 - th - th * th)) / (1.0 - e2 * th * th)
-
-
-def _psi_tilde_sum(e2, th):
-    """Simplified integrand at eps**2 < 1."""
-    return th + e2 * (1.0 - th)
 
 
 def _psi_from_tanh(e2, th):
@@ -286,7 +274,7 @@ def _psi_from_tanh(e2, th):
 
 def _psi_tilde_from_tanh(e2, th):
     """Simplified integrand tanh t + eps**2 (1 - tanh t), broadcasting."""
-    return np.where(e2 == 1.0, 1.0, _psi_tilde_sum(e2, th))
+    return np.where(e2 == 1.0, 1.0, th + e2 * (1.0 - th))
 
 
 def overlap_integrand(eps, t):
@@ -348,13 +336,13 @@ _TABLE_BLOCK_CELLS = 1 << 14
 class _QuadraturePlan:
     """An eps array reduced, once, to its distinct eps**2 levels.
 
-    ``channel_overlap`` and ``channel_overlap_approx`` accept a plan in place
-    of its eps array and return the same bits without re-checking eps or
-    re-finding its levels, so a caller that evaluates one eps array at many
-    q (the overlap system's label map) builds its plan once.  ``size`` is
-    that of the eps array, and ``index``, of its shape, holds each entry's
-    level.  The arrays are read-only and an evaluation writes only fresh
-    ones, so threads may share a plan.
+    ``channel_overlap`` accepts a plan in place of its eps array and returns
+    the same bits without re-checking eps or re-finding its levels, so a
+    caller that evaluates one eps array at many q (the overlap system's
+    label map) builds its plan once.  ``size`` is that of the eps array, and
+    ``index``, of its shape, holds each entry's level.  The arrays are
+    read-only and an evaluation writes only fresh ones, so threads may share
+    a plan.
     """
 
     __slots__ = ("size", "index", "_levels", "_blocks", "_zero", "_one")
@@ -377,21 +365,20 @@ class _QuadraturePlan:
         blocks = (slice(i, min(i + step, stop)) for i in range(start, stop, step))
         self._blocks = tuple((block, levels[block, None, None]) for block in blocks)
 
-    def __call__(self, integrand, q: float) -> np.ndarray:
-        """Rule average of ``integrand(eps**2, tanh(q + sqrt(q) Z))`` per
+    def __call__(self, q: float) -> np.ndarray:
+        """Rule average of the overlap integrand at tanh(q + sqrt(q) Z) per
         distinct eps**2 level, in ascending level order, at a checked q.
 
-        ``integrand`` is an eps**2 < 1 form (``_psi_ratio`` or
-        ``_psi_tilde_sum``), whose denominators stay positive.  Level 1 gives
-        1.  Level 0 gives the rule average of tanh itself, one dot product
-        with the weights, which both integrands equal there bit for bit
-        (th + 0 x and th / 1 are th unless th is -0, and tanh is never -0 at
-        q > 0).  The levels between are tabulated and reduced in blocks of
-        rows, each row by its own dot product with the weights, so a level's
-        value does not depend on the other levels.  q = 0 gives eps**2
-        exactly.  The rule's odd moments vanish only to rounding, so just
-        above q = 0 the average can land below eps**2; it is clamped there
-        from below.
+        The levels below 1 use ``_psi_ratio``, whose denominator stays
+        positive there.  Level 1 gives 1.  Level 0 gives the rule average of
+        tanh itself, one dot product with the weights, which the integrand
+        equals there bit for bit ((th + 0 x) / 1 is th unless th is -0, and
+        tanh is never -0 at q > 0).  The levels between are tabulated and
+        reduced in blocks of rows, each row by its own dot product with the
+        weights, so a level's value does not depend on the other levels.
+        q = 0 gives eps**2 exactly.  The rule's odd moments vanish only to
+        rounding, so just above q = 0 the average can land below eps**2; it
+        is clamped there from below.
         """
         levels = self._levels
         if q == 0.0:
@@ -408,17 +395,9 @@ class _QuadraturePlan:
             values[-1] = 1.0
         for block, e2 in self._blocks:
             out = values[block, None, None]
-            np.matmul(integrand(e2, th), weights[:, None], out=out)
+            np.matmul(_psi_ratio(e2, th), weights[:, None], out=out)
             np.maximum(out, e2, out=out)
         return values
-
-
-def _quadrature(integrand, eps, q):
-    """``integrand``'s rule average at every eps, through ``eps`` itself when
-    it is a ``_QuadraturePlan`` and through a plan built here otherwise."""
-    plan = eps if isinstance(eps, _QuadraturePlan) else _QuadraturePlan(eps)
-    out = plan(integrand, _check_nonneg(q, "q"))[plan.index]
-    return float(out) if out.ndim == 0 else out
 
 
 def channel_overlap(eps, q):
@@ -428,19 +407,28 @@ def channel_overlap(eps, q):
     q, saturates toward 1, and is identically 1 for the certain priors
     |eps| = 1 (returned exactly).  The average over Z uses ``DEFAULT_RULE``.
     A scalar eps gives a float; an array of eps gives an array of the same
-    shape, each entry equal to the scalar call at that eps.
+    shape, each entry equal to the scalar call at that eps.  A
+    ``_QuadraturePlan`` of an eps array in place of ``eps`` gives the bits of
+    the call on that array.
     """
-    return _quadrature(_psi_ratio, eps, q)
+    plan = eps if isinstance(eps, _QuadraturePlan) else _QuadraturePlan(eps)
+    out = plan(_check_nonneg(q, "q"))[plan.index]
+    return float(out) if out.ndim == 0 else out
 
 
 def channel_overlap_approx(eps, q):
-    """Simplified channel overlap, the quadrature of ``overlap_integrand_approx``.
+    """Simplified channel overlap, the Gaussian average of
+    ``overlap_integrand_approx``: eps**2 + (1 - eps**2) * channel_overlap(0, q).
 
-    Satisfies exactly eps**2 + (1 - eps**2) * channel_overlap(0, q); shares
-    the q = 0 and |eps| = 1 values with ``channel_overlap``, and broadcasts
-    over an array of eps the same way.
+    Computed by that formula from one ``channel_overlap(0.0, q)`` call, so it
+    is exactly 1 at |eps| = 1 and eps**2 at q = 0, and exact at eps = 0.  A
+    scalar eps gives a float; an array of eps gives an array of the same
+    shape, each entry equal to the scalar call at that eps.
     """
-    return _quadrature(_psi_tilde_sum, eps, q)
+    e = _check_eps(eps)
+    e2 = e * e
+    out = e2 + (1.0 - e2) * channel_overlap(0.0, q)
+    return float(out) if out.ndim == 0 else out
 
 
 def approx_error_grid(eps_values, q_values) -> np.ndarray:

@@ -8,13 +8,17 @@ scalar-channel alignment check, and three classifiers to confront the theory:
 - ``classify_semisupervised``  iterative posterior-mean scheme whose score
                                calibration follows the overlap recursion on
                                the dataset's realised mixture, one step per
-                               pass.
+                               pass, with the kernel's one denoiser and the
+                               overlaps' one feature map, both unchecked
+                               inside the loop.
 
 ``labeled_needed_empirical`` runs the labeled-count search for one eta: how
 many kappa-reliable labels the semi-supervised classifier needs to match an
 eta fraction of certain ones.  It draws its replicates and runs its
 reference inside the call, scores the replicates on a process pool that
-ends with the call, and keeps nothing afterwards.
+ends with the call, and keeps nothing afterwards.  The fresh-draw
+replicates of the ``simulate`` and ``reduction`` commands, every point's at
+once, run on one thread pool per command (``_fresh_replicate_errors``).
 
 Randomness.  All draws use ``numpy.random.default_rng`` with explicit
 seeding; replicate r of a study derives its stream from the seed sequence
@@ -35,7 +39,7 @@ import numpy as np
 
 from .kernel import _check_count, _check_eps, _check_nonneg, _check_real, _check_seed
 from .kernel import _check_unit, _posterior_mean_at, _real_array, posterior_mean
-from .overlaps import EpsilonMixture, qu_from_qv, qv_from_qu
+from .overlaps import EpsilonMixture, _check_gain, _feature_map, qv_from_qu
 from .risk import labeled_needed
 
 __all__ = [
@@ -306,8 +310,10 @@ def classify_semisupervised(ds: Dataset, t_max: int = 50) -> ClassifierOutput:
     q_u) starts from q_v = eps_bar_sq and takes one step per pass, so a run
     computes no step beyond the pass it reaches.  Its inputs all come from
     the dataset: lam = ``ds.snr``, c = n/p and the realised mixture
-    ``EpsilonMixture.from_samples(ds.label_eps)``.  ``t_max`` is checked
-    before any pass; the dataset checked its confidences when it was built.
+    ``EpsilonMixture.from_samples(ds.label_eps)``.  ``t_max`` and the
+    finiteness of lam * lam * c are checked before any pass, and each pass
+    runs the feature map unchecked; the dataset checked its confidences when
+    it was built.
 
     The self-feedback removal uses the exact per-sample column norm rather
     than its expectation; the calibration trusts (lam, c) through
@@ -319,6 +325,7 @@ def classify_semisupervised(ds: Dataset, t_max: int = 50) -> ClassifierOutput:
     n = ds.n
     c = n / ds.p
     mixture = EpsilonMixture.from_samples(eps)
+    _check_gain(lam, c)
     denoise = _posterior_mean_at(eps)
     X = ds.features
     col_sq_n = np.einsum("ij,ij->j", X, X) / n
@@ -330,7 +337,8 @@ def classify_semisupervised(ds: Dataset, t_max: int = 50) -> ClassifierOutput:
     for iterations in range(1, t_max + 1):
         if iterations > 1:
             q_v = qv_from_qu(mixture, q_u)
-        q_u = qu_from_qv(lam, c, q_v)
+        # q_v stays >= 0; the clamp at 1 is the one qu_from_qv applies.
+        q_u = _feature_map(lam, c, q_v if q_v < 1.0 else 1.0)
         raw = X.T @ (X @ v / n) - col_sq_n * v
         if q_u == 0.0:
             u = np.zeros(n)
@@ -363,41 +371,48 @@ def _usable_cores() -> int:
 
 def _fresh_replicate(p, n, lam, labeling, t_max, stream) -> tuple:
     ds = generate_dataset(p, n, lam, labeling, seed=stream)
+    if ds.n_labeled == ds.n:
+        raise SimulationError("the labeling leaves no unlabeled sample to score")
     oracle = classify_oracle(ds).error_unlabeled
     sup = classify_supervised(ds).error_unlabeled
     semi = classify_semisupervised(ds, t_max=t_max).error_unlabeled
     return oracle, sup, semi
 
 
-def _fresh_replicate_errors(p, n, lam, labeling, seed, reps: int, t_max: int) -> list:
-    """Per replicate r of (seed, r), in order: the unlabeled-sample errors
-    (oracle, supervised, semi-supervised) on a fresh draw, each None when
-    the draw leaves no sample unlabeled.  A draw without a labeled sample
-    fails with the supervised classifier's ``SimulationError``.
+def _fresh_replicate_errors(points, reps: int, t_max: int) -> list:
+    """Per point (p, n, lam, labeling, seed) of ``points``, in order, the
+    list of its replicates' unlabeled-sample errors (oracle, supervised,
+    semi-supervised), replicate r on a fresh draw from (seed, r).  A draw
+    without an unlabeled sample, or without a labeled one (the supervised
+    classifier's error), fails with ``SimulationError``.
 
-    Replicates are independent and their numpy work releases the GIL, so they
-    run on min(reps, usable cores) threads, each holding one replicate; the
-    results do not depend on the thread count.  At most one replicate per
-    thread is in flight and each stream is built when its replicate is
-    submitted, so only the list of results grows with ``reps``.  A failing
-    replicate raises as in a serial loop: the first in replicate order.
+    Replicates are independent and their numpy work releases the GIL, so the
+    replicates of every point run on one pool of min(replicates, usable
+    cores) threads, each holding one replicate; the results do not depend on
+    the thread count.  At most one replicate per thread is in flight and
+    each stream is built when its replicate is submitted, so only the list
+    of results grows with ``reps``.  A failing replicate raises as in a
+    serial loop: the first in (point, replicate) order.
     ``concurrent.futures`` is imported here, as in ``_replicate_pool``, to
     keep it and ``logging`` off every command's start-up.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    run = functools.partial(_fresh_replicate, p, n, lam, labeling, t_max)
-    streams = (_rep_stream(seed, r) for r in range(reps))
-    workers = min(reps, _usable_cores())
+    jobs = (
+        (p, n, lam, labeling, t_max, _rep_stream(seed, r))
+        for p, n, lam, labeling, seed in points
+        for r in range(reps)
+    )
+    workers = min(len(points) * reps, _usable_cores())
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        in_flight = deque(pool.submit(run, next(streams)) for _ in range(workers))
+        in_flight = deque(pool.submit(_fresh_replicate, *next(jobs)) for _ in range(workers))
         results = []
         while in_flight:
             results.append(in_flight.popleft().result())
-            stream = next(streams, None)
-            if stream is not None:
-                in_flight.append(pool.submit(run, stream))
-        return results
+            job = next(jobs, None)
+            if job is not None:
+                in_flight.append(pool.submit(_fresh_replicate, *job))
+    return [results[start : start + reps] for start in range(0, len(results), reps)]
 
 
 # The replicate draws of a labeled-count search, in a worker of its pool only:

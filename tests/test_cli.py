@@ -285,6 +285,42 @@ class TestExitCodes:
         assert "nan" not in captured.out
         assert list(tmp_path.glob("out*")) == []
 
+    @pytest.mark.parametrize(
+        "command, payload, first_streams",
+        [
+            (
+                "simulate",
+                {"n": 40, "p": 10, "labeling": [[1.0, 0.9]], "reps": 4, "t_max": 5},
+                [[1234, 0], [1234, 1]],
+            ),
+            (
+                "reduction",
+                {"eta": 1.0, "p": 20, "lambdas": [1.0, 2.0], "reps": 4, "t_max": 5},
+                [[20240, 0, 0], [20240, 0, 1]],
+            ),
+        ],
+    )
+    def test_every_sample_labeled_exits_4_at_the_first_replicate(
+        self, tmp_path, monkeypatch, capsys, command, payload, first_streams
+    ):
+        drawn = []
+        draw = simulate.generate_dataset
+
+        def recording_draw(p, n, lam, labeling, seed):
+            drawn.append(seed)
+            return draw(p, n, lam, labeling, seed)
+
+        monkeypatch.setattr(simulate, "generate_dataset", recording_draw)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out = tmp_path / "out.dat"
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err == "error: the labeling leaves no unlabeled sample to score\n"
+        # two threads: the first replicate fails, and nothing is submitted after it
+        assert sorted(drawn) == first_streams
+        assert list(tmp_path.glob("out*")) == []
+
     def test_nonconvergence_exit(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -552,11 +588,29 @@ class TestReductionCommand:
         data = np.loadtxt(str(out), skiprows=1)
         np.testing.assert_array_equal(data[:, 0], [0.5, 1.0])
 
-    def test_rejects_unsorted_grid(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "cfg.json", {"sweep": "lambda", "lambdas": [2.0, 1.0]}
-        )
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"sweep": "lambda", "lambdas": [2.0, 1.0]}, "lambdas"),
+            ({"sweep": "c", "cs": [1.0, 1.0]}, "cs"),
+            ({"sweep": "c", "cs": []}, "cs"),
+        ],
+        ids=["lambdas-decreasing", "cs-repeated", "cs-empty"],
+    )
+    def test_rejects_unsorted_grid(self, tmp_path, capsys, payload, key):
+        cfg = write_config(tmp_path / "cfg.json", payload)
         assert run_cli("reduction", "--config", cfg) == 2
+        assert capsys.readouterr().err == f"error: {key} must be nonempty and strictly increasing\n"
+
+    def test_every_point_checked_before_any_draw(self, tmp_path, monkeypatch):
+        # lam * lam * c overflows at the last point only
+        def no_draw(*args):
+            raise AssertionError("a replicate ran before every point's theory")
+
+        monkeypatch.setattr(cli, "_fresh_replicate_errors", no_draw)
+        cfg = write_config(tmp_path / "cfg.json", {"lambdas": [1.0, 2.0, 1e200], "p": 20})
+        assert run_cli("reduction", "--config", cfg, "--out", str(tmp_path / "r.dat")) == 2
+        assert list(tmp_path.glob("r.*")) == []
 
 
 class TestChannelCheckCommand:

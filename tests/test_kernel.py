@@ -13,11 +13,8 @@ from scipy import integrate, special
 import uncertain_ssl.kernel as kernel_module
 from uncertain_ssl.kernel import (
     DEFAULT_RULE,
-    _posterior_mean_at,
     _psi_from_tanh,
-    _psi_ratio,
     _psi_tilde_from_tanh,
-    _psi_tilde_sum,
     _QuadraturePlan,
     approx_error_grid,
     channel_overlap,
@@ -82,6 +79,12 @@ class TestGaussianTail:
         assert type(gaussian_tail(np.float64(1.0))) is float
 
 
+# t at and past tanh's saturation, where the ratio is 0/0 at eps = ±1.
+SATURATED = np.array([40.0, -40.0, np.inf, -np.inf, 0.0, 3.0, -0.5, 19.0])
+# The classifier's calibrated scores, with the saturated values first.
+CLASSIFIER_T = np.concatenate([SATURATED, np.random.default_rng(3).normal(0.0, 15.0, 192)])
+
+
 class TestPosteriorMean:
     def test_unlabeled_prior_reduces_to_tanh(self):
         t = np.linspace(-6.0, 6.0, 101)
@@ -119,19 +122,46 @@ class TestPosteriorMean:
             posterior_mean(1.2, 0.0)
 
     @pytest.mark.parametrize(
-        "eps",
-        [[0.0, 0.3, -0.7, 0.99], [1.0, 0.0, -1.0, 0.5], [1.0, 1.0, 1.0, 1.0]],
-        ids=["unpinned", "pinned", "all-pinned"],
+        "eps, t",
+        [
+            (0.5, 40.0),
+            (-1.0, np.inf),
+            (np.array(1.0), np.array(-40.0)),
+            (0.3, SATURATED),
+            (-1.0, SATURATED),
+            (np.array([[0.3], [1.0], [-1.0]]), SATURATED[None, :4]),
+            (np.tile([1.0, -1.0], 4)[:, None], SATURATED[None, :]),
+            (np.tile([0.0, 0.3, -0.7, 0.99], 50), CLASSIFIER_T),
+            (np.tile([1.0, 0.0, -1.0, 0.5], 50), CLASSIFIER_T),
+            (np.tile([1.0, -1.0], 100), CLASSIFIER_T),
+        ],
+        ids=[
+            "0-d",
+            "0-d-pinned",
+            "0-d-arrays",
+            "scalar-eps",
+            "scalar-pinned-eps",
+            "3x1-by-1x4",
+            "all-pinned-broadcast",
+            "unpinned",
+            "pinned",
+            "all-pinned",
+        ],
     )
-    def test_fixed_prior_denoiser_equals_posterior_mean(self, eps):
+    def test_equals_the_scalar_ratio_with_exact_pins(self, eps, t):
         # saturated tanh included: 0/0 at eps = ±1 must give ±1 and no warning
-        e = np.tile(np.asarray(eps), 50)
-        t = np.random.default_rng(3).normal(0.0, 15.0, e.size)
-        t[:8] = [40.0, -40.0, -40.0, 40.0, -40.0, 40.0, np.inf, -np.inf]
-        denoise = _posterior_mean_at(e)
+        th = np.tanh(t)
+        e_b, th_b = np.broadcast_arrays(np.asarray(eps, dtype=float), th)
+        expected = np.array([
+            1.0 if e == 1.0 else -1.0 if e == -1.0 else (h + e) / (1.0 + e * h)
+            for e, h in zip(e_b.ravel().tolist(), th_b.ravel().tolist())
+        ])
         with np.errstate(all="raise"):
-            out = denoise(t)
-        assert out.tobytes() == posterior_mean(e, t).tobytes()
+            out = posterior_mean(eps, t)
+        if e_b.ndim == 0:
+            assert type(out) is float
+        assert np.shape(out) == e_b.shape
+        assert np.asarray(out).tobytes() == expected.tobytes()
 
 
 class TestOverlapIntegrand:
@@ -335,10 +365,6 @@ class TestChannelOverlapBatched:
             channel_overlap(np.array(bad), 1.0)
 
 
-INTEGRANDS = [
-    (channel_overlap, _psi_ratio, _psi_from_tanh),
-    (channel_overlap_approx, _psi_tilde_sum, _psi_tilde_from_tanh),
-]
 # Rows per tabulated block.
 BLOCK = kernel_module._TABLE_BLOCK_CELLS // len(DEFAULT_RULE)
 
@@ -355,7 +381,7 @@ class TestQuadraturePlan:
         assert _psi_tilde_from_tanh(0.0, th).tobytes() == th.tobytes()
 
     @staticmethod
-    def per_eps_dot_loop(reference, eps, q):
+    def per_eps_dot_loop(eps, q):
         """The reference: one plain 1-d weights @ integrand product per eps,
         clamped at eps**2, with eps**2 returned as is at q = 0 and |eps| = 1."""
         th = np.tanh(q + math.sqrt(q) * DEFAULT_RULE.nodes)
@@ -365,45 +391,42 @@ class TestQuadraturePlan:
             if e2 == 1.0 or q == 0.0:
                 expected.append(e2)
             else:
-                expected.append(max(float(DEFAULT_RULE.weights @ reference(e2, th)), e2))
+                expected.append(max(float(DEFAULT_RULE.weights @ _psi_from_tanh(e2, th)), e2))
         return expected
 
     @pytest.mark.parametrize("q", [0.0, 1e-9, 0.37, 2.0, 40.0])
-    @pytest.mark.parametrize("overlap, integrand, reference", INTEGRANDS)
-    def test_equals_the_per_eps_dot_loop(self, overlap, integrand, reference, q):
+    def test_equals_the_per_eps_dot_loop(self, q):
         soft = np.random.default_rng(14).uniform(-1.0, 1.0, 50)
         eps = np.concatenate([[-1.0, 0.0, 1.0, -0.0], soft, -soft, soft[:10], [0.0, -1.0]])
-        expected = self.per_eps_dot_loop(reference, eps, q)
+        expected = self.per_eps_dot_loop(eps, q)
         plan = _QuadraturePlan(eps)
-        assert plan(integrand, q)[plan.index].tolist() == expected
-        assert overlap(plan, q).tolist() == expected
-        assert overlap(eps, q).tolist() == expected
+        assert plan(q)[plan.index].tolist() == expected
+        assert channel_overlap(plan, q).tolist() == expected
+        assert channel_overlap(eps, q).tolist() == expected
 
     @pytest.mark.parametrize("q", [0.0, 1e-9, 0.37, 40.0])
-    @pytest.mark.parametrize("overlap, integrand, reference", INTEGRANDS)
     @pytest.mark.parametrize("tabulated", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
-    def test_every_block_split_keeps_the_bits(self, overlap, integrand, reference, q, tabulated):
+    def test_every_block_split_keeps_the_bits(self, q, tabulated):
         # Level counts on each side of the block size, with and without the
         # untabulated levels 0 and 1, and with levels shared by +eps and -eps.
         soft = np.linspace(0.05, 0.95, tabulated)
         for ends in ([], [0.0, -1.0], [1.0, -0.0, 0.0]):
             eps = np.concatenate([soft, ends, -soft[::3]])
             plan = _QuadraturePlan(eps)
-            values = plan(integrand, q)
+            values = plan(q)
             assert values.size == tabulated + len({e * e for e in ends})
-            expected = self.per_eps_dot_loop(reference, eps, q)
+            expected = self.per_eps_dot_loop(eps, q)
             assert values[plan.index].tolist() == expected
-            assert overlap(plan, q).tolist() == expected
+            assert channel_overlap(plan, q).tolist() == expected
 
     @pytest.mark.parametrize("eps", [0.3, -1.0, np.array([[0.5, -0.5], [0.0, 1.0]]), np.array([])])
     def test_plan_in_place_of_eps(self, eps):
         plan = _QuadraturePlan(eps)
-        for overlap in (channel_overlap, channel_overlap_approx):
-            for q in (0.0, 0.8):
-                via_plan, direct = overlap(plan, q), overlap(eps, q)
-                assert type(via_plan) is type(direct)
-                assert np.shape(via_plan) == np.shape(direct)
-                assert np.asarray(via_plan).tobytes() == np.asarray(direct).tobytes()
+        for q in (0.0, 0.8):
+            via_plan, direct = channel_overlap(plan, q), channel_overlap(eps, q)
+            assert type(via_plan) is type(direct)
+            assert np.shape(via_plan) == np.shape(direct)
+            assert np.asarray(via_plan).tobytes() == np.asarray(direct).tobytes()
 
     def test_threads_share_one_mixture(self):
         eps = soft_eps(15, atoms=400)
@@ -460,6 +483,24 @@ class TestChannelOverlapApprox:
     def test_named_point(self):
         expected = 0.36 + 0.64 * channel_overlap(0.0, 1.0)
         assert abs(channel_overlap_approx(0.6, 1.0) - expected) < 1e-10
+
+    @pytest.mark.parametrize("q", [0.0, 1e-9, 0.37, 40.0])
+    def test_is_the_affine_formula_bit_for_bit(self, q):
+        f0 = channel_overlap(0.0, q)
+        for eps in (0.0, -0.0, 0.2, -0.6, 0.9, 1.0, -1.0):
+            assert channel_overlap_approx(eps, q) == eps * eps + (1.0 - eps * eps) * f0
+        eps = soft_eps(16)
+        e2 = eps * eps
+        assert channel_overlap_approx(eps, q).tobytes() == (e2 + (1.0 - e2) * f0).tobytes()
+
+    def test_exactly_one_when_certain_and_squared_confidence_at_zero_snr(self):
+        for q in (0.0, 1e-9, 0.37, 40.0):
+            assert channel_overlap_approx(1.0, q) == 1.0
+            assert channel_overlap_approx(-1.0, q) == 1.0
+        for eps in (0.0, 0.3, -0.7, 0.99):
+            assert channel_overlap_approx(eps, 0.0) == eps * eps
+        grid = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        assert channel_overlap_approx(grid, 0.0).tobytes() == (grid * grid).tobytes()
 
 
 class TestApproxErrorSurface:

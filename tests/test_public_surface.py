@@ -162,24 +162,35 @@ def test_defaulted_parameter_passed_outside_its_module(name):
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
-    """Names bound by the module's imports, ``from __future__`` aside."""
+    """Names bound by the module's imports, ``from __future__`` aside; a star
+    import from a package module binds the names of its ``__all__``."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            names.update(alias.asname or alias.name for alias in node.names)
+            for alias in node.names:
+                if alias.name == "*":
+                    names |= _exported(TREES[PACKAGE / f"{node.module}.py"])
+                else:
+                    names.add(alias.asname or alias.name)
     return names
 
 
 def _exported(tree: ast.Module) -> set[str]:
-    """The strings of a module-level ``__all__`` list."""
+    """The strings of a module-level ``__all__``: a literal list, extended by
+    each ``__all__ += module.__all__`` with that package module's list."""
+    names = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            return set(ast.literal_eval(node.value))
-    return set()
+            names |= set(ast.literal_eval(node.value))
+        elif isinstance(node, ast.AugAssign) and getattr(node.target, "id", None) == "__all__":
+            value = node.value
+            assert isinstance(value, ast.Attribute) and value.attr == "__all__", ast.dump(value)
+            names |= _exported(TREES[PACKAGE / f"{value.value.id}.py"])
+    return names
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")

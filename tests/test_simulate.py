@@ -14,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uncertain_ssl import cli, simulate
-from uncertain_ssl.kernel import _posterior_mean, channel_overlap, gaussian_tail
+from uncertain_ssl import cli, overlaps, simulate
+from uncertain_ssl.kernel import channel_overlap, gaussian_tail, posterior_mean
 from uncertain_ssl.overlaps import EpsilonMixture, qu_from_qv, qv_from_qu
 from uncertain_ssl.risk import InfeasibilityError
 from uncertain_ssl.simulate import (
@@ -394,7 +394,7 @@ class TestClassifySemisupervised:
         def no_pass(*args):
             raise AssertionError("a pass ran before the arguments were checked")
 
-        monkeypatch.setattr(simulate, "qu_from_qv", no_pass)
+        monkeypatch.setattr(simulate, "_feature_map", no_pass)
 
     @pytest.mark.parametrize("t_max", [2.9, 4.0, np.float64(4.0), True, np.True_])
     def test_non_integer_t_max_rejected_before_any_pass(self, no_pass, t_max):
@@ -433,7 +433,8 @@ class TestClassifySemisupervised:
 
     def test_bad_confidence_rejected_before_the_passes(self, monkeypatch):
         # The confidences are checked once, when the dataset is built, and
-        # not again by the denoiser inside the pass loop.
+        # not again by the denoiser inside the pass loop; lam and c are
+        # checked once, before it, and not by the feature map's checked form.
         import uncertain_ssl.simulate as simulate_module
 
         ds = generate_dataset(30, 60, 1.0, [(0.2, 0.9)], seed=14)
@@ -442,9 +443,11 @@ class TestClassifySemisupervised:
             classify_semisupervised(bad)
 
         def checked(*args):
-            raise AssertionError("the pass loop called the checked posterior_mean")
+            raise AssertionError("the pass loop called a checked public map")
 
         monkeypatch.setattr(simulate_module, "posterior_mean", checked)
+        monkeypatch.setattr(overlaps, "qu_from_qv", checked)
+        assert "qu_from_qv" not in vars(simulate_module)
         assert classify_semisupervised(ds, t_max=3).iterations >= 1
 
     def test_deterministic(self):
@@ -507,7 +510,7 @@ def loop_oracle(ds, lam, t_max=50, stop_tol=1e-6):
                 raise SimulationError("degenerate scores: zero second moment")
             scale = math.sqrt(mean_sq / (q_u * (q_u + 1.0)))
             u = raw / scale
-        v_new = _posterior_mean(eps, u)
+        v_new = posterior_mean(eps, u)
         delta = float(np.mean(np.abs(v_new - v)))
         v = v_new
         if delta < stop_tol:
@@ -644,8 +647,9 @@ CORE_SETS = [{0}, {0, 1}, {0, 1, 2, 3}]
 
 
 class TestFreshReplicates:
-    """``simulate`` and ``reduction`` run their fresh-draw replicates on up to
-    one thread per usable core; nothing they return may depend on how many.
+    """``simulate`` and ``reduction`` run the fresh-draw replicates of every
+    point on one pool of up to one thread per usable core; nothing they
+    return may depend on how many.
     The matrices hold about 500 000 cells, so that BLAS threads too when its
     thread count is not pinned: OpenBLAS 0.3.31 on 2 cores splits a
     matrix-vector product over threads only from somewhere between 320 000
@@ -671,10 +675,12 @@ class TestFreshReplicates:
             monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid, c=cores: c)
             yield cores
 
+    def point(self):
+        return (self.P, self.N, self.LAM, self.LABELING, self.SEED)
+
     def errors(self):
-        return simulate._fresh_replicate_errors(
-            self.P, self.N, self.LAM, self.LABELING, self.SEED, self.REPS, self.T_MAX
-        )
+        [errors] = simulate._fresh_replicate_errors([self.point()], self.REPS, self.T_MAX)
+        return errors
 
     def test_errors_do_not_depend_on_the_worker_count(self, monkeypatch, pool_sizes):
         expected = []
@@ -707,8 +713,38 @@ class TestFreshReplicates:
             assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
             tables.append(out.read_bytes())
         assert tables[1] == tables[0] and tables[2] == tables[0]
-        runs = len(payload.get("lambdas", [None]))  # one pool per reduction point
-        assert pool_sizes == [1] * runs + [2] * runs + [4] * runs
+        assert pool_sizes == [1, 2, 4]  # one pool per run, whatever its points
+
+    def test_points_equal_one_point_calls(self, monkeypatch, pool_sizes):
+        other = (300, 600, 2.5, [(0.3, 1.0)], [self.SEED, 1])
+        apart = [
+            simulate._fresh_replicate_errors([point], self.REPS, self.T_MAX)[0]
+            for point in (self.point(), other)
+        ]
+        pool_sizes.clear()
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_usable_cores", lambda c=cores: c)
+            together = simulate._fresh_replicate_errors(
+                [self.point(), other], self.REPS, self.T_MAX
+            )
+            assert together == apart
+        assert pool_sizes == [1, 2, 3]
+
+    def test_failing_replicate_raises_first_in_point_then_replicate_order(
+        self, monkeypatch
+    ):
+        def replicate(p, n, lam, labeling, t_max, stream):
+            point, r = stream[-2:]
+            if (point, r) in ((0, 3), (1, 0)):
+                time.sleep(0.05 * (point == 0))  # point 1 fails first in time
+                raise SimulationError(f"point {point} replicate {r} failed")
+            return r, None, -r
+
+        monkeypatch.setattr(simulate, "_fresh_replicate", replicate)
+        points = [(1, 1, 1.0, [], [0, index]) for index in range(2)]
+        for _ in self.each_core_set(monkeypatch):
+            with pytest.raises(SimulationError, match="point 0 replicate 3 failed"):
+                simulate._fresh_replicate_errors(points, 5, 1)
 
     def test_failing_replicate_raises_as_the_serial_loop(self, monkeypatch):
         draw = simulate.generate_dataset
@@ -750,13 +786,13 @@ class TestFreshReplicates:
         for cores in self.each_core_set(monkeypatch):
             started.clear()
             finished.clear()
-            errors = simulate._fresh_replicate_errors(1, 1, 1.0, [], 0, 5, 1)
-            assert errors == [(r, None, -r) for r in range(5)]
+            errors = simulate._fresh_replicate_errors([(1, 1, 1.0, [], 0)], 5, 1)
+            assert errors == [[(r, None, -r) for r in range(5)]]
             assert max(started) < len(cores)
             started.clear()
             finished.clear()
             with pytest.raises(SimulationError, match="replicate 5 failed"):
-                simulate._fresh_replicate_errors(1, 1, 1.0, [], 0, 10_000, 1)
+                simulate._fresh_replicate_errors([(1, 1, 1.0, [], 0)], 10_000, 1)
             assert len(started) <= 6 + len(cores)
             assert max(started) < len(cores)
 
