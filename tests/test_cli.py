@@ -635,6 +635,22 @@ class TestChannelCheckCommand:
         cfg = write_config(tmp_path / "cfg.json", {"eps_values": []})
         assert run_cli("channel-check", "--config", cfg) == 2
 
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"eps_values": [0.5, 0.0]}, "eps_values"),
+            ({"eps_values": [0.0, 0.0]}, "eps_values"),
+            ({"q_values": [2.0, 0.5]}, "q_values"),
+            ({"q_values": []}, "q_values"),
+        ],
+        ids=["eps_values-decreasing", "eps_values-repeated", "q_values-decreasing", "q_values-empty"],
+    )
+    def test_rejects_unsorted_grid(self, tmp_path, capsys, payload, key):
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert run_cli("channel-check", "--config", cfg, "--out", str(tmp_path / "cc.dat")) == 2
+        assert capsys.readouterr().err == f"error: {key} must be nonempty and strictly increasing\n"
+        assert list(tmp_path.glob("cc.*")) == []
+
 
 class TestStartup:
     def test_no_command_loads_scipy_special(self, tmp_path):

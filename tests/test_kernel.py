@@ -502,6 +502,35 @@ class TestChannelOverlapApprox:
         grid = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
         assert channel_overlap_approx(grid, 0.0).tobytes() == (grid * grid).tobytes()
 
+    @pytest.mark.parametrize("q", [0.0, 1e-9, 0.37, 2.0, 40.0])
+    def test_is_the_per_eps_quadrature_of_its_integrand(self, q):
+        # The formula is the Gaussian average of overlap_integrand_approx up
+        # to rounding: within 2 ulp of 1 of one dot product per eps, clamped
+        # at eps**2 as the exact overlap is.
+        soft = np.random.default_rng(14).uniform(-1.0, 1.0, 50)
+        eps = np.concatenate([[-1.0, 0.0, 1.0, -0.0], soft, -soft, soft[:10], [0.0, -1.0]])
+        th = np.tanh(q + math.sqrt(q) * DEFAULT_RULE.nodes)
+        expected = []
+        for e in eps.tolist():
+            e2 = e * e
+            if e2 == 1.0 or q == 0.0:
+                expected.append(e2)
+            else:
+                expected.append(max(float(DEFAULT_RULE.weights @ _psi_tilde_from_tanh(e2, th)), e2))
+        out = channel_overlap_approx(eps, q)
+        assert out.shape == eps.shape
+        assert np.max(np.abs(out - np.array(expected))) <= 2.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("eps", [0.3, -1.0, np.array([[0.5, -0.5], [0.0, 1.0]]), np.array([])])
+    def test_takes_eps_not_a_plan(self, eps):
+        # Shaped as the exact overlap at the same eps; a plan is not an eps.
+        for q in (0.0, 0.8):
+            approx, exact = channel_overlap_approx(eps, q), channel_overlap(eps, q)
+            assert type(approx) is type(exact)
+            assert np.shape(approx) == np.shape(exact)
+        with pytest.raises(ValueError, match="eps must be a real number"):
+            channel_overlap_approx(_QuadraturePlan(eps), 0.8)
+
 
 class TestApproxErrorSurface:
     def test_bound_and_exact_zero_rows(self):
