@@ -54,6 +54,7 @@ from .simulate import (
     channel_overlap_mc_stats,
     _check_labeling,
     _fresh_replicate_errors,
+    _thread_map,
     labeled_needed_empirical,
 )
 
@@ -441,18 +442,22 @@ def cmd_channel_check(cfg: dict) -> dict[str, str]:
     trials = int(cfg["trials"])
     seed = int(cfg["seed"])
     _check_replicate_cells(trials, "each channel draw (trials)")
+    # The cells' draws run on the replicate threads, cell (i, j) from the seed
+    # sequence (seed, i, j); the first failure in cell order raises.
+    cells = [
+        (eps, q, trials, [seed, index, jndex])
+        for index, eps in enumerate(eps_values)
+        for jndex, q in enumerate(q_values)
+    ]
+    stats = _thread_map(channel_overlap_mc_stats, iter(cells), len(cells))
     rows = []
-    for index, eps in enumerate(eps_values):
-        for jndex, q in enumerate(q_values):
-            mc, stderr = channel_overlap_mc_stats(
-                eps, q, trials, seed=[seed, index, jndex]
-            )
-            theory = channel_overlap(eps, q)
-            if stderr > 0.0:
-                z = (mc - theory) / stderr
-            else:
-                z = 0.0 if mc == theory else float("inf")
-            rows.append([eps, q, mc, theory, stderr, z])
+    for (eps, q, _, _), (mc, stderr) in zip(cells, stats):
+        theory = channel_overlap(eps, q)
+        if stderr > 0.0:
+            z = (mc - theory) / stderr
+        else:
+            z = 0.0 if mc == theory else float("inf")
+        rows.append([eps, q, mc, theory, stderr, z])
     return {"": _table_text(["eps", "q", "mc", "theory", "stderr", "z"], rows)}
 
 

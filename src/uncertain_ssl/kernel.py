@@ -176,16 +176,48 @@ def _check_seed(seed):
     return seed
 
 
-class _HermiteRule:
-    """Gauss-Hermite rule rescaled to the standard normal measure: the
-    physicists' nodes x_j map to z_j = sqrt(2) x_j and the weights are
-    normalised to a probability measure.  Both arrays are read-only."""
+# The 61-node Gauss-Hermite rule for the standard normal measure, from z = 0
+# outwards: the physicists' nodes x_j of ``numpy.polynomial.hermite.hermgauss(61)``
+# map to z_j = sqrt(2) x_j, and its weights, divided by sqrt(pi), are
+# normalised to sum to 1.  The rule is symmetric bit for bit, so the half is
+# stored, as ``float.hex`` strings, which are exact; a test recomputes them.
+_HALF_NODES = (  # z_j >= 0
+    "0x0.0p+0", "0x1.9a40e7381f29dp-2", "0x1.9a6339246d85ep-1",
+    "0x1.33f576bb66bebp+0", "0x1.9aed6299ff3cbp+0", "0x1.0115b75a9f9e3p+1",
+    "0x1.34e1249140756p+1", "0x1.68e2b78e4ff3dp+1", "0x1.9d24b12aa523ap+1",
+    "0x1.d1b1f2e7228dbp+1", "0x1.034b111f7e410p+2", "0x1.1deee9295d7f7p+2",
+    "0x1.38cb5ae84ffdep+2", "0x1.53e7edcf7d6a3p+2", "0x1.6f4cfcd875abcp+2",
+    "0x1.8b03e55c2b706p+2", "0x1.a71742a791648p+2", "0x1.c3933b08202efp+2",
+    "0x1.e085e5438dfa7p+2", "0x1.fdffd0f1e11a5p+2", "0x1.0e0a60f97234cp+3",
+    "0x1.1d6e5c7fada5bp+3", "0x1.2d3aba552fdcap+3", "0x1.3d825b3813519p+3",
+    "0x1.4e5deba88ade4p+3", "0x1.5feedfc7ddb4cp+3", "0x1.7264c9b0185f5p+3",
+    "0x1.8607d760f57b0p+3", "0x1.9b506611ff573p+3", "0x1.b328373f63b44p+3",
+    "0x1.cff3fd66179d6p+3",
+)
+_HALF_WEIGHTS = (
+    "0x1.474ca2ee6014dp-3", "0x1.2e28231eb3883p-3", "0x1.db5f448fa7a1bp-4",
+    "0x1.3e6eb7a571ddbp-4", "0x1.6ae6229cb6702p-5", "0x1.5f48d06bf0050p-6",
+    "0x1.2042a65acdf3bp-7", "0x1.900fb562799b3p-9", "0x1.d41e0819e569ap-11",
+    "0x1.cc2af35a330edp-13", "0x1.7a6c4393c84b6p-15", "0x1.030dcfb899c5ep-17",
+    "0x1.258c706e6fcfbp-20", "0x1.11773fb9cfd10p-23", "0x1.9f9fad5724646p-27",
+    "0x1.fe9d75f7e261dp-31", "0x1.f5ba37e4bad33p-35", "0x1.8567a6248f6bdp-39",
+    "0x1.d672e560bc0f4p-44", "0x1.b2a1d24691ed3p-49", "0x1.2c9c96cada38ap-54",
+    "0x1.2f5598f2102c3p-60", "0x1.b0605bfb86b7ep-67", "0x1.a1dbd8a3d37a6p-74",
+    "0x1.0397c3ef0c259p-81", "0x1.81fc175082a77p-90", "0x1.366fcf9b74eddp-99",
+    "0x1.d07cba23fdff1p-110", "0x1.f8d107b117714p-122", "0x1.f2c09433e0a8dp-136",
+    "0x1.11ebdbdfbfc0cp-153",
+)
 
-    def __init__(self, n: int):
-        x, w = np.polynomial.hermite.hermgauss(n)
-        weights = w / math.sqrt(math.pi)
-        self.nodes = _SQRT2 * x
-        self.weights = weights / weights.sum()
+
+class _HermiteRule:
+    """Gauss-Hermite rule for the standard normal measure, mirrored from
+    the stored half; both arrays are read-only."""
+
+    def __init__(self, half_nodes, half_weights):
+        half_z = np.array([float.fromhex(h) for h in half_nodes])
+        half_w = np.array([float.fromhex(h) for h in half_weights])
+        self.nodes = np.concatenate((-half_z[:0:-1], half_z))
+        self.weights = np.concatenate((half_w[:0:-1], half_w))
         self.nodes.flags.writeable = False
         self.weights.flags.writeable = False
 
@@ -195,7 +227,7 @@ class _HermiteRule:
 
 # 61 nodes resolve the bounded smooth integrands used here far below every
 # tolerance in this package.
-DEFAULT_RULE = _HermiteRule(61)
+DEFAULT_RULE = _HermiteRule(_HALF_NODES, _HALF_WEIGHTS)
 
 
 def _tail(x: float) -> float:

@@ -120,10 +120,17 @@ def supervised_risk_theory(lam: float, c: float, eta: float) -> float:
     the pinned system q_v = 1 at sample ratio eta c, so the score SNR is
     qu_from_qv(lam, eta * c, 1) and the error its Gaussian tail.  This is the
     theory baseline the plug-in supervised classifier attains.  eta, the
-    certainty mixture's fraction, lies in [0, 1], where 0 is infeasible.
+    certainty mixture's fraction, lies in [0, 1], where 0 is infeasible.  A
+    (lam, c, eta) whose lam * lam * (c * eta) overflows is rejected by name.
     """
     eta = _check_unit(eta, "eta")
     if eta == 0.0:
         raise InfeasibilityError("supervised baseline needs a positive labeled fraction")
-    return bayes_risk(qu_from_qv(lam, _check_positive(c, "c") * eta, 1.0))
+    c = _check_positive(c, "c")
+    lam = _check_nonneg(lam, "lam")
+    if not math.isfinite(lam * lam * (c * eta)):
+        raise ValueError(
+            f"lam * lam * c * eta must be finite, got lam = {lam:g}, c = {c:g} and eta = {eta:g}"
+        )
+    return bayes_risk(qu_from_qv(lam, c * eta, 1.0))
 

@@ -15,10 +15,13 @@ scalar-channel alignment check, and three classifiers to confront the theory:
 ``labeled_needed_empirical`` runs the labeled-count search for one eta: how
 many kappa-reliable labels the semi-supervised classifier needs to match an
 eta fraction of certain ones.  It draws its replicates and runs its
-reference inside the call, scores the replicates on a process pool that
-ends with the call, and keeps nothing afterwards.  The fresh-draw
-replicates of the ``simulate`` and ``reduction`` commands, every point's at
-once, run on one thread pool per command (``_fresh_replicate_errors``).
+reference inside the call, searches every kappa in rounds, scoring each
+round's probes as the columns of one classifier run per replicate on a
+process pool that ends with the call, and keeps nothing afterwards.  The
+fresh-draw replicates of the ``simulate`` and ``reduction`` commands, every
+point's at once, run on one thread pool per command
+(``_fresh_replicate_errors`` on ``_thread_map``), and so do the cells of
+``channel-check``.
 
 Randomness.  All draws use ``numpy.random.default_rng`` with explicit
 seeding; replicate r of a study derives its stream from the seed sequence
@@ -313,47 +316,84 @@ def classify_semisupervised(ds: Dataset, t_max: int = 50) -> ClassifierOutput:
     ``EpsilonMixture.from_samples(ds.label_eps)``.  ``t_max`` and the
     finiteness of lam * lam * c are checked before any pass, and each pass
     runs the feature map unchecked; the dataset checked its confidences when
-    it was built.
+    it was built.  This is the one-column run of ``_semisupervised_columns``.
 
     The self-feedback removal uses the exact per-sample column norm rather
     than its expectation; the calibration trusts (lam, c) through
     the recursion instead of estimating the score SNR from data.
     """
     t_max = _check_count(t_max, "t_max")
-    eps = ds.label_eps
-    lam = ds.snr
-    n = ds.n
-    c = n / ds.p
-    mixture = EpsilonMixture.from_samples(eps)
+    soft, [iterations] = _semisupervised_columns([ds], t_max)
+    return _output_from_soft(soft[0], ds, iterations=iterations)
+
+
+def _semisupervised_columns(datasets: list, t_max: int) -> tuple[np.ndarray, list]:
+    """The semi-supervised classifier on G datasets that share their features
+    and truth and differ in their confidences, run as the G columns of one
+    pass loop; returns the (G, n) soft scores, row g for dataset g, and each
+    column's pass count.  ``t_max`` is checked by the caller.
+
+    Each column keeps its own realised mixture, recursion step and stop
+    rule; a column that stops is final and leaves the block.  The two
+    products of a pass are one matrix product pair, (V X' / n) X, on the
+    block V of running columns, and the elementwise work, the denoiser and
+    the per-column reductions each run once on the block.  With one column
+    this is X'(X v / n) bit for bit; with more, the products sum in another
+    order, about 1e-11 relative apart from the one-column run's.
+    """
+    first = datasets[0]
+    lam = first.snr
+    n = first.n
+    c = n / first.p
+    mixtures = [EpsilonMixture.from_samples(ds.label_eps) for ds in datasets]
     _check_gain(lam, c)
-    denoise = _posterior_mean_at(eps)
-    X = ds.features
+    X = first.features
     col_sq_n = np.einsum("ij,ij->j", X, X) / n
 
-    # np.add.reduce(x) / n is np.mean(x) bit for bit, without its overhead.
-    v = eps.copy()
-    q_v = mixture.eps_bar_sq
-    iterations = 0
+    # np.add.reduce(x, axis=1) / n is each row's np.mean bit for bit, without its overhead.
+    eps = np.array([ds.label_eps for ds in datasets])
+    soft = np.empty_like(eps)
+    passes = [t_max] * len(datasets)
+    running = list(range(len(datasets)))  # the column of each row of the block
+    denoise = _posterior_mean_at(eps)
+    v = eps  # never written in place
+    q_v = [mixture.eps_bar_sq for mixture in mixtures]
+    q_u = [0.0] * len(datasets)
     for iterations in range(1, t_max + 1):
-        if iterations > 1:
-            q_v = qv_from_qu(mixture, q_u)
-        # q_v stays >= 0; the clamp at 1 is the one qu_from_qv applies.
-        q_u = _feature_map(lam, c, q_v if q_v < 1.0 else 1.0)
-        raw = X.T @ (X @ v / n) - col_sq_n * v
-        if q_u == 0.0:
-            u = np.zeros(n)
-        else:
-            mean_sq = float(np.add.reduce(raw * raw)) / n
-            if mean_sq == 0.0:
+        raw = (v @ X.T / n) @ X
+        raw -= col_sq_n * v
+        mean_sq = (np.add.reduce(raw * raw, axis=1) / n).tolist()
+        scale, silent = [], []  # silent: the rows whose q_u is 0, where u = 0
+        for row, g in enumerate(running):
+            if iterations > 1:
+                q_v[g] = qv_from_qu(mixtures[g], q_u[g])
+            # q_v stays >= 0; the clamp at 1 is the one qu_from_qv applies.
+            q_u[g] = _feature_map(lam, c, q_v[g] if q_v[g] < 1.0 else 1.0)
+            if q_u[g] == 0.0:
+                silent.append(row)
+                scale.append(1.0)
+            elif mean_sq[row] == 0.0:
                 raise SimulationError("degenerate scores: zero second moment")
-            scale = math.sqrt(mean_sq / (q_u * (q_u + 1.0)))
-            u = raw / scale
+            else:
+                scale.append(math.sqrt(mean_sq[row] / (q_u[g] * (q_u[g] + 1.0))))
+        u = raw / np.array(scale)[:, None]
+        if silent:
+            u[silent] = 0.0
         v_new = denoise(u)
-        delta = float(np.add.reduce(np.abs(v_new - v))) / n
+        stopped = (np.add.reduce(np.abs(v_new - v), axis=1) / n < _STOP_TOL).tolist()
         v = v_new
-        if delta < _STOP_TOL:
-            break
-    return _output_from_soft(v, ds, iterations=iterations)
+        if any(stopped):
+            for row, g in enumerate(running):
+                if stopped[row]:
+                    soft[g], passes[g] = v[row], iterations
+            keep = [not s for s in stopped]
+            running = [g for g, kept in zip(running, keep) if kept]
+            if not running:
+                return soft, passes
+            v = v[keep]
+            denoise = _posterior_mean_at(eps[running])
+    soft[running] = v
+    return soft, passes
 
 
 def _rep_stream(seed, rep: int):
@@ -379,6 +419,31 @@ def _fresh_replicate(p, n, lam, labeling, t_max, stream) -> tuple:
     return oracle, sup, semi
 
 
+def _thread_map(fn, jobs, count: int) -> list:
+    """``[fn(*job) for job in jobs]`` over an iterator of ``count`` argument
+    tuples, run on a pool of min(count, usable cores) threads.
+
+    For work whose numpy calls release the GIL.  At most one job per thread
+    is in flight, and a job is taken from ``jobs`` only when it is submitted,
+    so only the list of results grows with ``count``.  A failing job raises
+    as in a serial loop: the first in job order.  ``concurrent.futures`` is
+    imported here, as in ``_replicate_pool``, to keep it and ``logging`` off
+    every command's start-up.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = min(count, _usable_cores())
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        in_flight = deque(pool.submit(fn, *next(jobs)) for _ in range(workers))
+        results = []
+        while in_flight:
+            results.append(in_flight.popleft().result())
+            job = next(jobs, None)
+            if job is not None:
+                in_flight.append(pool.submit(fn, *job))
+    return results
+
+
 def _fresh_replicate_errors(points, reps: int, t_max: int) -> list:
     """Per point (p, n, lam, labeling, seed) of ``points``, in order, the
     list of its replicates' unlabeled-sample errors (oracle, supervised,
@@ -387,31 +452,17 @@ def _fresh_replicate_errors(points, reps: int, t_max: int) -> list:
     classifier's error), fails with ``SimulationError``.
 
     Replicates are independent and their numpy work releases the GIL, so the
-    replicates of every point run on one pool of min(replicates, usable
-    cores) threads, each holding one replicate; the results do not depend on
-    the thread count.  At most one replicate per thread is in flight and
-    each stream is built when its replicate is submitted, so only the list
-    of results grows with ``reps``.  A failing replicate raises as in a
-    serial loop: the first in (point, replicate) order.
-    ``concurrent.futures`` is imported here, as in ``_replicate_pool``, to
-    keep it and ``logging`` off every command's start-up.
+    replicates of every point run on one ``_thread_map``, each thread
+    holding one replicate; the results do not depend on the thread count,
+    and a failing replicate raises first in (point, replicate) order.  Each
+    stream is built when its replicate is submitted.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     jobs = (
         (p, n, lam, labeling, t_max, _rep_stream(seed, r))
         for p, n, lam, labeling, seed in points
         for r in range(reps)
     )
-    workers = min(len(points) * reps, _usable_cores())
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        in_flight = deque(pool.submit(_fresh_replicate, *next(jobs)) for _ in range(workers))
-        results = []
-        while in_flight:
-            results.append(in_flight.popleft().result())
-            job = next(jobs, None)
-            if job is not None:
-                in_flight.append(pool.submit(_fresh_replicate, *job))
+    results = _thread_map(_fresh_replicate, jobs, len(points) * reps)
     return [results[start : start + reps] for start in range(0, len(results), reps)]
 
 
@@ -425,12 +476,16 @@ def _hold_draws(draws: list) -> None:
     _worker_draws = draws
 
 
-def _replicate_wrong(n_labeled: int, kappa: float, t_max: int, r: int) -> np.ndarray:
-    """In a pool worker: where replicate r's semi-supervised hard labels miss
-    the truth when its first ``n_labeled`` samples carry kappa-reliable labels."""
+def _replicate_masks(columns: list, t_max: int, r: int) -> np.ndarray:
+    """In a pool worker: the (G, n) mask of where replicate r's semi-supervised
+    hard labels miss the truth, row g when its first n_l samples carry
+    kappa-reliable labels, for the G (n_l, kappa) pairs of ``columns``, all
+    scored in one ``_semisupervised_columns`` run."""
     draw = _worker_draws[r]
-    ds = _dataset(draw, [(n_labeled / draw[1].size, kappa)])
-    return classify_semisupervised(ds, t_max=t_max).hard_labels != ds.truth_labels
+    n = draw[1].size
+    datasets = [_dataset(draw, [(n_l / n, kappa)]) for n_l, kappa in columns]
+    soft, _ = _semisupervised_columns(datasets, t_max)
+    return _hard_decisions(soft) != datasets[0].truth_labels
 
 
 def _replicate_pool(draws: list):
@@ -454,48 +509,49 @@ def _replicate_pool(draws: list):
     )
 
 
-def _wrong_samples(pool, reps: int, n_labeled: int, kappa: float, t_max: int) -> list:
-    """Per replicate, in order, the ``_replicate_wrong`` mask at (n_labeled,
-    kappa); the ``reps`` replicates run on ``pool``, a ``_replicate_pool``.  A
+def _probe_round(pool, reps: int, columns: list, t_max: int) -> list:
+    """Per replicate, in order, the ``_replicate_masks`` mask of ``columns``;
+    the ``reps`` replicates run on ``pool``, a ``_replicate_pool``.  A
     failing replicate raises as in a serial loop: the first in replicate
     order.
 
-    Processes, not threads: a 200 x 1000 pass takes about 125 us, its
-    recursion step about 20 us of that (one BLAS thread, 2-core host), and
-    only its two matrix-vector products, about 70 us, release the GIL.  At
-    ``labeled-needed``'s defaults with etas [0.02] on 2 cores (one BLAS
-    thread), the command took 4.7 s with the replicates run serially, 6.1 s
-    on two threads and 3.4 s on two forked workers (medians of 11 runs each,
-    the three interleaved).
+    Processes, not threads: only a pass's matrix products release the GIL;
+    its recursion steps, one per column, and the per-pass Python work do
+    not.  At ``labeled-needed``'s defaults with etas [0.02] on 2 cores (one
+    BLAS thread), the command took 1.99 s with the replicates run serially,
+    1.79 s on two threads and 1.25 s on two forked workers (medians of 9
+    runs each, the three interleaved).  Replicates are not batched with each
+    other: a 200 x 1000 matrix is 1.6 MB, and the matrix products of five
+    replicates run pass by pass in lockstep took 48 ms against 45 ms run
+    one replicate after another (2 MB L2 per core).
     """
-    run = functools.partial(_replicate_wrong, n_labeled, kappa, t_max)
+    run = functools.partial(_replicate_masks, columns, t_max)
     return list(pool.map(run, range(reps)))
 
 
-def _search_count(pool, reference_wrong: list, kappa, t_max, n_ref: int, hi: int) -> int:
-    """Smallest labeled count whose probe meets the reference, by doubling
-    from ``n_ref`` up to ``hi`` and then integer bisection; each count is
-    probed at most once.  The probe at n_l is the mean over replicates of the
-    candidate's error minus the reference's, both on the samples from n_l
-    on, which the candidate leaves unlabeled; it meets the reference at most
-    zero.  At kappa = 1 the probe at ``n_ref`` would repeat the reference run
-    exactly, so its paired mean is 0.0 without a run."""
+def _search(kappa: float, n_ref: int, hi: int):
+    """The search for the smallest labeled count whose probe meets the
+    reference, as a generator: it yields each labeled count it probes, is
+    sent that probe's paired mean, and returns the count.
+
+    Doubling from ``n_ref`` up to ``hi``, then integer bisection; each count
+    is probed at most once.  The probe at n_l is the mean over replicates of
+    the candidate's error minus the reference's, both on the samples from
+    n_l on, which the candidate leaves unlabeled; it meets the reference at
+    most zero.  At kappa = 1 the probe at ``n_ref`` would repeat the
+    reference run exactly, so its paired mean is 0.0 without a run."""
     paired: dict[int, float] = {n_ref: 0.0} if kappa == 1.0 else {}
 
-    def satisfied(n_l: int) -> bool:
+    def satisfied(n_l: int):
         if n_l not in paired:
-            wrong = _wrong_samples(pool, len(reference_wrong), n_l, kappa, t_max)
-            paired[n_l] = float(np.mean([
-                float(np.mean(cand[n_l:])) - float(np.mean(ref[n_l:]))
-                for cand, ref in zip(wrong, reference_wrong)
-            ]))
+            paired[n_l] = yield n_l
         return paired[n_l] <= 0.0
 
-    if satisfied(n_ref):
+    if (yield from satisfied(n_ref)):
         lo, up = 0, n_ref
     else:
         lo = up = n_ref
-        while not satisfied(up):
+        while not (yield from satisfied(up)):
             if up >= hi:
                 raise SimulationError(
                     f"reference error not reached at kappa = {kappa:.6g} by any "
@@ -504,11 +560,57 @@ def _search_count(pool, reference_wrong: list, kappa, t_max, n_ref: int, hi: int
             lo, up = up, min(max(2 * up, 1), hi)
     while up - lo > 1:
         mid = (lo + up) // 2
-        if satisfied(mid):
+        if (yield from satisfied(mid)):
             up = mid
         else:
             lo = mid
     return up
+
+
+def _search_counts(pool, reps: int, kappas: list, n_ref: int, hi: int, t_max: int) -> list:
+    """The ``_search`` count of every kappa, the searches run in rounds.
+
+    Each round, every running search names its next labeled count, and each
+    replicate scores all of the round's (n_l, kappa) probes, the reference
+    (n_ref, 1) in the first round, as the columns of one classifier run.
+    A search that cannot meet the reference stops the searches after it;
+    those before it run to their end, and the first failure in kappa order
+    raises, as searching the kappas one after another would.
+    """
+    searches = [_search(kappa, n_ref, hi) for kappa in kappas]
+    counts: list = [None] * len(kappas)
+    failure = None
+    reference = None
+    replies: dict = dict.fromkeys(range(len(kappas)))  # search -> its probe's paired mean
+    while True:
+        probes = {}  # search -> the labeled count it waits on
+        for i, reply in replies.items():
+            try:
+                probes[i] = searches[i].send(reply)
+            except StopIteration as done:
+                counts[i] = done.value
+            except SimulationError as error:
+                failure = error
+                break
+        if not probes:
+            break
+        columns = [(n_l, kappas[i]) for i, n_l in probes.items()]
+        if reference is None:
+            columns.insert(0, (n_ref, 1.0))
+        columns = list(dict.fromkeys(columns))
+        masks = _probe_round(pool, reps, columns, t_max)
+        if reference is None:
+            reference = [mask[0] for mask in masks]
+        replies = {}
+        for i, n_l in probes.items():
+            g = columns.index((n_l, kappas[i]))
+            replies[i] = float(np.mean([
+                float(np.mean(mask[g, n_l:])) - float(np.mean(ref[n_l:]))
+                for mask, ref in zip(masks, reference)
+            ]))
+    if failure is not None:
+        raise failure
+    return counts
 
 
 def labeled_needed_empirical(
@@ -518,7 +620,7 @@ def labeled_needed_empirical(
     semi-supervised error matches the eta-certainty reference, by search.
 
     The reference labels a fraction eta of the samples exactly (kappa = 1).
-    For each kappa in turn, doubling then integer bisection runs over the
+    For each kappa, doubling then integer bisection runs over the
     monotone-in-expectation error curve; every probe is averaged over
     ``reps`` replicate streams derived from (seed, r).  Noise is suppressed
     with common random numbers: a probe meets the reference when its paired
@@ -532,10 +634,14 @@ def labeled_needed_empirical(
     are then drawn once, the reference runs once, and a probe builds its
     labels from the stored uniforms, so each probe sees the dataset
     ``generate_dataset`` draws from (seed, r) under its labeling.  The
-    replicates of the reference and of every probe run on one process pool
-    of min(reps, usable cores) workers, which is shut down before the call
-    returns; the results do not depend on the worker count.  The draws and
-    every probe result are local to the call and freed when it returns.
+    kappas are searched together, in rounds (``_search_counts``): each
+    replicate scores a round's probes, the reference in the first round, as
+    the columns of one classifier run, and the counts and the error raised
+    are those of searching one kappa after another.  The replicates run on
+    one process pool of min(reps, usable cores) workers, which is shut down
+    before the call returns; the results do not depend on the worker count.
+    The draws and every probe result are local to the call and freed when it
+    returns.
 
     Infeasible reliabilities ((2 kappa - 1)^2 < eta) raise
     ``InfeasibilityError``; the search fails with ``SimulationError`` if
@@ -559,5 +665,4 @@ def labeled_needed_empirical(
 
     draws = [_base_draw(p, n, lam, _rep_stream(seed, r)) for r in range(reps)]
     with _replicate_pool(draws) as pool:
-        reference_wrong = _wrong_samples(pool, reps, n_ref, 1.0, t_max)
-        return [_search_count(pool, reference_wrong, k, t_max, n_ref, hi) for k in kappas]
+        return _search_counts(pool, reps, kappas, n_ref, hi, t_max)

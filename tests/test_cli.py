@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -602,6 +603,15 @@ class TestReductionCommand:
         assert run_cli("reduction", "--config", cfg) == 2
         assert capsys.readouterr().err == f"error: {key} must be nonempty and strictly increasing\n"
 
+    def test_overflowing_point_names_lam_c_and_eta(self, tmp_path, capsys):
+        # the supervised baseline's sample ratio is c * eta; the message
+        # names the two inputs, not their product
+        cfg = write_config(tmp_path / "cfg.json", {"lambdas": [1.0, 2.0, 1e200], "p": 20})
+        assert run_cli("reduction", "--config", cfg, "--out", str(tmp_path / "r.dat")) == 2
+        assert capsys.readouterr().err == (
+            "error: lam * lam * c * eta must be finite, got lam = 1e+200, c = 1 and eta = 0.2\n"
+        )
+
     def test_every_point_checked_before_any_draw(self, tmp_path, monkeypatch):
         # lam * lam * c overflows at the last point only
         def no_draw(*args):
@@ -652,6 +662,36 @@ class TestChannelCheckCommand:
         assert list(tmp_path.glob("cc.*")) == []
 
 
+    def test_table_does_not_depend_on_the_thread_count(self, tmp_path, monkeypatch):
+        # The default grid's 25 cells run on the replicate threads; a serial
+        # loop over the cells gives the table the threads must give.
+        tables = {}
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_usable_cores", lambda c=cores: c)
+            out = tmp_path / f"cc_{cores}.dat"
+            assert run_cli("channel-check", "--out", str(out)) == 0
+            tables[cores] = read_bytes(out)
+        monkeypatch.setattr(cli, "_thread_map", lambda fn, jobs, count: [fn(*job) for job in jobs])
+        assert run_cli("channel-check", "--out", str(tmp_path / "serial.dat")) == 0
+        serial = read_bytes(tmp_path / "serial.dat")
+        assert tables == {1: serial, 2: serial, 3: serial}
+
+    def test_first_failing_cell_raises_in_cell_order(self, monkeypatch):
+        def stats(eps, q, trials, seed):
+            cell = tuple(seed[1:])
+            if cell in ((0, 1), (1, 0)):
+                time.sleep(0.05 * (cell == (0, 1)))  # cell (1, 0) may fail first in time
+                raise simulate.SimulationError(f"cell {cell} failed")
+            return 0.0, 0.0
+
+        monkeypatch.setattr(cli, "channel_overlap_mc_stats", stats)
+        cfg = {"eps_values": [0.0, 0.5], "q_values": [0.5, 1.0, 2.0], "trials": 10, "seed": 1}
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_usable_cores", lambda c=cores: c)
+            with pytest.raises(simulate.SimulationError, match=r"cell \(0, 1\) failed"):
+                cli.cmd_channel_check(cfg)
+
+
 class TestStartup:
     def test_no_command_loads_scipy_special(self, tmp_path):
         # A fresh interpreter, so the test process's own imports mask nothing.
@@ -674,11 +714,13 @@ class TestStartup:
     def test_import_loads_no_process_pool(self):
         # The labeled-count search imports its process pool, and the fresh
         # replicates their thread pool, when they run.
+        # numpy.polynomial, which computes the quadrature rule, is test-only.
         script = (
             "import sys\n"
             "import uncertain_ssl.cli\n"
             "pool = ('multiprocessing', 'concurrent')\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in pool or m in pool))\n"
+            "print('numpy.polynomial' in sys.modules)\n"
         )
         paths = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
@@ -686,4 +728,4 @@ class TestStartup:
             [sys.executable, "-c", script],
             capture_output=True, text=True, env=env, timeout=60, check=True,
         )
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert done.stdout.splitlines()[-2:] == ["[]", "False"]

@@ -249,6 +249,13 @@ class TestOverlapIntegrandApprox:
 
 
 class TestQuadratureRule:
+    def test_literals_are_the_rescaled_hermgauss_rule(self):
+        # physicists' nodes times sqrt(2); weights over sqrt(pi), normalised
+        x, w = np.polynomial.hermite.hermgauss(61)
+        weights = w / math.sqrt(math.pi)
+        assert DEFAULT_RULE.nodes.tobytes() == (math.sqrt(2.0) * x).tobytes()
+        assert DEFAULT_RULE.weights.tobytes() == (weights / weights.sum()).tobytes()
+
     def test_default_rule_invariants(self):
         rule = DEFAULT_RULE
         assert len(rule) == 61

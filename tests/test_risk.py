@@ -2,6 +2,8 @@
 arithmetic and its degenerate denominators, the labeled-count law, and the
 equal-information equivalence between labeling settings."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,16 @@ class TestSupervisedRiskTheory:
     def test_needs_labels(self):
         with pytest.raises(InfeasibilityError):
             supervised_risk_theory(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "lam, c, eta, shown",
+        [(1e200, 1.0, 0.2, "lam = 1e+200, c = 1 and eta = 0.2"),
+         (1e154, 1e10, 0.5, "lam = 1e+154, c = 1e+10 and eta = 0.5")],
+    )
+    def test_overflow_names_lam_c_and_eta(self, lam, c, eta, shown):
+        message = f"lam * lam * c * eta must be finite, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            supervised_risk_theory(lam, c, eta)
 
     def test_never_beats_semisupervised(self):
         for lam in (0.5, 1.0, 2.0):

@@ -571,6 +571,107 @@ class TestLeanPassLoop:
         assert calls == expected
 
 
+def gemv_loop(ds, t_max):
+    """The one-dataset pass loop with its two matrix-vector products, as it
+    was before the columns were batched, verbatim from its checks on."""
+    from uncertain_ssl.kernel import _posterior_mean_at
+    from uncertain_ssl.overlaps import _feature_map
+
+    eps = ds.label_eps
+    lam = ds.snr
+    n = ds.n
+    c = n / ds.p
+    mixture = EpsilonMixture.from_samples(eps)
+    denoise = _posterior_mean_at(eps)
+    X = ds.features
+    col_sq_n = np.einsum("ij,ij->j", X, X) / n
+
+    v = eps.copy()
+    q_v = mixture.eps_bar_sq
+    iterations = 0
+    for iterations in range(1, t_max + 1):
+        if iterations > 1:
+            q_v = qv_from_qu(mixture, q_u)
+        q_u = _feature_map(lam, c, q_v if q_v < 1.0 else 1.0)
+        raw = X.T @ (X @ v / n) - col_sq_n * v
+        if q_u == 0.0:
+            u = np.zeros(n)
+        else:
+            mean_sq = float(np.add.reduce(raw * raw)) / n
+            if mean_sq == 0.0:
+                raise SimulationError("degenerate scores: zero second moment")
+            scale = math.sqrt(mean_sq / (q_u * (q_u + 1.0)))
+            u = raw / scale
+        v_new = denoise(u)
+        delta = float(np.add.reduce(np.abs(v_new - v))) / n
+        v = v_new
+        if delta < 1e-6:
+            break
+    return v, iterations
+
+
+class TestSemisupervisedColumns:
+    """The classifier scores G datasets that share a draw as the columns of
+    one run: with one column it is the matrix-vector pass loop bit for bit,
+    and with more, each column keeps the hard labels and the pass count of
+    its one-column run."""
+
+    @pytest.mark.parametrize(
+        "p, n, lam, labeling, t_max",
+        [
+            (2000, 2000, 1.5, [(0.2, 0.9)], 4),
+            (200, 200, 1.5, [(0.3, 1.0)], 50),
+            (200, 1000, 0.5, [(0.1, 0.7), (0.2, 1.0)], 50),
+            (200, 1000, 0.0, [(0.2, 0.8)], 5),
+            (200, 1000, 1.5, [], 5),
+        ],
+        ids=["2000x2000", "200x200-pinned", "200x1000-pinned", "q_u-0-lam-0", "q_u-0-unlabeled"],
+    )
+    def test_one_column_is_the_matrix_vector_loop(self, p, n, lam, labeling, t_max):
+        ds = generate_dataset(p, n, lam, labeling, seed=[31, p, n])
+        soft, iterations = gemv_loop(ds, t_max)
+        block, passes = simulate._semisupervised_columns([ds], t_max)
+        assert block.shape == (1, n)
+        assert block[0].tobytes() == soft.tobytes()
+        assert passes == [iterations]
+        out = classify_semisupervised(ds, t_max=t_max)
+        assert out.soft_scores.tobytes() == soft.tobytes() and out.iterations == iterations
+
+    @pytest.mark.parametrize("p, n", [(60, 300), (200, 1000)])
+    def test_columns_keep_their_one_column_labels_and_passes(self, p, n):
+        draw = simulate._base_draw(p, n, 1.2, [17, p])
+        labelings = [
+            [(0.2, 1.0)],
+            [(0.5, 0.7)],
+            [],  # q_u = 0 at every pass: u = 0 beside scaled columns
+            [(0.1, 0.9)],
+            [(0.05, 0.6), (0.3, 1.0)],
+            [(0.2, 1.0)],  # a repeated column
+        ]
+        datasets = [simulate._dataset(draw, simulate._check_labeling(b)) for b in labelings]
+        alone = [classify_semisupervised(ds, t_max=60) for ds in datasets]
+        passes = [out.iterations for out in alone]
+        assert len(set(passes)) > 2 and min(passes) < 60  # they stop at different passes
+        block, block_passes = simulate._semisupervised_columns(datasets, 60)
+        assert block_passes == passes
+        for row, out in zip(block, alone):
+            assert simulate._hard_decisions(row).tobytes() == out.hard_labels.tobytes()
+            np.testing.assert_allclose(row, out.soft_scores, rtol=0.0, atol=1e-8)
+
+    def test_a_degenerate_column_fails_the_run(self):
+        n, p = 8, 4
+        mu = np.zeros(p)
+        mu[0] = 1.0
+        y = np.array([1, -1] * (n // 2), dtype=np.int64)
+        eps = [np.zeros(n), np.array([1.0, -1.0] + [0.0] * (n - 2))]
+        datasets = [
+            simulate.Dataset(features=np.zeros((p, n)), truth_labels=y, label_eps=e, truth_mean=mu)
+            for e in eps
+        ]
+        with pytest.raises(SimulationError, match="zero second moment"):
+            simulate._semisupervised_columns(datasets, 5)
+
+
 class TestLabeledNeededEmpirical:
     def test_perfect_labels_reproduce_reference(self):
         p, n, lam, eta, seed, reps = 50, 400, 1.0, 0.2, 314, 4
@@ -583,16 +684,18 @@ class TestLabeledNeededEmpirical:
 
     def test_unreachable_target_fails(self, monkeypatch):
         probes = []
-        wrong_samples = simulate._wrong_samples
+        probe_round = simulate._probe_round
 
-        def never_meets_the_reference(pool, reps, n_labeled, kappa, t_max):
-            wrong = wrong_samples(pool, reps, n_labeled, kappa, t_max)
-            if kappa == 1.0:  # the reference run
-                return wrong
-            probes.append(n_labeled)
-            return [np.ones_like(w) for w in wrong]  # every sample wrong
+        def never_meets_the_reference(pool, reps, columns, t_max):
+            masks = probe_round(pool, reps, columns, t_max)
+            for g, (n_labeled, kappa) in enumerate(columns):
+                if kappa != 1.0:  # not the reference run
+                    probes.append(n_labeled)
+                    for mask in masks:
+                        mask[g] = True  # every sample wrong
+            return masks
 
-        monkeypatch.setattr(simulate, "_wrong_samples", never_meets_the_reference)
+        monkeypatch.setattr(simulate, "_probe_round", never_meets_the_reference)
         with pytest.raises(SimulationError, match="not reached at kappa = 0.9 .* up to 380"):
             labeled_needed_empirical(50, 400, 1.0, 0.2, [0.9], seed=1, reps=2)
         assert probes == [80, 160, 320, 380]
@@ -827,19 +930,18 @@ class TestReplicateBank:
         p, n, lam, eta, seed, reps = 20, 120, 1.0, 0.1, 8, 3
         base_draws = []
         references = []
-        base_draw, wrong_samples = simulate._base_draw, simulate._wrong_samples
+        base_draw, probe_round = simulate._base_draw, simulate._probe_round
 
         def counting_base_draw(*args):
             base_draws.append(args[3])
             return base_draw(*args)
 
-        def counting_wrong_samples(pool, reps, n_labeled, kappa, t_max):
-            if kappa == 1.0:
-                references.append(n_labeled)
-            return wrong_samples(pool, reps, n_labeled, kappa, t_max)
+        def counting_probe_round(pool, reps, columns, t_max):
+            references.extend(n_labeled for n_labeled, kappa in columns if kappa == 1.0)
+            return probe_round(pool, reps, columns, t_max)
 
         monkeypatch.setattr(simulate, "_base_draw", counting_base_draw)
-        monkeypatch.setattr(simulate, "_wrong_samples", counting_wrong_samples)
+        monkeypatch.setattr(simulate, "_probe_round", counting_probe_round)
         counts = labeled_needed_empirical(p, n, lam, eta, (0.95, 0.9, 0.85), seed=seed, reps=reps)
         assert len(counts) == 3 and all(isinstance(c, int) for c in counts)
         assert base_draws == [[seed, r] for r in range(reps)]
@@ -848,26 +950,27 @@ class TestReplicateBank:
     def test_kappa_one_search_reuses_the_reference_run(self, monkeypatch):
         p, n, lam, eta, seed, reps, t_max = 20, 120, 1.0, 0.1, 8, 3, 20
         n_ref = round(eta * n)
-        runs = []
-        wrong_samples = simulate._wrong_samples
+        rounds = []
+        probe_round = simulate._probe_round
 
-        def counting_wrong_samples(pool, reps, n_labeled, kappa, t_max):
-            runs.append((n_labeled, kappa))
-            return wrong_samples(pool, reps, n_labeled, kappa, t_max)
+        def counting_probe_round(pool, reps, columns, t_max):
+            rounds.append(list(columns))
+            return probe_round(pool, reps, columns, t_max)
 
-        monkeypatch.setattr(simulate, "_wrong_samples", counting_wrong_samples)
+        monkeypatch.setattr(simulate, "_probe_round", counting_probe_round)
         counts = labeled_needed_empirical(
             p, n, lam, eta, (0.9, 1.0), seed=seed, reps=reps, t_max=t_max
         )
-        assert runs[0] == (n_ref, 1.0)
+        runs = [column for columns in rounds for column in columns]
+        assert runs[0] == (n_ref, 1.0)  # the reference, first in the first round
         assert runs.count((n_ref, 1.0)) == 1  # the kappa = 1 search ran no copy
         assert any(kappa == 1.0 for _, kappa in runs[1:]) and counts[1] <= n_ref
         # the probe it skips would repeat the reference run, so its paired
         # mean is exactly the 0.0 it is seeded with
         draws = [simulate._base_draw(p, n, lam, [seed, r]) for r in range(reps)]
         with simulate._replicate_pool(draws) as pool:
-            reference = wrong_samples(pool, reps, n_ref, 1.0, t_max)
-            again = wrong_samples(pool, reps, n_ref, 1.0, t_max)
+            reference = probe_round(pool, reps, [(n_ref, 1.0)], t_max)
+            again = probe_round(pool, reps, [(n_ref, 1.0)], t_max)
         for a, b in zip(reference, again):
             np.testing.assert_array_equal(a, b)
 
@@ -876,11 +979,119 @@ class TestReplicateBank:
         n_ref = round(eta * n)
         draws = [simulate._base_draw(p, n, lam, simulate._rep_stream(seed, r)) for r in range(3)]
         with simulate._replicate_pool(draws) as pool:
-            reference = simulate._wrong_samples(pool, 3, n_ref, 1.0, 20)
-        errors = [float(np.mean(wrong[n_ref:])) for wrong in reference]
+            reference = simulate._probe_round(pool, 3, [(n_ref, 1.0)], 20)
+        errors = [float(np.mean(wrong[0, n_ref:])) for wrong in reference]
         assert float(np.mean(errors)) == target
         found = labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=3, t_max=20)
         assert found == [count]
+
+
+class TestRoundSearch:
+    """The kappa searches of a call run in rounds: every running search names
+    its next probe, and each replicate scores the round's probes together.
+    The counts, the probes and the failure raised must be those of the
+    searches run one after another."""
+
+    @pytest.mark.parametrize(
+        "kappa, threshold, count, probes",
+        [
+            (0.9, 81, 81, [80, 160, 120, 100, 90, 85, 82, 81]),
+            (0.9, 50, 50, [80, 40, 60, 50, 45, 47, 48, 49]),
+            (0.9, 0, 1, [80, 40, 20, 10, 5, 2, 1]),
+            (0.9, 380, 380, [80, 160, 320, 380, 350, 365, 372, 376, 378, 379]),
+            (1.0, 30, 30, [40, 20, 30, 25, 27, 28, 29]),
+        ],
+    )
+    def test_search_finds_the_smallest_count_probing_each_once(
+        self, kappa, threshold, count, probes
+    ):
+        search = simulate._search(kappa, 80, 380)
+        seen, reply = [], None
+        with pytest.raises(StopIteration) as done:
+            while True:
+                seen.append(search.send(reply))
+                reply = -0.5 if seen[-1] >= threshold else 0.5
+        assert done.value.value == count
+        assert seen == probes and len(set(seen)) == len(seen)
+
+    def test_unreachable_search_raises_after_its_last_probe(self):
+        search = simulate._search(0.9, 80, 380)
+        seen = [next(search)]
+        with pytest.raises(SimulationError, match="kappa = 0.9 by any .* up to 380"):
+            while True:
+                seen.append(search.send(0.5))
+        assert seen == [80, 160, 320, 380]
+
+    def test_round_counts_equal_each_kappa_searched_alone(self, monkeypatch):
+        p, n, lam, eta, seed, reps, t_max = 40, 200, 1.0, 0.1, [3, 1], 3, 20
+        kappas = [0.8, 0.85, 0.9, 1.0]
+        alone = [
+            labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=reps, t_max=t_max)[0]
+            for kappa in kappas
+        ]
+        widths = []
+        probe_round = simulate._probe_round
+
+        def recording_probe_round(pool, reps, columns, t_max):
+            widths.append(len(columns))
+            return probe_round(pool, reps, columns, t_max)
+
+        monkeypatch.setattr(simulate, "_probe_round", recording_probe_round)
+        together = labeled_needed_empirical(
+            p, n, lam, eta, kappas, seed=seed, reps=reps, t_max=t_max
+        )
+        assert together == alone
+        assert widths[0] == len(kappas) + 1  # the reference joins the first round
+
+    @pytest.fixture
+    def scripted(self, monkeypatch):
+        """Searches that follow a script per kappa, on rounds that score
+        nothing: a list of the probes each search yields, then a count to
+        return or an error to raise; records the probes each search got a
+        reply for."""
+        replied = {}
+
+        def run(scripts):
+            def search(kappa, n_ref, hi):
+                *probes, end = scripts[kappa]
+                for n_l in probes:
+                    yield n_l
+                    replied.setdefault(kappa, []).append(n_l)
+                if isinstance(end, Exception):
+                    raise end
+                return end
+
+            def probe_round(pool, reps, columns, t_max):
+                return [np.zeros((len(columns), 40), dtype=bool) for _ in range(reps)]
+
+            monkeypatch.setattr(simulate, "_search", search)
+            monkeypatch.setattr(simulate, "_probe_round", probe_round)
+            return simulate._search_counts(None, 2, list(scripts), 4, 30, 5)
+
+        return run, replied
+
+    def test_first_failure_in_kappa_order_raises(self, scripted):
+        run, replied = scripted
+        scripts = {
+            0.6: [4, 8, 16, 30, SimulationError("first")],  # fails in round 5
+            0.7: [4, SimulationError("second")],  # fails in round 2
+            0.8: [4, 8, 16, 30, 23, 7],
+        }
+        with pytest.raises(SimulationError, match="first"):
+            run(scripts)
+        assert replied[0.6] == [4, 8, 16, 30]  # ran to its end
+        assert 0.8 not in replied  # stopped when the search before it failed
+
+    def test_later_failure_raises_when_the_searches_before_it_succeed(self, scripted):
+        run, replied = scripted
+        scripts = {0.6: [4, 8, 6, 5], 0.7: [4, 8, 16, 30, SimulationError("second")], 0.8: [4, 8]}
+        with pytest.raises(SimulationError, match="second"):
+            run(scripts)
+        assert replied == {0.6: [4, 8, 6], 0.7: [4, 8, 16, 30], 0.8: [4]}
+
+    def test_counts_in_kappa_order(self, scripted):
+        run, _ = scripted
+        assert run({0.6: [4, 8, 16, 9], 0.7: [3], 0.8: [4, 2, 2]}) == [9, 3, 2]
 
 
 class TestReplicatePool:
