@@ -18,7 +18,9 @@ broadcasting is natural).  The building blocks:
                          of eps at once,
 - ``channel_overlap_approx`` the simplified surrogate that keeps only the
                          eps**2 dependence, eps**2 + (1 - eps**2) F_0(q),
-                         exact at eps in {0, ±1}.
+                         exact at eps in {0, ±1},
+- ``approx_error_grid``  the surrogate's relative error |F - F~| / F on an
+                         (eps, q) grid.
 
 ``channel_overlap`` runs through one quadrature plan per eps array
 (``_QuadraturePlan``): it checks eps and finds the distinct eps**2 levels
@@ -27,7 +29,13 @@ is 1, eps**2 = 0 is one dot product of tanh with the weights, and every
 other level is tabulated once, in blocks of rows small enough to stay in
 cache.  ``channel_overlap`` accepts a plan in place of its eps array, so the
 overlap system's label map keeps one plan per mixture and passes it at
-every q.
+every q.  ``approx_error_grid`` keeps its own reduction, with no clamp: each
+eps row is one (q x node) table reduced by one matrix-vector product with
+the weights.  It builds and reduces those rows in blocks of the same
+``_TABLE_BLOCK_CELLS`` cells, at least one row each, so every cell keeps
+the bits of one whole (eps x q x node) table, while beside the result each
+temporary is the size of one block or of the (q x node) tanh table,
+whatever the number of eps.
 
 Inputs.  The package's type and range rules are written once each, here;
 every public function applies them to its numeric inputs before any work,
@@ -381,7 +389,10 @@ class _QuadraturePlan:
 
     def __init__(self, eps):
         e = _check_eps(eps)
-        levels, index = np.unique((e * e).ravel(), return_inverse=True)
+        if e.size == 1:  # np.unique would be about half a scalar call's cost
+            levels, index = (e * e).reshape(1), np.zeros(1, dtype=np.intp)
+        else:
+            levels, index = np.unique((e * e).ravel(), return_inverse=True)
         levels.flags.writeable = False
         index.flags.writeable = False
         self.size = e.size
@@ -466,16 +477,36 @@ def channel_overlap_approx(eps, q):
 def approx_error_grid(eps_values, q_values) -> np.ndarray:
     """Relative error |F_eps - F~_eps| / F_eps on an (eps, q) grid.
 
-    Returns an array of shape (len(eps_values), len(q_values)).  Rows at
-    eps in {0, 1} are exactly zero (the surrogate is exact there); all q must
-    be positive so the denominator cannot vanish.
+    Returns an array of shape (len(eps_values), len(q_values)); a scalar
+    counts as one entry, and an array of more than one dimension is
+    rejected.  Rows at eps in {0, ±1} are exactly zero (the surrogate is
+    exact there); all q must be positive so the denominator cannot vanish.
+
+    Both overlaps are rule averages of their integrands at
+    tanh(q + sqrt(q) z), with no clamp: each eps row is one (Q, 61) table
+    reduced by one matrix-vector product with the weights, so a cell does
+    not depend on the other eps.  The rows are built and reduced in blocks
+    of at most ``_TABLE_BLOCK_CELLS`` cells, and at least one row, so beside
+    the (E, Q) result each temporary is the size of one block or of the
+    (Q, 61) tanh table, whatever the number of eps.  The split keeps every
+    cell's bits.  The q axis is never split: the per-row bits of a
+    matrix-vector product may depend on how BLAS groups the rows.
     """
     e = np.atleast_1d(_check_eps(eps_values))
     q = np.atleast_1d(_check_reals(q_values, "q_values"))
+    for name, a in (("eps_values", e), ("q_values", q)):
+        if a.ndim > 1:
+            raise ValueError(f"{name} must be a scalar or a 1-D array, got shape {a.shape}")
     if np.any(q <= 0.0):
         raise ValueError("q_values must be positive")
+    weights = DEFAULT_RULE.weights
     th = np.tanh(q[:, None] + np.sqrt(q)[:, None] * DEFAULT_RULE.nodes[None, :])  # (Q, N)
     e2 = (e * e)[:, None, None]  # (E, 1, 1)
-    big = _psi_from_tanh(e2, th[None, :, :]) @ DEFAULT_RULE.weights  # (E, Q)
-    small = _psi_tilde_from_tanh(e2, th[None, :, :]) @ DEFAULT_RULE.weights  # (E, Q)
-    return np.abs(big - small) / big
+    out = np.empty((e.size, q.size))
+    step = max(1, _TABLE_BLOCK_CELLS // max(th.size, 1))  # th is empty when q is
+    for i in range(0, e.size, step):
+        block = e2[i : i + step]
+        big = _psi_from_tanh(block, th) @ weights  # (rows, Q)
+        small = _psi_tilde_from_tanh(block, th) @ weights
+        out[i : i + step] = np.abs(big - small) / big
+    return out

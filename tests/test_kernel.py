@@ -4,6 +4,7 @@ relative-error budget of the simplified channel overlap."""
 
 import math
 import re
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -435,6 +436,23 @@ class TestQuadraturePlan:
             assert np.shape(via_plan) == np.shape(direct)
             assert np.asarray(via_plan).tobytes() == np.asarray(direct).tobytes()
 
+    @pytest.mark.parametrize("eps", [0.3, -0.0, 1.0, np.array(-0.6), np.array([0.0]), [[-1.0]]])
+    def test_one_entry_plan_is_the_unique_plan(self, eps):
+        # A one-entry eps skips np.unique; its levels and index are those
+        # np.unique gives, and its overlap keeps the bits.
+        e = np.asarray(eps, dtype=float)
+        levels, index = np.unique((e * e).ravel(), return_inverse=True)
+        plan = _QuadraturePlan(eps)
+        assert plan._levels.tobytes() == levels.tobytes()
+        assert plan._levels.dtype == levels.dtype and plan._levels.shape == (1,)
+        assert plan.index.dtype == np.intp and plan.index.shape == e.shape
+        assert plan.index.tobytes() == index.reshape(e.shape).tobytes()
+        assert not plan._levels.flags.writeable and not plan.index.flags.writeable
+        for q in (0.0, 1e-9, 0.7, 40.0):
+            expected = self.per_eps_dot_loop(e.ravel(), q)
+            assert np.ravel(channel_overlap(eps, q)).tolist() == expected
+            assert np.ravel(channel_overlap(plan, q)).tolist() == expected
+
     def test_threads_share_one_mixture(self):
         eps = soft_eps(15, atoms=400)
         mix = EpsilonMixture(atoms=tuple((float(e), 1.0 / eps.size) for e in eps))
@@ -562,3 +580,66 @@ class TestApproxErrorSurface:
     def test_rejects_nonpositive_snr(self):
         with pytest.raises(ValueError):
             approx_error_grid([0.5], [0.0, 1.0])
+
+    @pytest.mark.parametrize("eps_values", [np.zeros((2, 61)), np.zeros((1, 1))])
+    def test_rejects_eps_of_more_than_one_dimension(self, eps_values):
+        # A 2-D eps with 61 columns would broadcast against the node table.
+        with pytest.raises(ValueError, match=r"^eps_values must be a scalar or a 1-D array"):
+            approx_error_grid(eps_values, [0.5, 1.0])
+
+    @pytest.mark.parametrize("q_values", [np.ones((2, 61)), np.ones((3, 1))])
+    def test_rejects_q_of_more_than_one_dimension(self, q_values):
+        with pytest.raises(ValueError, match=r"^q_values must be a scalar or a 1-D array"):
+            approx_error_grid([0.5], q_values)
+
+    def test_scalars_and_0d_arrays_are_one_entry(self):
+        row = approx_error_grid([0.4], [1.5])
+        for eps in (0.4, np.float64(0.4), np.array(0.4)):
+            for q in (1.5, np.array(1.5)):
+                assert approx_error_grid(eps, q).tobytes() == row.tobytes()
+                assert approx_error_grid(eps, q).shape == (1, 1)
+
+    @staticmethod
+    def one_table(eps, q):
+        """The reference: both integrands as whole (E, Q, 61) tables, each
+        reduced by one ``@ weights``."""
+        th = np.tanh(q[:, None] + np.sqrt(q)[:, None] * DEFAULT_RULE.nodes[None, :])
+        e2 = (eps * eps)[:, None, None]
+        big = _psi_from_tanh(e2, th[None, :, :]) @ DEFAULT_RULE.weights
+        small = _psi_tilde_from_tanh(e2, th[None, :, :]) @ DEFAULT_RULE.weights
+        return np.abs(big - small) / big
+
+    @pytest.mark.parametrize("q_count", [1, 100])
+    def test_every_block_split_keeps_the_bits(self, q_count):
+        # Row counts on each side of the block's row count at this q count,
+        # with eps at 0, ±1 and between.
+        q = np.linspace(0.05, 12.0, q_count)
+        block = max(1, kernel_module._TABLE_BLOCK_CELLS // (q_count * len(DEFAULT_RULE)))
+        soft = np.random.default_rng(23).uniform(-1.0, 1.0, 2 * block + 1)
+        eps = np.concatenate([[0.0, 1.0, -1.0, -0.0], soft])
+        for rows in {1, max(1, block - 1), block, block + 1, 2 * block + 1}:
+            for e in (eps[:rows], eps[::-1][:rows]):
+                surface = approx_error_grid(e, q)
+                assert surface.shape == (rows, q_count)
+                assert np.array_equal(surface, self.one_table(e, q))
+        surface = approx_error_grid(eps, q)
+        assert np.array_equal(surface, self.one_table(eps, q))
+        assert np.all(surface[:4] == 0.0)
+        # An empty axis keeps the one table's shape: (0, Q) and (E, 0).
+        for e, qs in ((eps[:0], q), (eps, q[:0])):
+            surface = approx_error_grid(e, qs)
+            assert surface.shape == self.one_table(e, qs).shape == (e.size, qs.size)
+
+    def test_memory_stays_bounded(self):
+        # Each unblocked (401, 250, 61) table is 48.9 MB; the blocked grid
+        # holds its (E, Q) result and no more than 4 MiB besides.
+        eps = np.linspace(-1.0, 1.0, 401)
+        q = np.linspace(0.05, 12.0, 250)
+        tracemalloc.start()
+        try:
+            surface = approx_error_grid(eps, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert surface.shape == (401, 250)
+        assert peak <= surface.nbytes + 4 * 2**20
