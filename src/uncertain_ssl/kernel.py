@@ -389,10 +389,7 @@ class _QuadraturePlan:
 
     def __init__(self, eps):
         e = _check_eps(eps)
-        if e.size == 1:  # np.unique would be about half a scalar call's cost
-            levels, index = (e * e).reshape(1), np.zeros(1, dtype=np.intp)
-        else:
-            levels, index = np.unique((e * e).ravel(), return_inverse=True)
+        levels, index = np.unique((e * e).ravel(), return_inverse=True)
         levels.flags.writeable = False
         index.flags.writeable = False
         self.size = e.size

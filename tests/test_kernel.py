@@ -436,23 +436,6 @@ class TestQuadraturePlan:
             assert np.shape(via_plan) == np.shape(direct)
             assert np.asarray(via_plan).tobytes() == np.asarray(direct).tobytes()
 
-    @pytest.mark.parametrize("eps", [0.3, -0.0, 1.0, np.array(-0.6), np.array([0.0]), [[-1.0]]])
-    def test_one_entry_plan_is_the_unique_plan(self, eps):
-        # A one-entry eps skips np.unique; its levels and index are those
-        # np.unique gives, and its overlap keeps the bits.
-        e = np.asarray(eps, dtype=float)
-        levels, index = np.unique((e * e).ravel(), return_inverse=True)
-        plan = _QuadraturePlan(eps)
-        assert plan._levels.tobytes() == levels.tobytes()
-        assert plan._levels.dtype == levels.dtype and plan._levels.shape == (1,)
-        assert plan.index.dtype == np.intp and plan.index.shape == e.shape
-        assert plan.index.tobytes() == index.reshape(e.shape).tobytes()
-        assert not plan._levels.flags.writeable and not plan.index.flags.writeable
-        for q in (0.0, 1e-9, 0.7, 40.0):
-            expected = self.per_eps_dot_loop(e.ravel(), q)
-            assert np.ravel(channel_overlap(eps, q)).tolist() == expected
-            assert np.ravel(channel_overlap(plan, q)).tolist() == expected
-
     def test_threads_share_one_mixture(self):
         eps = soft_eps(15, atoms=400)
         mix = EpsilonMixture(atoms=tuple((float(e), 1.0 / eps.size) for e in eps))
