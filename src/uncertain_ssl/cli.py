@@ -69,8 +69,9 @@ MAX_GRID_CELLS = 1_000_000
 
 # Largest feature matrix a Monte Carlo command may draw, in cells (200 MB of
 # float64): one replicate for `simulate` and `reduction`, all of them for
-# `labeled-needed`, which keeps every replicate; also the length of each
-# `channel-check` draw (`trials`).
+# `labeled-needed`, whose search workers together keep every replicate, each
+# worker the ones it owns; also the length of each `channel-check` draw
+# (`trials`).
 MAX_REPLICATE_CELLS = 25_000_000
 
 
@@ -133,7 +134,9 @@ def _write_manifest(base_path: str, command: str, params: dict) -> None:
             "python": platform.python_version(),
         },
     }
-    _write_text(base_path + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    # No indent: an indented dump runs the standard library's pure-Python
+    # encoder, a plain one its C encoder.
+    _write_text(base_path + ".manifest.json", json.dumps(manifest, sort_keys=True) + "\n")
 
 
 # JSON kind of each type ``json.load`` returns; ``bool`` is a key of its own,

@@ -14,10 +14,12 @@ scalar-channel alignment check, and three classifiers to confront the theory:
 
 ``labeled_needed_empirical`` runs the labeled-count search for one eta: how
 many kappa-reliable labels the semi-supervised classifier needs to match an
-eta fraction of certain ones.  It draws its replicates and runs its
-reference inside the call, searches every kappa in rounds, scoring each
-round's probes as the columns of one classifier run per replicate on a
-process pool that ends with the call, and keeps nothing afterwards.  The
+eta fraction of certain ones.  It starts one worker process per usable
+core, up to one per replicate; each worker draws the replicates it owns and
+keeps them for the call, and the calling process draws none.  Every kappa
+is searched in rounds, each worker scoring a round's probes, the reference
+in the first, as the columns of one classifier run per owned replicate.
+The workers are joined before the call ends, and nothing is kept.  The
 fresh-draw replicates of the ``simulate`` and ``reduction`` commands, every
 point's at once, run on one thread pool per command
 (``_fresh_replicate_errors`` on ``_thread_map``), and so do the cells of
@@ -31,7 +33,7 @@ bit for bit.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import math
 import os
 from collections import deque
@@ -427,8 +429,8 @@ def _thread_map(fn, jobs, count: int) -> list:
     is in flight, and a job is taken from ``jobs`` only when it is submitted,
     so only the list of results grows with ``count``.  A failing job raises
     as in a serial loop: the first in job order.  ``concurrent.futures`` is
-    imported here, as in ``_replicate_pool``, to keep it and ``logging`` off
-    every command's start-up.
+    imported here, as ``multiprocessing`` is in ``_replicate_workers``, to
+    keep it and ``logging`` off every command's start-up.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -466,54 +468,100 @@ def _fresh_replicate_errors(points, reps: int, t_max: int) -> list:
     return [results[start : start + reps] for start in range(0, len(results), reps)]
 
 
-# The replicate draws of a labeled-count search, in a worker of its pool only:
-# the pool's initializer sets them, and the calling process never does.
-_worker_draws: list = []
-
-
-def _hold_draws(draws: list) -> None:
-    global _worker_draws
-    _worker_draws = draws
-
-
-def _replicate_masks(columns: list, t_max: int, r: int) -> np.ndarray:
-    """In a pool worker: the (G, n) mask of where replicate r's semi-supervised
-    hard labels miss the truth, row g when its first n_l samples carry
+def _replicate_masks(draw, columns: list, t_max: int) -> np.ndarray:
+    """The (G, n) mask of where the semi-supervised hard labels of a
+    ``_base_draw`` miss the truth, row g when its first n_l samples carry
     kappa-reliable labels, for the G (n_l, kappa) pairs of ``columns``, all
     scored in one ``_semisupervised_columns`` run."""
-    draw = _worker_draws[r]
     n = draw[1].size
     datasets = [_dataset(draw, [(n_l / n, kappa)]) for n_l, kappa in columns]
     soft, _ = _semisupervised_columns(datasets, t_max)
     return _hard_decisions(soft) != datasets[0].truth_labels
 
 
-def _replicate_pool(draws: list):
-    """A process pool of min(reps, usable cores) workers that each hold ``draws``.
+def _replicate_worker(conn, calling_end, p: int, n: int, lam: float, seed, owned: range) -> None:
+    """A search worker's process: it draws its replicates ``owned`` from
+    (seed, r) and keeps them until the call ends.  For each round's
+    (columns, t_max) read from ``conn`` it sends back one outcome per owned
+    replicate, in order: the replicate's ``_replicate_masks`` mask, or the
+    exception its draw or its run raised, which ends the list.  It returns
+    when it reads None, the end of the call, or when the calling process
+    has died.
 
-    The workers are forked where the platform offers fork, so the draws are
-    not pickled and their pages are shared copy-on-write; elsewhere the
-    platform's default start method pickles them once per worker.
-    ``multiprocessing`` is imported here, not at module level, to keep it off
-    every command's start-up.
+    ``calling_end`` is this worker's copy of the calling process's end of
+    the pipe, which a fork hands it; it is closed first, so that the end
+    closes when the calling process dies and ``conn`` reads EOF.  A sibling
+    forked later holds a copy too and keeps it until it exits itself.
+    """
+    calling_end.close()
+    draws, failure = [], None
+    try:
+        for r in owned:
+            draws.append(_base_draw(p, n, lam, _rep_stream(seed, r)))
+    except Exception as error:
+        failure = error
+    with contextlib.suppress(EOFError, BrokenPipeError):  # the calling process died
+        while (job := conn.recv()) is not None:
+            columns, t_max = job
+            outcomes = []
+            try:
+                for draw in draws:
+                    outcomes.append(_replicate_masks(draw, columns, t_max))
+            except Exception as error:
+                outcomes.append(error)
+            else:
+                if failure is not None:
+                    outcomes.append(failure)
+            conn.send(outcomes)
+
+
+@contextlib.contextmanager
+def _replicate_workers(p: int, n: int, lam: float, seed, reps: int):
+    """W = min(reps, usable cores) search worker processes, as a list of
+    (connection, process) pairs: worker k owns replicates k, k + W, k + 2W
+    and so on, and draws them itself (``_replicate_worker``).
+
+    The workers are forked where the platform offers fork and started by the
+    platform's default method elsewhere; on either, no draw is pickled, and
+    the calling process draws nothing.  When the ``with`` block ends, every
+    worker has exited and been joined; a block that raises terminates them
+    first.  ``multiprocessing`` is imported here, not at module level, to
+    keep it off every command's start-up.
     """
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
     methods = multiprocessing.get_all_start_methods()  # the platform default first
-    return ProcessPoolExecutor(
-        max_workers=min(len(draws), _usable_cores()),
-        mp_context=multiprocessing.get_context("fork" if "fork" in methods else methods[0]),
-        initializer=_hold_draws,
-        initargs=(draws,),
-    )
+    context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
+    count = min(reps, _usable_cores())
+    workers = []
+    try:
+        for k in range(count):
+            conn, end = context.Pipe()
+            process = context.Process(
+                target=_replicate_worker, args=(end, conn, p, n, lam, seed, range(k, reps, count))
+            )
+            process.start()
+            end.close()  # the worker holds the only copy: its exit reads as EOF here
+            workers.append((conn, process))
+        yield workers
+        for conn, _ in workers:
+            conn.send(None)
+    except BaseException:
+        for _, process in workers:
+            process.terminate()
+        raise
+    finally:
+        for conn, process in workers:
+            process.join()
+            conn.close()
 
 
-def _probe_round(pool, reps: int, columns: list, t_max: int) -> list:
-    """Per replicate, in order, the ``_replicate_masks`` mask of ``columns``;
-    the ``reps`` replicates run on ``pool``, a ``_replicate_pool``.  A
-    failing replicate raises as in a serial loop: the first in replicate
-    order.
+def _probe_round(workers: list, reps: int, columns: list, t_max: int) -> list:
+    """Per replicate, in order, the ``_replicate_masks`` mask of ``columns``,
+    from the ``_replicate_workers`` ``workers``: each is sent the columns
+    once and answers for all of its replicates.  A failing replicate raises
+    as in a serial loop, the first in replicate order, a failed draw
+    included; a worker that exits before it answers raises ``RuntimeError``.
 
     Processes, not threads: only a pass's matrix products release the GIL;
     its recursion steps, one per column, and the per-pass Python work do
@@ -523,10 +571,32 @@ def _probe_round(pool, reps: int, columns: list, t_max: int) -> list:
     runs each, the three interleaved).  Replicates are not batched with each
     other: a 200 x 1000 matrix is 1.6 MB, and the matrix products of five
     replicates run pass by pass in lockstep took 48 ms against 45 ms run
-    one replicate after another (2 MB L2 per core).
+    one replicate after another (2 MB L2 per core).  Each worker holds only
+    the draws it owns, 8 MB for 5 of these replicates: on the same command
+    the workers peaked at 41.8 MB and the calling process at 30.7 MB
+    (``ru_maxrss``, 3 runs), where forked workers that shared every draw of
+    the calling process peaked at 44.4 MB and the caller at 53.3 MB.
     """
-    run = functools.partial(_replicate_masks, columns, t_max)
-    return list(pool.map(run, range(reps)))
+    for conn, _ in workers:
+        conn.send((columns, t_max))
+    answers = []
+    for k, (conn, process) in enumerate(workers):
+        try:
+            answers.append(conn.recv())
+        except EOFError:
+            process.join()
+            raise RuntimeError(
+                f"search worker {k} exited with code {process.exitcode} during a round"
+            ) from None
+    masks = []
+    for r in range(reps):
+        # a worker's answer ends at its first failure, which is raised here
+        # before any of its later replicates is reached
+        outcome = answers[r % len(workers)][r // len(workers)]
+        if isinstance(outcome, BaseException):
+            raise outcome
+        masks.append(outcome)
+    return masks
 
 
 def _search(kappa: float, n_ref: int, hi: int):
@@ -629,19 +699,21 @@ def labeled_needed_empirical(
     fluctuations cancel.
 
     One call does the whole study for one eta.  Every argument, the seed
-    for bools only, is checked before any draw.  Each replicate's random
+    for bools only, is checked before any draw.  Then W = min(reps, usable
+    cores) worker processes start (``_replicate_workers``), and worker k
+    owns replicates k, k + W, k + 2W and so on.  Each replicate's random
     numbers (center, truth, noise and one reliability uniform per sample)
-    are then drawn once, the reference runs once, and a probe builds its
-    labels from the stored uniforms, so each probe sees the dataset
-    ``generate_dataset`` draws from (seed, r) under its labeling.  The
-    kappas are searched together, in rounds (``_search_counts``): each
-    replicate scores a round's probes, the reference in the first round, as
-    the columns of one classifier run, and the counts and the error raised
-    are those of searching one kappa after another.  The replicates run on
-    one process pool of min(reps, usable cores) workers, which is shut down
-    before the call returns; the results do not depend on the worker count.
-    The draws and every probe result are local to the call and freed when it
-    returns.
+    are drawn once, in the worker that owns it, and kept there for the
+    call; the calling process draws nothing.  The reference runs once, and
+    a probe builds its labels from the stored uniforms, so each probe sees
+    the dataset ``generate_dataset`` draws from (seed, r) under its
+    labeling.  The kappas are searched together, in rounds
+    (``_search_counts``): each replicate scores a round's probes, the
+    reference in the first round, as the columns of one classifier run, and
+    the counts and the error raised are those of searching one kappa after
+    another, a failed draw counting as its replicate's failure.  The results
+    do not depend on the worker count.  Every worker has exited and been
+    joined when the call returns or raises, and the draws go with them.
 
     Infeasible reliabilities ((2 kappa - 1)^2 < eta) raise
     ``InfeasibilityError``; the search fails with ``SimulationError`` if
@@ -663,6 +735,5 @@ def labeled_needed_empirical(
     if n_ref > hi:
         raise SimulationError("reference labeled count leaves too few samples to evaluate")
 
-    draws = [_base_draw(p, n, lam, _rep_stream(seed, r)) for r in range(reps)]
-    with _replicate_pool(draws) as pool:
-        return _search_counts(pool, reps, kappas, n_ref, hi, t_max)
+    with _replicate_workers(p, n, lam, seed, reps) as workers:
+        return _search_counts(workers, reps, kappas, n_ref, hi, t_max)

@@ -3,10 +3,16 @@ scalar channel lemma against quadrature, classifier calibration against known
 error levels, and the labeled-count search protocol."""
 
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import math
 import multiprocessing
+import os
+import pickle
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -36,6 +42,29 @@ GOLDEN = [
     (50, 250, 1.0, 0.1, 0.9, 5, 0.19259259259259262, 116),
     (40, 200, 1.0, 0.1, 0.85, [3, 1], 0.1962962962962963, 22),
 ]
+
+# The same searches at reps = 5, recorded from the search whose workers all
+# shared the draws of the calling process.
+GOLDEN_FIVE = [
+    (50, 250, 1.0, 0.1, 0.9, 5, 0.2106666666666667, 76),
+    (40, 200, 1.0, 0.1, 0.85, [3, 1], 0.20444444444444448, 20),
+]
+
+
+def reference_target(p, n, lam, eta, seed, reps, t_max):
+    """The reference run's mean error on its unlabeled samples, from the
+    masks the search's own workers return."""
+    n_ref = round(eta * n)
+    with simulate._replicate_workers(p, n, lam, seed, reps) as workers:
+        reference = simulate._probe_round(workers, reps, [(n_ref, 1.0)], t_max)
+    return float(np.mean([float(np.mean(wrong[0, n_ref:])) for wrong in reference]))
+
+
+def fork_only():
+    """Skips a test whose patches must reach the workers, which only a fork
+    copies."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the patch reaches the workers only through fork")
 
 
 # sha256 of generate_dataset(12, 90, 1.3, labeling, seed)'s features,
@@ -739,6 +768,7 @@ class TestLabeledNeededEmpirical:
             raise AssertionError("a replicate was drawn before the arguments were checked")
 
         monkeypatch.setattr(simulate, "_base_draw", no_draw)
+        monkeypatch.setattr(simulate, "_replicate_workers", no_draw)  # they would draw
         args = {"p": 10, "n": 40, "lam": 1.0, "eta": 0.2, "kappas": [0.9, 1.0],
                 "seed": 3, "reps": 2, "t_max": 20}
         args.update(change)
@@ -926,25 +956,33 @@ class TestReplicateBank:
                     a, b = getattr(rebuilt, field), getattr(fresh, field)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
-    def test_search_draws_each_replicate_and_reference_once(self, monkeypatch):
+    def test_search_draws_each_replicate_and_reference_once(self, monkeypatch, tmp_path):
+        fork_only()
         p, n, lam, eta, seed, reps = 20, 120, 1.0, 0.1, 8, 3
-        base_draws = []
+        log = tmp_path / "draws.log"
         references = []
         base_draw, probe_round = simulate._base_draw, simulate._probe_round
 
-        def counting_base_draw(*args):
-            base_draws.append(args[3])
+        def logging_base_draw(*args):
+            # the forked workers inherit the patch; each process logs its pid
+            with open(log, "a") as handle:
+                handle.write(json.dumps([os.getpid(), args[3]]) + "\n")
             return base_draw(*args)
 
         def counting_probe_round(pool, reps, columns, t_max):
             references.extend(n_labeled for n_labeled, kappa in columns if kappa == 1.0)
             return probe_round(pool, reps, columns, t_max)
 
-        monkeypatch.setattr(simulate, "_base_draw", counting_base_draw)
+        monkeypatch.setattr(simulate, "_base_draw", logging_base_draw)
         monkeypatch.setattr(simulate, "_probe_round", counting_probe_round)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
         counts = labeled_needed_empirical(p, n, lam, eta, (0.95, 0.9, 0.85), seed=seed, reps=reps)
         assert len(counts) == 3 and all(isinstance(c, int) for c in counts)
-        assert base_draws == [[seed, r] for r in range(reps)]
+        drawn = [json.loads(line) for line in log.read_text().splitlines()]
+        assert sorted(stream for _, stream in drawn) == [[seed, r] for r in range(reps)]
+        owner = {stream[1]: pid for pid, stream in drawn}
+        assert os.getpid() not in owner.values()  # the calling process draws nothing
+        assert owner[0] == owner[2] != owner[1]  # worker k owns replicates k, k + 2
         assert references == [round(eta * n)]
 
     def test_kappa_one_search_reuses_the_reference_run(self, monkeypatch):
@@ -967,21 +1005,15 @@ class TestReplicateBank:
         assert any(kappa == 1.0 for _, kappa in runs[1:]) and counts[1] <= n_ref
         # the probe it skips would repeat the reference run, so its paired
         # mean is exactly the 0.0 it is seeded with
-        draws = [simulate._base_draw(p, n, lam, [seed, r]) for r in range(reps)]
-        with simulate._replicate_pool(draws) as pool:
-            reference = probe_round(pool, reps, [(n_ref, 1.0)], t_max)
-            again = probe_round(pool, reps, [(n_ref, 1.0)], t_max)
+        with simulate._replicate_workers(p, n, lam, seed, reps) as workers:
+            reference = probe_round(workers, reps, [(n_ref, 1.0)], t_max)
+            again = probe_round(workers, reps, [(n_ref, 1.0)], t_max)
         for a, b in zip(reference, again):
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("p, n, lam, eta, kappa, seed, target, count", GOLDEN)
     def test_golden_counts(self, p, n, lam, eta, kappa, seed, target, count):
-        n_ref = round(eta * n)
-        draws = [simulate._base_draw(p, n, lam, simulate._rep_stream(seed, r)) for r in range(3)]
-        with simulate._replicate_pool(draws) as pool:
-            reference = simulate._probe_round(pool, 3, [(n_ref, 1.0)], 20)
-        errors = [float(np.mean(wrong[0, n_ref:])) for wrong in reference]
-        assert float(np.mean(errors)) == target
+        assert reference_target(p, n, lam, eta, seed, 3, 20) == target
         found = labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=3, t_max=20)
         assert found == [count]
 
@@ -1095,22 +1127,24 @@ class TestRoundSearch:
 
 
 class TestReplicatePool:
-    """The labeled-count search scores its replicates on a process pool: the
-    counts must not depend on the worker count or the start method, a
-    worker's failure must surface as in a serial loop, and no worker may
+    """The labeled-count search scores its replicates on worker processes,
+    each drawing the replicates it owns: the counts must not depend on the
+    worker count or the start method, a worker's failure must surface as in
+    a serial loop, a dead worker must make the call raise, and no worker may
     outlive the call."""
 
     def recorded_pools(self, monkeypatch) -> list:
-        """The worker count of each pool the search opens."""
+        """The worker count of each call's workers."""
         sizes = []
-        make_pool = simulate._replicate_pool
+        start = simulate._replicate_workers
 
-        def recording_pool(draws):
-            pool = make_pool(draws)
-            sizes.append(pool._max_workers)
-            return pool
+        @contextlib.contextmanager
+        def recording_workers(*args):
+            with start(*args) as workers:
+                sizes.append(len(workers))
+                yield workers
 
-        monkeypatch.setattr(simulate, "_replicate_pool", recording_pool)
+        monkeypatch.setattr(simulate, "_replicate_workers", recording_workers)
         return sizes
 
     @pytest.mark.parametrize("p, n, lam, eta, kappa, seed, target, count", GOLDEN)
@@ -1125,35 +1159,80 @@ class TestReplicatePool:
             assert multiprocessing.active_children() == []
         assert sizes == [1, 2, 3]
 
+    @pytest.mark.parametrize(
+        "reps, workers, case",
+        [(3, 2, case) for case in GOLDEN] + [(5, 4, case) for case in GOLDEN_FIVE],
+        ids=["3-on-2-int-seed", "3-on-2-sequence-seed", "5-on-4-int-seed", "5-on-4-sequence-seed"],
+    )
+    def test_uneven_ownership_gives_the_golden_counts(self, monkeypatch, reps, workers, case):
+        # one worker owns a replicate more than another
+        p, n, lam, eta, kappa, seed, target, count = case
+        sizes = self.recorded_pools(monkeypatch)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: workers)
+        assert reference_target(p, n, lam, eta, seed, reps, 20) == target
+        found = labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=reps, t_max=20)
+        assert found == [count]
+        assert sizes == [workers, workers]
+        assert multiprocessing.active_children() == []
+
     def test_spawned_workers_give_the_same_counts(self, monkeypatch):
-        # without fork, the worker function and the initializer are pickled
-        # and the draws are sent to each worker
+        # without fork, the worker function and its arguments are pickled;
+        # the arguments hold no draw, and the calling process draws none
         p, n, lam, eta, kappa, seed, _, count = GOLDEN[0]
-        methods = []
+        methods, sent = [], []
         get_context = multiprocessing.get_context
 
         def recording_context(method=None):
             methods.append(method)
-            return get_context(method)
+            context = get_context(method)
+            make = context.Process
+
+            def recording_process(*, target, args):
+                sent.append(pickle.dumps(args[2:]))  # all but the two ends of its pipe
+                return make(target=target, args=args)
+
+            monkeypatch.setattr(context, "Process", recording_process)
+            return context
+
+        def no_draw(*args):
+            raise AssertionError("the calling process drew a replicate")
 
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(multiprocessing, "get_context", recording_context)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(simulate, "_base_draw", no_draw)  # spawned workers import their own
         found = labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=3, t_max=20)
         assert found == [count]
         assert methods == ["spawn"]
+        assert [pickle.loads(args)[-1] for args in sent] == [range(0, 3, 2), range(1, 3, 2)]
+        assert max(map(len, sent)) < 1000  # one replicate's draw is 100 kB
         assert multiprocessing.active_children() == []
 
     @pytest.fixture
-    def failing_workers(self, monkeypatch):
+    def replicate_of(self, monkeypatch):
+        """The replicate of a draw, in the worker that drew it: forked
+        workers inherit the tagging ``_base_draw``, and each fills its own
+        copy of the map."""
+        fork_only()
+        base_draw = simulate._base_draw
+        owner = {}
+
+        def tagging_draw(p, n, lam, stream):
+            draw = base_draw(p, n, lam, stream)
+            owner[id(draw)] = stream[-1]
+            return draw
+
+        monkeypatch.setattr(simulate, "_base_draw", tagging_draw)
+        return lambda draw: owner[id(draw)]
+
+    @pytest.fixture
+    def failing_workers(self, monkeypatch, replicate_of):
         """Replicate 1 raises a ``SimulationError`` late and replicate 3 a
         ``ValueError`` early; forked workers inherit the patch."""
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("the patch reaches the workers only through fork")
         build = simulate._dataset
 
         def failing_build(draw, blocks):
-            r = next(i for i, d in enumerate(simulate._worker_draws) if d is draw)
+            r = replicate_of(draw)
             if r == 1:
                 time.sleep(0.2)  # with 4 workers, replicate 3 fails first in time
                 raise SimulationError(f"replicate {r} failed")
@@ -1179,3 +1258,105 @@ class TestReplicatePool:
         out = tmp_path / "out"
         assert cli.main(["labeled-needed", "--config", str(config), "--out", str(out)]) == 4
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "failing_run, error, message",
+        [(1, ArithmeticError, "replicate 1 failed"), (3, KeyError, "replicate 2's draw failed")],
+        ids=["run-before-draw", "draw-before-run"],
+    )
+    def test_failed_draw_counts_in_replicate_order(
+        self, monkeypatch, replicate_of, failing_run, error, message
+    ):
+        # On 2 workers replicate 2's draw fails in worker 0 before any round,
+        # and a run of worker 1 fails in the first round; as in a serial
+        # loop, the replicate that comes first raises.
+        base_draw, build = simulate._base_draw, simulate._dataset
+
+        def failing_draw(p, n, lam, stream):
+            if stream[-1] == 2:
+                raise KeyError("replicate 2's draw failed")
+            return base_draw(p, n, lam, stream)
+
+        def failing_build(draw, blocks):
+            if replicate_of(draw) == failing_run:
+                raise ArithmeticError(f"replicate {failing_run} failed")
+            return build(draw, blocks)
+
+        monkeypatch.setattr(simulate, "_base_draw", failing_draw)
+        monkeypatch.setattr(simulate, "_dataset", failing_build)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        with pytest.raises(error, match=message):
+            labeled_needed_empirical(20, 120, 1.0, 0.1, [0.9], seed=8, reps=4)
+        assert multiprocessing.active_children() == []
+
+    def test_dying_worker_makes_the_call_raise(self, monkeypatch, replicate_of):
+        # replicate 3's worker exits in the middle of the first round, after
+        # it scored replicate 1; the alarm turns a hang into a failure
+        build = simulate._dataset
+
+        def dying_build(draw, blocks):
+            if replicate_of(draw) == 3:
+                os._exit(7)
+            return build(draw, blocks)
+
+        def hung(signum, frame):
+            raise TimeoutError("the call waited on a dead worker")
+
+        monkeypatch.setattr(simulate, "_dataset", dying_build)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match="search worker 1 exited with code 7"):
+                labeled_needed_empirical(20, 120, 1.0, 0.1, [0.9], seed=8, reps=5)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_exit_when_the_calling_process_dies(self):
+        # A child process runs a search whose workers print their pids and
+        # take 0.5 s per replicate; it is killed in the middle of a round.
+        fork_only()
+        script = (
+            "import os, time\n"
+            "from uncertain_ssl import simulate\n"
+            "masks = simulate._replicate_masks\n"
+            "def slow(*args):\n"
+            "    print(os.getpid(), flush=True)\n"
+            "    time.sleep(0.5)\n"
+            "    return masks(*args)\n"
+            "simulate._replicate_masks = slow\n"
+            "simulate._usable_cores = lambda: 2\n"
+            "simulate.labeled_needed_empirical(20, 120, 1.0, 0.1, [0.9], seed=8, reps=4)\n"
+        )
+        paths = [os.path.dirname(os.path.dirname(simulate.__file__)), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        caller = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
+        )
+        workers = set()
+        try:
+            while len(workers) < 2:
+                line = caller.stdout.readline()
+                assert line, "the search ended before both workers ran"
+                workers.add(int(line))
+        finally:
+            caller.kill()
+            caller.wait()
+
+        def running(pid):  # neither gone nor a zombie
+            try:
+                with open(f"/proc/{pid}/stat") as handle:
+                    return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 30
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in workers if running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
+        caller.stdout.close()
