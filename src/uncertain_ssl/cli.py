@@ -37,7 +37,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .kernel import _check_count, approx_error_grid, channel_overlap
+from .kernel import _check_count, _check_unit, approx_error_grid, channel_overlap
 from .overlaps import ConvergenceError, EpsilonMixture, solve_overlaps
 from .risk import (
     InfeasibilityError,
@@ -52,8 +52,10 @@ from .risk import (
 from .simulate import (
     SimulationError,
     channel_overlap_mc_stats,
+    _check_kappa,
     _check_labeling,
     _fresh_replicate_errors,
+    _intended_mixture,
     _thread_map,
     labeled_needed_empirical,
 )
@@ -229,14 +231,6 @@ def _check_replicate_cells(cells: int, what: str) -> None:
         raise CliError(f"{what} has {cells} cells, more than {MAX_REPLICATE_CELLS}")
 
 
-def _intended_mixture(blocks) -> EpsilonMixture:
-    """Theory mixture of checked labeling ``blocks``: eps = 2 kappa - 1 at
-    each block's fraction, the rest unlabeled."""
-    atoms = [(2.0 * kappa - 1.0, frac) for frac, kappa in blocks]
-    atoms.append((0.0, 1.0 - sum(frac for frac, _ in blocks)))
-    return EpsilonMixture(atoms=tuple(atoms))
-
-
 def cmd_solve(cfg: dict) -> dict[str, str]:
     mixture = _mixture_from_config(cfg)
     lam = float(cfg["lambda"])
@@ -347,8 +341,8 @@ def cmd_reduction(cfg: dict) -> dict[str, str]:
     sweep = cfg["sweep"]
     if sweep not in ("lambda", "c"):
         raise CliError("sweep must be 'lambda' or 'c'")
-    eta = float(cfg["eta"])
-    kappa = float(cfg["kappa"])
+    eta = _check_unit(cfg["eta"], "eta")
+    kappa = _check_kappa(cfg["kappa"])
     p = int(cfg["p"])
     reps = int(cfg["reps"])
     t_max = int(cfg["t_max"])
@@ -363,11 +357,15 @@ def cmd_reduction(cfg: dict) -> dict[str, str]:
     largest_n = max(int(round(c * p)) for _, c in points)
     _check_replicate_cells(p * largest_n, "a replicate (p x largest n)")
 
-    # Every point's theory first, so that a bad sweep value fails before any draw.
+    # Every point's theory first, so that a bad sweep value fails before any
+    # draw.  The theory follows the labels drawn: a fraction eta at
+    # reliability kappa, whose plug-in direction is worth eta (2 kappa - 1)^2
+    # certain labels; at kappa = 1 these are certainty(eta) and eta exactly.
+    mixture = _intended_mixture([(eta, kappa)])
     bounds = []
     for lam, c in points:
-        e_sup_th = supervised_risk_theory(lam, c, eta)
-        e_semi_th = bayes_risk(solve_overlaps(lam, c, EpsilonMixture.certainty(eta)).q_u)
+        e_sup_th = supervised_risk_theory(lam, c, eta * (2.0 * kappa - 1.0) ** 2)
+        e_semi_th = bayes_risk(solve_overlaps(lam, c, mixture).q_u)
         e_oracle_th = oracle_risk(lam)
         bounds.append((
             absolute_reduction(e_sup_th, e_semi_th),

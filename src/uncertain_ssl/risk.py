@@ -119,8 +119,11 @@ def supervised_risk_theory(lam: float, c: float, eta: float) -> float:
     Discarding unlabeled data leaves eta * n certainty-labeled samples, i.e.
     the pinned system q_v = 1 at sample ratio eta c, so the score SNR is
     qu_from_qv(lam, eta * c, 1) and the error its Gaussian tail.  This is the
-    theory baseline the plug-in supervised classifier attains.  eta, the
-    certainty mixture's fraction, lies in [0, 1], where 0 is infeasible.  A
+    theory baseline the plug-in supervised classifier attains.  eta is the
+    certainty-equivalent labeled fraction, the label mixture's eps_bar_sq:
+    the certainty mixture's fraction, or eta (2 kappa - 1)^2 for a fraction
+    eta of kappa-reliable labels, whose plug-in direction (1/n) sum eps_i x_i
+    has that score SNR.  It lies in [0, 1], where 0 is infeasible.  A
     (lam, c, eta) whose lam * lam * (c * eta) overflows is rejected by name.
     """
     eta = _check_unit(eta, "eta")

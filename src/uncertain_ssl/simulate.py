@@ -7,10 +7,13 @@ scalar-channel alignment check, and three classifiers to confront the theory:
 - ``classify_supervised``      plug-in direction from labeled samples only,
 - ``classify_semisupervised``  iterative posterior-mean scheme whose score
                                calibration follows the overlap recursion on
-                               the dataset's realised mixture, one step per
-                               pass, with the kernel's one denoiser and the
-                               overlaps' one feature map, both unchecked
-                               inside the loop.
+                               the dataset's realised mixture, built lazily,
+                               one step per pass reached, with the kernel's
+                               one denoiser and the overlaps' one feature
+                               map, both unchecked.
+
+The pass loop itself (``_semisupervised_columns``) reads each column's
+calibration from a given q_u schedule and runs no recursion.
 
 ``labeled_needed_empirical`` runs the labeled-count search for one eta: how
 many kappa-reliable labels the semi-supervised classifier needs to match an
@@ -19,9 +22,12 @@ core, up to one per replicate; each worker draws the replicates it owns and
 keeps them for the call, and the calling process draws none.  Every kappa
 is searched in rounds, each worker scoring a round's probes, the reference
 in the first, as the columns of one classifier run per owned replicate.
-The workers are joined before the call ends, and nothing is kept.  The
-fresh-draw replicates of the ``simulate`` and ``reduction`` commands, every
-point's at once, run on one thread pool per command
+The calling process builds each probe's q_u schedule once per round, from
+the nominal lam, c = n/p and the intended mixture, and sends it with the
+probe, so the workers run only the matrix products, the denoiser and the
+stop rule.  The workers are joined before the call ends, and nothing is
+kept.  The fresh-draw replicates of the ``simulate`` and ``reduction``
+commands, every point's at once, run on one thread pool per command
 (``_fresh_replicate_errors`` on ``_thread_map``), and so do the cells of
 ``channel-check``.
 
@@ -175,6 +181,14 @@ def _check_labeling(labeling) -> list:
     return blocks
 
 
+def _intended_mixture(blocks) -> EpsilonMixture:
+    """Theory mixture of checked labeling ``blocks``: eps = 2 kappa - 1 at
+    each block's fraction, the rest unlabeled."""
+    atoms = [(2.0 * kappa - 1.0, frac) for frac, kappa in blocks]
+    atoms.append((0.0, 1.0 - sum(frac for frac, _ in blocks)))
+    return EpsilonMixture(atoms=tuple(atoms))
+
+
 # Cells per block of rows when the class means are added into the noise.
 _ROW_BLOCK_CELLS = 1 << 15
 
@@ -301,6 +315,20 @@ def classify_supervised(ds: Dataset) -> ClassifierOutput:
 _STOP_TOL = 1e-6
 
 
+def _calibration(lam: float, c: float, mixture: EpsilonMixture):
+    """The score SNRs q_u^1, q_u^2, ... of the overlap recursion
+    q_u = qu_from_qv(lam, c, q_v), q_v = qv_from_qu(mixture, q_u) from
+    q_v = eps_bar_sq, as a generator: step t runs only when q_u^t is asked
+    for, so t values cost t - 1 label-map calls.  (lam, c) passed
+    ``_check_gain``; the feature map runs unchecked."""
+    q_v = mixture.eps_bar_sq
+    while True:
+        # q_v stays >= 0; the clamp at 1 is the one qu_from_qv applies.
+        q_u = _feature_map(lam, c, q_v if q_v < 1.0 else 1.0)
+        yield q_u
+        q_v = qv_from_qu(mixture, q_u)
+
+
 def classify_semisupervised(ds: Dataset, t_max: int = 50) -> ClassifierOutput:
     """Iterative posterior-mean classifier calibrated by the overlap maps.
 
@@ -308,15 +336,16 @@ def classify_semisupervised(ds: Dataset, t_max: int = 50) -> ClassifierOutput:
     direction m = X v / n, scores every sample with its own contribution
     removed (s_i = x_i' m - ||x_i||^2 v_i / n), rescales the scores to the
     Gaussian-channel law u ~ q_u y + sqrt(q_u) Z predicted by the overlap
-    recursion run alongside, and denoises with the posterior mean.  Stops at
-    ``t_max`` passes or when the mean absolute update falls below 1e-6.
+    recursion, and denoises with the posterior mean.  Stops at ``t_max``
+    passes or when the mean absolute update falls below 1e-6.
 
     The recursion q_u = qu_from_qv(lam, c, q_v), q_v = qv_from_qu(mixture,
-    q_u) starts from q_v = eps_bar_sq and takes one step per pass, so a run
-    computes no step beyond the pass it reaches.  Its inputs all come from
-    the dataset: lam = ``ds.snr``, c = n/p and the realised mixture
+    q_u) starts from q_v = eps_bar_sq; its schedule is built lazily, one
+    step per pass reached, so a run computes no step beyond the pass it
+    reaches.  Its inputs all come from the dataset: lam = ``ds.snr``,
+    c = n/p and the realised mixture
     ``EpsilonMixture.from_samples(ds.label_eps)``.  ``t_max`` and the
-    finiteness of lam * lam * c are checked before any pass, and each pass
+    finiteness of lam * lam * c are checked before any pass, and each step
     runs the feature map unchecked; the dataset checked its confidences when
     it was built.  This is the one-column run of ``_semisupervised_columns``.
 
@@ -325,32 +354,36 @@ def classify_semisupervised(ds: Dataset, t_max: int = 50) -> ClassifierOutput:
     the recursion instead of estimating the score SNR from data.
     """
     t_max = _check_count(t_max, "t_max")
-    soft, [iterations] = _semisupervised_columns([ds], t_max)
+    lam, c = ds.snr, ds.n / ds.p
+    _check_gain(lam, c)
+    schedule = _calibration(lam, c, EpsilonMixture.from_samples(ds.label_eps))
+    soft, [iterations] = _semisupervised_columns([ds], [schedule], t_max)
     return _output_from_soft(soft[0], ds, iterations=iterations)
 
 
-def _semisupervised_columns(datasets: list, t_max: int) -> tuple[np.ndarray, list]:
+def _semisupervised_columns(datasets: list, schedules: list, t_max: int) -> tuple[np.ndarray, list]:
     """The semi-supervised classifier on G datasets that share their features
     and truth and differ in their confidences, run as the G columns of one
     pass loop; returns the (G, n) soft scores, row g for dataset g, and each
     column's pass count.  ``t_max`` is checked by the caller.
 
-    Each column keeps its own realised mixture, recursion step and stop
-    rule; a column that stops is final and leaves the block.  The two
-    products of a pass are one matrix product pair, (V X' / n) X, on the
-    block V of running columns, and the elementwise work, the denoiser and
-    the per-column reductions each run once on the block.  With one column
-    this is X'(X v / n) bit for bit; with more, the products sum in another
-    order, about 1e-11 relative apart from the one-column run's.
+    Column g reads pass t's score SNR q_u^t as the t-th value of
+    ``schedules[g]``, an iterable of at least ``t_max`` values or an
+    endless one such as ``_calibration``'s, and takes one value per pass
+    it runs; the loop itself builds no mixture and runs no recursion.  Each
+    column keeps its own stop rule; a column that stops is final and leaves
+    the block.  The two products of a pass are one matrix product pair,
+    (V X' / n) X, on the block V of running columns, and the elementwise
+    work, the denoiser and the per-column reductions each run once on the
+    block.  With one column this is X'(X v / n) bit for bit; with more, the
+    products sum in another order, about 1e-11 relative apart from the
+    one-column run's.
     """
     first = datasets[0]
-    lam = first.snr
     n = first.n
-    c = n / first.p
-    mixtures = [EpsilonMixture.from_samples(ds.label_eps) for ds in datasets]
-    _check_gain(lam, c)
     X = first.features
     col_sq_n = np.einsum("ij,ij->j", X, X) / n
+    schedules = [iter(schedule) for schedule in schedules]
 
     # np.add.reduce(x, axis=1) / n is each row's np.mean bit for bit, without its overhead.
     eps = np.array([ds.label_eps for ds in datasets])
@@ -359,25 +392,20 @@ def _semisupervised_columns(datasets: list, t_max: int) -> tuple[np.ndarray, lis
     running = list(range(len(datasets)))  # the column of each row of the block
     denoise = _posterior_mean_at(eps)
     v = eps  # never written in place
-    q_v = [mixture.eps_bar_sq for mixture in mixtures]
-    q_u = [0.0] * len(datasets)
     for iterations in range(1, t_max + 1):
         raw = (v @ X.T / n) @ X
         raw -= col_sq_n * v
         mean_sq = (np.add.reduce(raw * raw, axis=1) / n).tolist()
         scale, silent = [], []  # silent: the rows whose q_u is 0, where u = 0
         for row, g in enumerate(running):
-            if iterations > 1:
-                q_v[g] = qv_from_qu(mixtures[g], q_u[g])
-            # q_v stays >= 0; the clamp at 1 is the one qu_from_qv applies.
-            q_u[g] = _feature_map(lam, c, q_v[g] if q_v[g] < 1.0 else 1.0)
-            if q_u[g] == 0.0:
+            q_u = next(schedules[g])
+            if q_u == 0.0:
                 silent.append(row)
                 scale.append(1.0)
             elif mean_sq[row] == 0.0:
                 raise SimulationError("degenerate scores: zero second moment")
             else:
-                scale.append(math.sqrt(mean_sq[row] / (q_u[g] * (q_u[g] + 1.0))))
+                scale.append(math.sqrt(mean_sq[row] / (q_u * (q_u + 1.0))))
         u = raw / np.array(scale)[:, None]
         if silent:
             u[silent] = 0.0
@@ -468,23 +496,25 @@ def _fresh_replicate_errors(points, reps: int, t_max: int) -> list:
     return [results[start : start + reps] for start in range(0, len(results), reps)]
 
 
-def _replicate_masks(draw, columns: list, t_max: int) -> np.ndarray:
+def _replicate_masks(draw, columns: list, schedules: list) -> np.ndarray:
     """The (G, n) mask of where the semi-supervised hard labels of a
     ``_base_draw`` miss the truth, row g when its first n_l samples carry
     kappa-reliable labels, for the G (n_l, kappa) pairs of ``columns``, all
-    scored in one ``_semisupervised_columns`` run."""
+    scored in one ``_semisupervised_columns`` run.  Column g is calibrated
+    by ``schedules[g]``, its q_u^1 ... q_u^t_max; their common length is
+    the pass cap t_max."""
     n = draw[1].size
     datasets = [_dataset(draw, [(n_l / n, kappa)]) for n_l, kappa in columns]
-    soft, _ = _semisupervised_columns(datasets, t_max)
+    soft, _ = _semisupervised_columns(datasets, schedules, len(schedules[0]))
     return _hard_decisions(soft) != datasets[0].truth_labels
 
 
 def _replicate_worker(conn, calling_end, p: int, n: int, lam: float, seed, owned: range) -> None:
     """A search worker's process: it draws its replicates ``owned`` from
     (seed, r) and keeps them until the call ends.  For each round's
-    (columns, t_max) read from ``conn`` it sends back one outcome per owned
-    replicate, in order: the replicate's ``_replicate_masks`` mask, or the
-    exception its draw or its run raised, which ends the list.  It returns
+    (columns, schedules) read from ``conn`` it sends back one outcome per
+    owned replicate, in order: the replicate's ``_replicate_masks`` mask, or
+    the exception its draw or its run raised, which ends the list.  It returns
     when it reads None, the end of the call, or when the calling process
     has died.
 
@@ -502,11 +532,11 @@ def _replicate_worker(conn, calling_end, p: int, n: int, lam: float, seed, owned
         failure = error
     with contextlib.suppress(EOFError, BrokenPipeError):  # the calling process died
         while (job := conn.recv()) is not None:
-            columns, t_max = job
+            columns, schedules = job
             outcomes = []
             try:
                 for draw in draws:
-                    outcomes.append(_replicate_masks(draw, columns, t_max))
+                    outcomes.append(_replicate_masks(draw, columns, schedules))
             except Exception as error:
                 outcomes.append(error)
             else:
@@ -556,29 +586,35 @@ def _replicate_workers(p: int, n: int, lam: float, seed, reps: int):
             conn.close()
 
 
-def _probe_round(workers: list, reps: int, columns: list, t_max: int) -> list:
-    """Per replicate, in order, the ``_replicate_masks`` mask of ``columns``,
-    from the ``_replicate_workers`` ``workers``: each is sent the columns
-    once and answers for all of its replicates.  A failing replicate raises
-    as in a serial loop, the first in replicate order, a failed draw
-    included; a worker that exits before it answers raises ``RuntimeError``.
+def _probe_round(workers: list, reps: int, columns: list, schedules: list) -> list:
+    """Per replicate, in order, the ``_replicate_masks`` mask of ``columns``
+    under their ``schedules``, from the ``_replicate_workers`` ``workers``:
+    each is sent the columns and their schedules once and answers for all of
+    its replicates.  A failing replicate raises as in a serial loop, the
+    first in replicate order, a failed draw included; a worker that exits
+    before it answers raises ``RuntimeError``.
 
-    Processes, not threads: only a pass's matrix products release the GIL;
-    its recursion steps, one per column, and the per-pass Python work do
-    not.  At ``labeled-needed``'s defaults with etas [0.02] on 2 cores (one
-    BLAS thread), the command took 1.99 s with the replicates run serially,
-    1.79 s on two threads and 1.25 s on two forked workers (medians of 9
-    runs each, the three interleaved).  Replicates are not batched with each
-    other: a 200 x 1000 matrix is 1.6 MB, and the matrix products of five
-    replicates run pass by pass in lockstep took 48 ms against 45 ms run
-    one replicate after another (2 MB L2 per core).  Each worker holds only
-    the draws it owns, 8 MB for 5 of these replicates: on the same command
-    the workers peaked at 41.8 MB and the calling process at 30.7 MB
-    (``ru_maxrss``, 3 runs), where forked workers that shared every draw of
-    the calling process peaked at 44.4 MB and the caller at 53.3 MB.
+    Processes, not threads: only a pass's matrix products release the GIL,
+    and its per-pass Python work, the denoiser's set-up and the per-column
+    scaling and stop rule, does not.  When each column still ran its
+    recursion step in the pass loop, ``labeled-needed``'s defaults with etas
+    [0.02] on 2 cores (one BLAS thread) took 1.99 s with the replicates run
+    serially, 1.79 s on two threads and 1.25 s on two forked workers
+    (medians of 9 runs each, the three interleaved).  The workers now run
+    no recursion; with the schedules given, one 6-column round on the 10
+    replicates took 84 ms on two threads and 83 ms on two processes, in
+    process, but threads have not yet been timed end to end.  Replicates
+    are not batched with each other: a 200 x 1000 matrix is 1.6 MB, and the
+    matrix products of five replicates run pass by pass in lockstep took
+    48 ms against 45 ms run one replicate after another (2 MB L2 per core).
+    Each worker holds only the draws it owns, 8 MB for 5 of these
+    replicates: on the same command the workers peaked at 41.8 MB and the
+    calling process at 30.7 MB (``ru_maxrss``, 3 runs), where forked workers
+    that shared every draw of the calling process peaked at 44.4 MB and the
+    caller at 53.3 MB.
     """
     for conn, _ in workers:
-        conn.send((columns, t_max))
+        conn.send((columns, schedules))
     answers = []
     for k, (conn, process) in enumerate(workers):
         try:
@@ -597,6 +633,21 @@ def _probe_round(workers: list, reps: int, columns: list, t_max: int) -> list:
             raise outcome
         masks.append(outcome)
     return masks
+
+
+def _probe_schedule(lam: float, c: float, frac: float, kappa: float, t_max: int) -> list:
+    """The q_u^1 ... q_u^t_max that calibrate a search probe labeling a
+    fraction ``frac`` of the samples at reliability ``kappa``: the recursion
+    at the nominal lam and c on the intended mixture
+    {(2 kappa - 1, frac), (0, 1 - frac)}, t_max - 1 label-map calls.
+
+    A probe's dataset would give its realised lam = ``ds.snr`` and mixture
+    instead, which differ from these by rounding: over the 14 rounds of
+    ``labeled-needed``'s defaults with etas [0.02], on all 10 replicates,
+    the two schedules were within 1.7e-15 relative, and no hard label or
+    pass count differed."""
+    mixture = _intended_mixture([(frac, kappa)])
+    return [q_u for _, q_u in zip(range(t_max), _calibration(lam, c, mixture))]
 
 
 def _search(kappa: float, n_ref: int, hi: int):
@@ -637,12 +688,14 @@ def _search(kappa: float, n_ref: int, hi: int):
     return up
 
 
-def _search_counts(pool, reps: int, kappas: list, n_ref: int, hi: int, t_max: int) -> list:
+def _search_counts(pool, reps: int, kappas: list, n_ref: int, hi: int, schedule) -> list:
     """The ``_search`` count of every kappa, the searches run in rounds.
 
     Each round, every running search names its next labeled count, and each
     replicate scores all of the round's (n_l, kappa) probes, the reference
     (n_ref, 1) in the first round, as the columns of one classifier run.
+    Each distinct column's calibration, ``schedule(n_l, kappa)``, is built
+    once per round here, in the calling process, and sent with it.
     A search that cannot meet the reference stops the searches after it;
     those before it run to their end, and the first failure in kappa order
     raises, as searching the kappas one after another would.
@@ -668,7 +721,7 @@ def _search_counts(pool, reps: int, kappas: list, n_ref: int, hi: int, t_max: in
         if reference is None:
             columns.insert(0, (n_ref, 1.0))
         columns = list(dict.fromkeys(columns))
-        masks = _probe_round(pool, reps, columns, t_max)
+        masks = _probe_round(pool, reps, columns, [schedule(*column) for column in columns])
         if reference is None:
             reference = [mask[0] for mask in masks]
         replies = {}
@@ -699,7 +752,8 @@ def labeled_needed_empirical(
     fluctuations cancel.
 
     One call does the whole study for one eta.  Every argument, the seed
-    for bools only, is checked before any draw.  Then W = min(reps, usable
+    for bools only, and the finiteness of lam * lam * c at c = n/p are
+    checked before any draw or worker.  Then W = min(reps, usable
     cores) worker processes start (``_replicate_workers``), and worker k
     owns replicates k, k + W, k + 2W and so on.  Each replicate's random
     numbers (center, truth, noise and one reliability uniform per sample)
@@ -711,9 +765,14 @@ def labeled_needed_empirical(
     (``_search_counts``): each replicate scores a round's probes, the
     reference in the first round, as the columns of one classifier run, and
     the counts and the error raised are those of searching one kappa after
-    another, a failed draw counting as its replicate's failure.  The results
-    do not depend on the worker count.  Every worker has exited and been
-    joined when the call returns or raises, and the draws go with them.
+    another, a failed draw counting as its replicate's failure.  Each
+    probe's calibration (``_probe_schedule``) is built once per round in the
+    calling process, from the nominal lam, c = n/p and the intended mixture
+    {(2 kappa - 1, n_l/n), (0, 1 - n_l/n)}, and sent with its column, so
+    the workers run no recursion; a probe's own dataset would give the same
+    schedule up to rounding.  The results do not depend on the worker
+    count.  Every worker has exited and been joined when the call returns
+    or raises, and the draws go with them.
 
     Infeasible reliabilities ((2 kappa - 1)^2 < eta) raise
     ``InfeasibilityError``; the search fails with ``SimulationError`` if
@@ -725,6 +784,8 @@ def labeled_needed_empirical(
     if not kappas:
         raise ValueError("kappas must not be empty")
     p, n, lam = _check_count(p, "p"), _check_count(n, "n"), _check_nonneg(lam, "lam")
+    c = n / p
+    _check_gain(lam, c)
     for kappa in kappas:
         labeled_needed(eta, kappa, n)  # eta's range, and each kappa's feasibility
     reps = _check_count(reps, "reps")
@@ -735,5 +796,8 @@ def labeled_needed_empirical(
     if n_ref > hi:
         raise SimulationError("reference labeled count leaves too few samples to evaluate")
 
+    def schedule(n_l: int, kappa: float) -> list:
+        return _probe_schedule(lam, c, n_l / n, kappa, t_max)
+
     with _replicate_workers(p, n, lam, seed, reps) as workers:
-        return _search_counts(workers, reps, kappas, n_ref, hi, t_max)
+        return _search_counts(workers, reps, kappas, n_ref, hi, schedule)

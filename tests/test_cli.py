@@ -612,6 +612,31 @@ class TestReductionCommand:
             "error: lam * lam * c * eta must be finite, got lam = 1e+200, c = 1 and eta = 0.2\n"
         )
 
+    def test_theory_follows_the_labels_drawn(self, tmp_path):
+        # kappa-reliable labels are worth less than certain ones, so both the
+        # supervised baseline and the Bayes risk move, and the bound with them
+        bounds = {}
+        for kappa in (1.0, 0.75):
+            cfg = write_config(
+                tmp_path / "cfg.json",
+                {"kappa": kappa, "p": 40, "lambdas": [1.0, 2.0, 3.0], "reps": 2, "t_max": 5},
+            )
+            out = tmp_path / f"red_{kappa}.dat"
+            assert run_cli("reduction", "--config", cfg, "--out", str(out)) == 0
+            bounds[kappa] = np.loadtxt(str(out), skiprows=1)[:, 3:]
+        assert np.all(bounds[0.75] != bounds[1.0])
+        assert np.all(bounds[0.75][:, 0] > bounds[1.0][:, 0])  # bound_abs
+        # at lam 2 the kappa-blind bound read 0.369, below the algorithm's 0.542
+        assert bounds[1.0][1, 0] == pytest.approx(0.369, abs=5e-4)
+        assert bounds[0.75][1, 0] == pytest.approx(0.555, abs=5e-4)
+
+    def test_kappa_one_theory_is_the_certainty_theory(self):
+        # so the default table keeps its bytes
+        for eta in (0.2, 0.05, 1.0):
+            mixture = simulate._intended_mixture([(eta, 1.0)])
+            assert mixture == cli.EpsilonMixture.certainty(eta)
+            assert eta * (2.0 * 1.0 - 1.0) ** 2 == eta
+
     def test_every_point_checked_before_any_draw(self, tmp_path, monkeypatch):
         # lam * lam * c overflows at the last point only
         def no_draw(*args):

@@ -288,7 +288,7 @@ def test_solve_overlaps_rejects_a_non_mixture_before_any_work(monkeypatch):
 # lam and c each within the float range, but lam * lam * c past it: the
 # feature map names both rather than letting inf / inf reach the kernel.
 @pytest.mark.parametrize("lam, c", [(1e300, 1.0), (1e150, 1e10)], ids=["lam", "c"])
-def test_overflowing_feature_map_names_lam_and_c(lam, c):
+def test_overflowing_feature_map_names_lam_and_c(monkeypatch, lam, c):
     message = r"^lam \* lam \* c must be finite, got lam = .+ and c = "
     with pytest.raises(ValueError, match=message):
         overlaps.qu_from_qv(lam, c, 0.5)
@@ -296,6 +296,15 @@ def test_overflowing_feature_map_names_lam_and_c(lam, c):
         overlaps.solve_overlaps(lam, c, _mixture())
     with pytest.raises(ValueError, match=message):
         overlaps.sensitivity_ratio(lam, c, 0.5, 0.01)
+
+    # The search's workers never see lam, so its boundary checks the gain
+    # at c = n/p before any worker starts.
+    def no_workers(*args):
+        raise AssertionError("a search worker started before lam and c were checked")
+
+    monkeypatch.setattr(simulate, "_replicate_workers", no_workers)
+    with pytest.raises(ValueError, match=message):
+        simulate.labeled_needed_empirical(1, int(c), lam, 0.1, [0.9], seed=1, reps=2)
 
 
 def test_numpy_reals_and_0d_arrays_accepted():

@@ -51,13 +51,26 @@ GOLDEN_FIVE = [
 ]
 
 
+def reference_round(workers, p, n, lam, n_ref, reps, t_max):
+    """The search's reference masks from its own ``workers``, the reference
+    column calibrated by the schedule the search sends with it."""
+    schedule = simulate._probe_schedule(lam, n / p, n_ref / n, 1.0, t_max)
+    return simulate._probe_round(workers, reps, [(n_ref, 1.0)], [schedule])
+
+
 def reference_target(p, n, lam, eta, seed, reps, t_max):
     """The reference run's mean error on its unlabeled samples, from the
     masks the search's own workers return."""
     n_ref = round(eta * n)
     with simulate._replicate_workers(p, n, lam, seed, reps) as workers:
-        reference = simulate._probe_round(workers, reps, [(n_ref, 1.0)], t_max)
+        reference = reference_round(workers, p, n, lam, n_ref, reps, t_max)
     return float(np.mean([float(np.mean(wrong[0, n_ref:])) for wrong in reference]))
+
+
+def realised_schedule(ds):
+    """The lazy calibration ``classify_semisupervised`` builds from ``ds``."""
+    mixture = EpsilonMixture.from_samples(ds.label_eps)
+    return simulate._calibration(ds.snr, ds.n / ds.p, mixture)
 
 
 def fork_only():
@@ -659,7 +672,7 @@ class TestSemisupervisedColumns:
     def test_one_column_is_the_matrix_vector_loop(self, p, n, lam, labeling, t_max):
         ds = generate_dataset(p, n, lam, labeling, seed=[31, p, n])
         soft, iterations = gemv_loop(ds, t_max)
-        block, passes = simulate._semisupervised_columns([ds], t_max)
+        block, passes = simulate._semisupervised_columns([ds], [realised_schedule(ds)], t_max)
         assert block.shape == (1, n)
         assert block[0].tobytes() == soft.tobytes()
         assert passes == [iterations]
@@ -681,7 +694,8 @@ class TestSemisupervisedColumns:
         alone = [classify_semisupervised(ds, t_max=60) for ds in datasets]
         passes = [out.iterations for out in alone]
         assert len(set(passes)) > 2 and min(passes) < 60  # they stop at different passes
-        block, block_passes = simulate._semisupervised_columns(datasets, 60)
+        schedules = [realised_schedule(ds) for ds in datasets]
+        block, block_passes = simulate._semisupervised_columns(datasets, schedules, 60)
         assert block_passes == passes
         for row, out in zip(block, alone):
             assert simulate._hard_decisions(row).tobytes() == out.hard_labels.tobytes()
@@ -698,7 +712,84 @@ class TestSemisupervisedColumns:
             for e in eps
         ]
         with pytest.raises(SimulationError, match="zero second moment"):
-            simulate._semisupervised_columns(datasets, 5)
+            schedules = [realised_schedule(ds) for ds in datasets]
+            simulate._semisupervised_columns(datasets, schedules, 5)
+
+
+class TestSearchSchedules:
+    """The search calibrates each probe column by a schedule built once per
+    round in the calling process, from the nominal lam, c = n/p and the
+    intended mixture; the workers run no recursion.  A probe's dataset would
+    give the realised lam and mixture, equal up to rounding."""
+
+    def test_search_schedules_track_the_realised_recursion(self, monkeypatch):
+        # the `search` benchmark's config: labeled-needed's defaults, etas [0.02]
+        cfg = {**cli._COMMANDS["labeled-needed"].defaults, "etas": [0.02]}
+        p, n, lam, seed, t_max = cfg["p"], cfg["n"], cfg["lambda"], cfg["seed"], cfg["t_max"]
+        rounds = []
+        probe_round = simulate._probe_round
+
+        def recording_probe_round(pool, reps, columns, schedules):
+            rounds.append((list(columns), schedules))
+            return probe_round(pool, reps, columns, schedules)
+
+        monkeypatch.setattr(simulate, "_probe_round", recording_probe_round)
+        cli.cmd_labeled_needed(cfg)
+        assert len(rounds) > 1
+        for r in range(cfg["reps"]):
+            draw = simulate._base_draw(p, n, lam, simulate._rep_stream(seed, r))
+            for columns, schedules in rounds:
+                datasets = [simulate._dataset(draw, [(n_l / n, kappa)]) for n_l, kappa in columns]
+                realised = [
+                    [q_u for _, q_u in zip(range(t_max), realised_schedule(ds))] for ds in datasets
+                ]
+                for nominal, exact in zip(schedules, realised):
+                    assert len(nominal) == t_max
+                    np.testing.assert_allclose(nominal, exact, rtol=2e-15, atol=0.0)
+                soft, passes = simulate._semisupervised_columns(datasets, schedules, t_max)
+                soft_realised, passes_realised = simulate._semisupervised_columns(
+                    datasets, realised, t_max
+                )
+                assert passes == passes_realised
+                hard = simulate._hard_decisions(soft)
+                assert hard.tobytes() == simulate._hard_decisions(soft_realised).tobytes()
+
+    def test_workers_run_no_recursion(self, monkeypatch):
+        calls = []
+        label_map = simulate.qv_from_qu
+
+        def counting(mixture, q_u):
+            calls.append(q_u)
+            return label_map(mixture, q_u)
+
+        monkeypatch.setattr(simulate, "qv_from_qu", counting)
+        p, n, lam, t_max = 40, 200, 1.0, 20
+        draw = simulate._base_draw(p, n, lam, [3, 1])
+        columns = [(20, 1.0), (30, 0.9), (40, 0.8)]
+        schedules = [simulate._probe_schedule(lam, n / p, n_l / n, k, t_max) for n_l, k in columns]
+        assert len(calls) == len(columns) * (t_max - 1)
+        calls.clear()
+        masks = simulate._replicate_masks(draw, columns, schedules)
+        assert masks.shape == (len(columns), n) and calls == []
+
+        # the calling process builds t_max - 1 steps per column of each round
+        made = []  # the calls made before each round, and the round's width
+        probe_round = simulate._probe_round
+
+        def recording_probe_round(pool, reps, columns, schedules):
+            made.append((len(calls), len(columns)))
+            return probe_round(pool, reps, columns, schedules)
+
+        monkeypatch.setattr(simulate, "_probe_round", recording_probe_round)
+        labeled_needed_empirical(
+            p, n, lam, 0.1, [0.8, 0.85, 0.9, 1.0], seed=[3, 1], reps=3, t_max=t_max
+        )
+        assert len(made) > 1
+        before = 0
+        for total, width in made:
+            assert total - before == width * (t_max - 1)
+            before = total
+        assert len(calls) == before  # nothing after the last round
 
 
 class TestLabeledNeededEmpirical:
@@ -715,8 +806,8 @@ class TestLabeledNeededEmpirical:
         probes = []
         probe_round = simulate._probe_round
 
-        def never_meets_the_reference(pool, reps, columns, t_max):
-            masks = probe_round(pool, reps, columns, t_max)
+        def never_meets_the_reference(pool, reps, columns, schedules):
+            masks = probe_round(pool, reps, columns, schedules)
             for g, (n_labeled, kappa) in enumerate(columns):
                 if kappa != 1.0:  # not the reference run
                     probes.append(n_labeled)
@@ -969,9 +1060,9 @@ class TestReplicateBank:
                 handle.write(json.dumps([os.getpid(), args[3]]) + "\n")
             return base_draw(*args)
 
-        def counting_probe_round(pool, reps, columns, t_max):
+        def counting_probe_round(pool, reps, columns, schedules):
             references.extend(n_labeled for n_labeled, kappa in columns if kappa == 1.0)
-            return probe_round(pool, reps, columns, t_max)
+            return probe_round(pool, reps, columns, schedules)
 
         monkeypatch.setattr(simulate, "_base_draw", logging_base_draw)
         monkeypatch.setattr(simulate, "_probe_round", counting_probe_round)
@@ -991,9 +1082,9 @@ class TestReplicateBank:
         rounds = []
         probe_round = simulate._probe_round
 
-        def counting_probe_round(pool, reps, columns, t_max):
+        def counting_probe_round(pool, reps, columns, schedules):
             rounds.append(list(columns))
-            return probe_round(pool, reps, columns, t_max)
+            return probe_round(pool, reps, columns, schedules)
 
         monkeypatch.setattr(simulate, "_probe_round", counting_probe_round)
         counts = labeled_needed_empirical(
@@ -1005,9 +1096,10 @@ class TestReplicateBank:
         assert any(kappa == 1.0 for _, kappa in runs[1:]) and counts[1] <= n_ref
         # the probe it skips would repeat the reference run, so its paired
         # mean is exactly the 0.0 it is seeded with
+        monkeypatch.setattr(simulate, "_probe_round", probe_round)
         with simulate._replicate_workers(p, n, lam, seed, reps) as workers:
-            reference = probe_round(workers, reps, [(n_ref, 1.0)], t_max)
-            again = probe_round(workers, reps, [(n_ref, 1.0)], t_max)
+            reference = reference_round(workers, p, n, lam, n_ref, reps, t_max)
+            again = reference_round(workers, p, n, lam, n_ref, reps, t_max)
         for a, b in zip(reference, again):
             np.testing.assert_array_equal(a, b)
 
@@ -1064,9 +1156,9 @@ class TestRoundSearch:
         widths = []
         probe_round = simulate._probe_round
 
-        def recording_probe_round(pool, reps, columns, t_max):
+        def recording_probe_round(pool, reps, columns, schedules):
             widths.append(len(columns))
-            return probe_round(pool, reps, columns, t_max)
+            return probe_round(pool, reps, columns, schedules)
 
         monkeypatch.setattr(simulate, "_probe_round", recording_probe_round)
         together = labeled_needed_empirical(
@@ -1093,12 +1185,16 @@ class TestRoundSearch:
                     raise end
                 return end
 
-            def probe_round(pool, reps, columns, t_max):
+            def probe_round(pool, reps, columns, schedules):
+                assert len(schedules) == len(columns)
                 return [np.zeros((len(columns), 40), dtype=bool) for _ in range(reps)]
+
+            def schedule(n_l, kappa):
+                return [0.5] * 5
 
             monkeypatch.setattr(simulate, "_search", search)
             monkeypatch.setattr(simulate, "_probe_round", probe_round)
-            return simulate._search_counts(None, 2, list(scripts), 4, 30, 5)
+            return simulate._search_counts(None, 2, list(scripts), 4, 30, schedule)
 
         return run, replied
 
