@@ -25,6 +25,8 @@ Exit codes: 0 success, 2 validation failure, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
@@ -56,7 +58,7 @@ from .simulate import (
     _check_labeling,
     _fresh_replicate_errors,
     _intended_mixture,
-    _thread_map,
+    _owned_map,
     labeled_needed_empirical,
 )
 
@@ -435,6 +437,14 @@ def cmd_simulate(cfg: dict) -> dict[str, str]:
     return {"": _table_text(header, [row])}
 
 
+def _channel_cell(eps_values: list, q_values: list, trials: int, seed: int, index: int) -> tuple:
+    """The Monte Carlo alignment and its standard error at cell ``index`` of
+    the channel-check grid in row order, (i, j) = divmod(index, len(q_values)),
+    drawn from the seed sequence (seed, i, j)."""
+    i, j = divmod(index, len(q_values))
+    return channel_overlap_mc_stats(eps_values[i], q_values[j], trials, [seed, i, j])
+
+
 def cmd_channel_check(cfg: dict) -> dict[str, str]:
     eps_values = [float(e) for e in cfg["eps_values"]]
     q_values = [float(q) for q in cfg["q_values"]]
@@ -443,16 +453,13 @@ def cmd_channel_check(cfg: dict) -> dict[str, str]:
     trials = int(cfg["trials"])
     seed = int(cfg["seed"])
     _check_replicate_cells(trials, "each channel draw (trials)")
-    # The cells' draws run on the replicate threads, cell (i, j) from the seed
-    # sequence (seed, i, j); the first failure in cell order raises.
-    cells = [
-        (eps, q, trials, [seed, index, jndex])
-        for index, eps in enumerate(eps_values)
-        for jndex, q in enumerate(q_values)
-    ]
-    stats = _thread_map(channel_overlap_mc_stats, iter(cells), len(cells))
+    # The cells, in row order, are the units of one _owned_map: each runs
+    # where it is owned, the calling process or a forked worker, and the
+    # first failure in cell order raises.
+    cell = functools.partial(_channel_cell, eps_values, q_values, trials, seed)
+    stats = _owned_map(cell, len(eps_values) * len(q_values))
     rows = []
-    for (eps, q, _, _), (mc, stderr) in zip(cells, stats):
+    for (eps, q), (mc, stderr) in zip(itertools.product(eps_values, q_values), stats):
         theory = channel_overlap(eps, q)
         if stderr > 0.0:
             z = (mc - theory) / stderr

@@ -27,9 +27,11 @@ the nominal lam, c = n/p and the intended mixture, and sends it with the
 probe, so the workers run only the matrix products, the denoiser and the
 stop rule.  The workers are joined before the call ends, and nothing is
 kept.  The fresh-draw replicates of the ``simulate`` and ``reduction``
-commands, every point's at once, run on one thread pool per command
-(``_fresh_replicate_errors`` on ``_thread_map``), and so do the cells of
-``channel-check``.
+commands, every point's at once (``_fresh_replicate_errors``), and the
+cells of ``channel-check`` run on ``_owned_map``: on min(units, usable
+cores) participants, the calling process and forked workers, each running
+the units it owns one at a time.  The search's workers and the map's share
+one life cycle (``_worker_processes``).
 
 Randomness.  All draws use ``numpy.random.default_rng`` with explicit
 seeding; replicate r of a study derives its stream from the seed sequence
@@ -40,9 +42,9 @@ bit for bit.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -449,29 +451,125 @@ def _fresh_replicate(p, n, lam, labeling, t_max, stream) -> tuple:
     return oracle, sup, semi
 
 
-def _thread_map(fn, jobs, count: int) -> list:
-    """``[fn(*job) for job in jobs]`` over an iterator of ``count`` argument
-    tuples, run on a pool of min(count, usable cores) threads.
+def _worker_main(conn, calling_end, target, *args) -> None:
+    """A worker process's body: ``target(conn, *args)``, which talks to the
+    calling process over ``conn``.  It returns early, without a traceback,
+    when the calling process has died: ``conn`` then reads EOF or a send
+    raises a ``ConnectionError``, a broken pipe or a reset.
 
-    For work whose numpy calls release the GIL.  At most one job per thread
-    is in flight, and a job is taken from ``jobs`` only when it is submitted,
-    so only the list of results grows with ``count``.  A failing job raises
-    as in a serial loop: the first in job order.  ``concurrent.futures`` is
-    imported here, as ``multiprocessing`` is in ``_replicate_workers``, to
-    keep it and ``logging`` off every command's start-up.
+    ``calling_end`` is this worker's copy of the calling process's end of
+    the pipe, which a fork hands it; it is closed first, so that the end
+    closes when the calling process dies.  A sibling forked later holds a
+    copy too and keeps it until it exits itself.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    calling_end.close()
+    with contextlib.suppress(EOFError, ConnectionError):  # the calling process died
+        target(conn, *args)
 
-    workers = min(count, _usable_cores())
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        in_flight = deque(pool.submit(fn, *next(jobs)) for _ in range(workers))
-        results = []
-        while in_flight:
-            results.append(in_flight.popleft().result())
-            job = next(jobs, None)
-            if job is not None:
-                in_flight.append(pool.submit(fn, *job))
+
+@contextlib.contextmanager
+def _worker_processes(target, args: tuple, shares: list):
+    """One worker process per entry of ``shares``, as a list of (connection,
+    process) pairs: worker k runs ``target(conn, *args, shares[k])`` in
+    ``_worker_main``, with ``conn`` its end of a pipe to the calling
+    process, the pair's connection.
+
+    The workers are forked where the platform offers fork and started by the
+    platform's default method elsewhere, where ``target`` and its arguments
+    are pickled.  When the ``with`` block ends, every worker has exited and
+    been joined; a block that raises terminates them first.
+    ``multiprocessing`` is imported here, not at module level, to keep it
+    off every command's start-up.
+    """
+    import multiprocessing
+
+    methods = multiprocessing.get_all_start_methods()  # the platform default first
+    context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
+    workers = []
+    try:
+        for share in shares:
+            conn, end = context.Pipe()
+            process = context.Process(target=_worker_main, args=(end, conn, target, *args, share))
+            process.start()
+            end.close()  # the worker holds the only copy: its exit reads as EOF here
+            workers.append((conn, process))
+        yield workers
+    except BaseException:
+        for _, process in workers:
+            process.terminate()
+        raise
+    finally:
+        for conn, process in workers:
+            process.join()
+            conn.close()
+
+
+def _receive(worker, name: str):
+    """The next message of ``worker``, a (connection, process) pair of
+    ``_worker_processes`` called ``name`` in the error: a worker that exits
+    before it sends one raises ``RuntimeError``."""
+    conn, process = worker
+    try:
+        return conn.recv()
+    except (EOFError, ConnectionError):  # a reset if it left a message unread
+        process.join()
+        raise RuntimeError(f"{name} exited with code {process.exitcode} before it answered") from None
+
+
+def _unit_worker(conn, unit, share: range) -> None:
+    """An ``_owned_map`` worker's process: for each index of ``share``, in
+    order, it sends ``unit(index)`` as soon as it has it, or the exception
+    the unit raised, which ends its run."""
+    for index in share:
+        try:
+            outcome = unit(index)
+        except Exception as error:
+            conn.send(error)
+            return
+        conn.send(outcome)
+
+
+def _owned_map(unit, count: int) -> list:
+    """``[unit(index) for index in range(count)]`` on W = min(count, usable
+    cores) participants: the calling process is participant 0, and W - 1
+    worker processes (``_worker_processes``) are the rest.
+
+    Participant k owns units k, k + W, k + 2W and so on and builds each from
+    its index when it reaches it, so no list of units is made; a worker runs
+    its units in order, sends each outcome as soon as it has it
+    (``_unit_worker``) and stops at its first failure.  The calling process
+    runs its own units as their turn comes and takes the workers' outcomes
+    in unit order between them.  The first failure in unit order raises,
+    with its own type and message, as in a serial loop, whichever
+    participant failed first in time; the workers are then terminated.  A
+    worker that exits before it answers raises ``RuntimeError``.  Every
+    worker has exited and been joined when the call returns or raises.
+
+    ``unit`` must be picklable where the workers are not forked: a
+    ``functools.partial`` of a module-level function on small arguments.
+    """
+    width = min(count, _usable_cores())
+    shares = [range(k, count, width) for k in range(1, width)]
+    results = []
+    with _worker_processes(_unit_worker, (unit,), shares) as workers:
+        for index in range(count):
+            k = index % width
+            if k == 0:
+                results.append(unit(index))
+                continue
+            outcome = _receive(workers[k - 1], f"worker {k}")
+            if isinstance(outcome, BaseException):
+                raise outcome
+            results.append(outcome)
     return results
+
+
+def _fresh_replicate_unit(points, reps: int, t_max: int, index: int) -> tuple:
+    """Unit ``index`` of ``_fresh_replicate_errors``: the errors of
+    replicate index % reps of point index // reps."""
+    point, r = divmod(index, reps)
+    p, n, lam, labeling, seed = points[point]
+    return _fresh_replicate(p, n, lam, labeling, t_max, _rep_stream(seed, r))
 
 
 def _fresh_replicate_errors(points, reps: int, t_max: int) -> list:
@@ -481,18 +579,14 @@ def _fresh_replicate_errors(points, reps: int, t_max: int) -> list:
     without an unlabeled sample, or without a labeled one (the supervised
     classifier's error), fails with ``SimulationError``.
 
-    Replicates are independent and their numpy work releases the GIL, so the
-    replicates of every point run on one ``_thread_map``, each thread
-    holding one replicate; the results do not depend on the thread count,
-    and a failing replicate raises first in (point, replicate) order.  Each
-    stream is built when its replicate is submitted.
+    The (point, replicate) pairs of every point are the units of one
+    ``_owned_map``, in that order: each participant draws and scores one
+    replicate at a time, building its stream when it reaches it.  The
+    results do not depend on the participant count, and a failing replicate
+    raises first in (point, replicate) order.
     """
-    jobs = (
-        (p, n, lam, labeling, t_max, _rep_stream(seed, r))
-        for p, n, lam, labeling, seed in points
-        for r in range(reps)
-    )
-    results = _thread_map(_fresh_replicate, jobs, len(points) * reps)
+    unit = functools.partial(_fresh_replicate_unit, points, reps, t_max)
+    results = _owned_map(unit, len(points) * reps)
     return [results[start : start + reps] for start in range(0, len(results), reps)]
 
 
@@ -509,81 +603,50 @@ def _replicate_masks(draw, columns: list, schedules: list) -> np.ndarray:
     return _hard_decisions(soft) != datasets[0].truth_labels
 
 
-def _replicate_worker(conn, calling_end, p: int, n: int, lam: float, seed, owned: range) -> None:
+def _replicate_worker(conn, p: int, n: int, lam: float, seed, owned: range) -> None:
     """A search worker's process: it draws its replicates ``owned`` from
     (seed, r) and keeps them until the call ends.  For each round's
     (columns, schedules) read from ``conn`` it sends back one outcome per
     owned replicate, in order: the replicate's ``_replicate_masks`` mask, or
     the exception its draw or its run raised, which ends the list.  It returns
-    when it reads None, the end of the call, or when the calling process
-    has died.
-
-    ``calling_end`` is this worker's copy of the calling process's end of
-    the pipe, which a fork hands it; it is closed first, so that the end
-    closes when the calling process dies and ``conn`` reads EOF.  A sibling
-    forked later holds a copy too and keeps it until it exits itself.
+    when it reads None, the end of the call, or, in ``_worker_main``, when
+    the calling process has died.
     """
-    calling_end.close()
     draws, failure = [], None
     try:
         for r in owned:
             draws.append(_base_draw(p, n, lam, _rep_stream(seed, r)))
     except Exception as error:
         failure = error
-    with contextlib.suppress(EOFError, BrokenPipeError):  # the calling process died
-        while (job := conn.recv()) is not None:
-            columns, schedules = job
-            outcomes = []
-            try:
-                for draw in draws:
-                    outcomes.append(_replicate_masks(draw, columns, schedules))
-            except Exception as error:
-                outcomes.append(error)
-            else:
-                if failure is not None:
-                    outcomes.append(failure)
-            conn.send(outcomes)
+    while (job := conn.recv()) is not None:
+        columns, schedules = job
+        outcomes = []
+        try:
+            for draw in draws:
+                outcomes.append(_replicate_masks(draw, columns, schedules))
+        except Exception as error:
+            outcomes.append(error)
+        else:
+            if failure is not None:
+                outcomes.append(failure)
+        conn.send(outcomes)
 
 
 @contextlib.contextmanager
 def _replicate_workers(p: int, n: int, lam: float, seed, reps: int):
-    """W = min(reps, usable cores) search worker processes, as a list of
-    (connection, process) pairs: worker k owns replicates k, k + W, k + 2W
-    and so on, and draws them itself (``_replicate_worker``).
-
-    The workers are forked where the platform offers fork and started by the
-    platform's default method elsewhere; on either, no draw is pickled, and
-    the calling process draws nothing.  When the ``with`` block ends, every
-    worker has exited and been joined; a block that raises terminates them
-    first.  ``multiprocessing`` is imported here, not at module level, to
-    keep it off every command's start-up.
+    """W = min(reps, usable cores) search worker processes
+    (``_worker_processes``), as a list of (connection, process) pairs:
+    worker k owns replicates k, k + W, k + 2W and so on, and draws them
+    itself (``_replicate_worker``).  Whatever the start method, no draw is
+    pickled, and the calling process draws nothing.  A ``with`` block that
+    ends without raising sends every worker None, the end of the call.
     """
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()  # the platform default first
-    context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
     count = min(reps, _usable_cores())
-    workers = []
-    try:
-        for k in range(count):
-            conn, end = context.Pipe()
-            process = context.Process(
-                target=_replicate_worker, args=(end, conn, p, n, lam, seed, range(k, reps, count))
-            )
-            process.start()
-            end.close()  # the worker holds the only copy: its exit reads as EOF here
-            workers.append((conn, process))
+    shares = [range(k, reps, count) for k in range(count)]
+    with _worker_processes(_replicate_worker, (p, n, lam, seed), shares) as workers:
         yield workers
         for conn, _ in workers:
             conn.send(None)
-    except BaseException:
-        for _, process in workers:
-            process.terminate()
-        raise
-    finally:
-        for conn, process in workers:
-            process.join()
-            conn.close()
 
 
 def _probe_round(workers: list, reps: int, columns: list, schedules: list) -> list:
@@ -594,16 +657,18 @@ def _probe_round(workers: list, reps: int, columns: list, schedules: list) -> li
     first in replicate order, a failed draw included; a worker that exits
     before it answers raises ``RuntimeError``.
 
-    Processes, not threads: only a pass's matrix products release the GIL,
-    and its per-pass Python work, the denoiser's set-up and the per-column
-    scaling and stop rule, does not.  When each column still ran its
-    recursion step in the pass loop, ``labeled-needed``'s defaults with etas
-    [0.02] on 2 cores (one BLAS thread) took 1.99 s with the replicates run
-    serially, 1.79 s on two threads and 1.25 s on two forked workers
-    (medians of 9 runs each, the three interleaved).  The workers now run
-    no recursion; with the schedules given, one 6-column round on the 10
-    replicates took 84 ms on two threads and 83 ms on two processes, in
-    process, but threads have not yet been timed end to end.  Replicates
+    Processes, not threads, as for every Monte Carlo command's units
+    (``_owned_map``): threads would keep every replicate's draw in one
+    process, and the largest process is the command's peak memory.  Only a
+    pass's matrix products release the GIL, and its per-pass Python work,
+    the denoiser's set-up and the per-column scaling and stop rule, does
+    not.  When each column still ran its recursion step in the pass loop,
+    ``labeled-needed``'s defaults with etas [0.02] on 2 cores (one BLAS
+    thread) took 1.99 s with the replicates run serially, 1.79 s on two
+    threads and 1.25 s on two forked workers (medians of 9 runs each, the
+    three interleaved).  With the schedules given, one 6-column round on the
+    10 replicates took 84 ms on two threads and 83 ms on two processes, in
+    process, so threads would gain no time to pay for the memory.  Replicates
     are not batched with each other: a 200 x 1000 matrix is 1.6 MB, and the
     matrix products of five replicates run pass by pass in lockstep took
     48 ms against 45 ms run one replicate after another (2 MB L2 per core).
@@ -615,15 +680,7 @@ def _probe_round(workers: list, reps: int, columns: list, schedules: list) -> li
     """
     for conn, _ in workers:
         conn.send((columns, schedules))
-    answers = []
-    for k, (conn, process) in enumerate(workers):
-        try:
-            answers.append(conn.recv())
-        except EOFError:
-            process.join()
-            raise RuntimeError(
-                f"search worker {k} exited with code {process.exitcode} during a round"
-            ) from None
+    answers = [_receive(worker, f"search worker {k}") for k, worker in enumerate(workers)]
     masks = []
     for r in range(reps):
         # a worker's answer ends at its first failure, which is raised here

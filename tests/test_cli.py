@@ -2,6 +2,7 @@
 and the exit-code contract."""
 
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -304,11 +305,16 @@ class TestExitCodes:
     def test_every_sample_labeled_exits_4_at_the_first_replicate(
         self, tmp_path, monkeypatch, capsys, command, payload, first_streams
     ):
-        drawn = []
+        # The forked worker inherits the patch; each process logs its draws
+        # with its pid.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the patch reaches the workers only through fork")
+        log = tmp_path / "draws.log"
         draw = simulate.generate_dataset
 
         def recording_draw(p, n, lam, labeling, seed):
-            drawn.append(seed)
+            with open(log, "a") as handle:
+                handle.write(json.dumps([os.getpid(), seed]) + "\n")
             return draw(p, n, lam, labeling, seed)
 
         monkeypatch.setattr(simulate, "generate_dataset", recording_draw)
@@ -318,8 +324,13 @@ class TestExitCodes:
         assert run_cli(command, "--config", cfg, "--out", str(out)) == 4
         err = capsys.readouterr().err
         assert err == "error: the labeling leaves no unlabeled sample to score\n"
-        # two threads: the first replicate fails, and nothing is submitted after it
-        assert sorted(drawn) == first_streams
+        assert multiprocessing.active_children() == []
+        # two participants: each fails at its first replicate and draws no
+        # other.  The calling process's replicate 0 fails first in order, so
+        # the worker may be stopped before it draws replicate 1.
+        drawn = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [seed for pid, seed in drawn if pid == os.getpid()] == first_streams[:1]
+        assert [seed for pid, seed in drawn if pid != os.getpid()] in ([], first_streams[1:])
         assert list(tmp_path.glob("out*")) == []
 
     def test_nonconvergence_exit(self, tmp_path):
@@ -687,21 +698,27 @@ class TestChannelCheckCommand:
         assert list(tmp_path.glob("cc.*")) == []
 
 
-    def test_table_does_not_depend_on_the_thread_count(self, tmp_path, monkeypatch):
-        # The default grid's 25 cells run on the replicate threads; a serial
-        # loop over the cells gives the table the threads must give.
+    def test_table_does_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        # The default grid's 25 cells are the units of one _owned_map, run by
+        # the calling process and forked workers; a serial loop over the
+        # cells gives the table the workers must give.
         tables = {}
         for cores in (1, 2, 3):
             monkeypatch.setattr(simulate, "_usable_cores", lambda c=cores: c)
             out = tmp_path / f"cc_{cores}.dat"
             assert run_cli("channel-check", "--out", str(out)) == 0
+            assert multiprocessing.active_children() == []
             tables[cores] = read_bytes(out)
-        monkeypatch.setattr(cli, "_thread_map", lambda fn, jobs, count: [fn(*job) for job in jobs])
+        monkeypatch.setattr(cli, "_owned_map", lambda unit, count: [unit(i) for i in range(count)])
         assert run_cli("channel-check", "--out", str(tmp_path / "serial.dat")) == 0
         serial = read_bytes(tmp_path / "serial.dat")
         assert tables == {1: serial, 2: serial, 3: serial}
 
     def test_first_failing_cell_raises_in_cell_order(self, monkeypatch):
+        # forked workers inherit the patch
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the patch reaches the workers only through fork")
+
         def stats(eps, q, trials, seed):
             cell = tuple(seed[1:])
             if cell in ((0, 1), (1, 0)):
@@ -737,8 +754,8 @@ class TestStartup:
         assert done.stdout.splitlines()[-1] == "[]"
 
     def test_import_loads_no_process_pool(self):
-        # The labeled-count search imports its process pool, and the fresh
-        # replicates their thread pool, when they run.
+        # The Monte Carlo commands import multiprocessing when their workers
+        # start, and nothing imports concurrent.futures.
         # numpy.polynomial, which computes the quadrature rule, is test-only.
         script = (
             "import sys\n"

@@ -2,7 +2,6 @@
 scalar channel lemma against quadrature, classifier calibration against known
 error levels, and the labeled-count search protocol."""
 
-import concurrent.futures
 import contextlib
 import hashlib
 import json
@@ -71,6 +70,43 @@ def realised_schedule(ds):
     """The lazy calibration ``classify_semisupervised`` builds from ``ds``."""
     mixture = EpsilonMixture.from_samples(ds.label_eps)
     return simulate._calibration(ds.snr, ds.n / ds.p, mixture)
+
+
+@contextlib.contextmanager
+def hang_guard(seconds: int = 60):
+    """Turns a block that hangs, on a dead or unterminated worker, into a
+    ``TimeoutError`` after ``seconds``."""
+
+    def hung(signum, frame):
+        raise TimeoutError(f"the block still ran after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_exit(pids) -> None:
+    """Waits up to 30 s for the processes ``pids`` to exit, then kills any
+    left and fails."""
+
+    def running(pid):  # neither gone nor a zombie
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 30
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == []
 
 
 def fork_only():
@@ -872,8 +908,9 @@ CORE_SETS = [{0}, {0, 1}, {0, 1, 2, 3}]
 
 class TestFreshReplicates:
     """``simulate`` and ``reduction`` run the fresh-draw replicates of every
-    point on one pool of up to one thread per usable core; nothing they
-    return may depend on how many.
+    point as the units of one ``_owned_map``, on up to one participant per
+    usable core, the calling process and forked workers; nothing they return
+    may depend on how many.
     The matrices hold about 500 000 cells, so that BLAS threads too when its
     thread count is not pinned: OpenBLAS 0.3.31 on 2 cores splits a
     matrix-vector product over threads only from somewhere between 320 000
@@ -882,17 +919,20 @@ class TestFreshReplicates:
     P, N, LAM, LABELING, SEED, REPS, T_MAX = 500, 1000, 1.5, [(0.2, 0.9)], 7, 5, 20
 
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        sizes = []
+    def participants(self, monkeypatch):
+        """The participant count of each map: its workers and the calling
+        process."""
+        counts = []
+        start = simulate._worker_processes
 
-        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        @contextlib.contextmanager
+        def recording_workers(target, args, shares):
+            with start(target, args, shares) as workers:
+                counts.append(len(workers) + 1)
+                yield workers
 
-        # simulate imports the pool class when a run starts, from here.
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-        return sizes
+        monkeypatch.setattr(simulate, "_worker_processes", recording_workers)
+        return counts
 
     def each_core_set(self, monkeypatch):
         for cores in CORE_SETS:
@@ -906,7 +946,7 @@ class TestFreshReplicates:
         [errors] = simulate._fresh_replicate_errors([self.point()], self.REPS, self.T_MAX)
         return errors
 
-    def test_errors_do_not_depend_on_the_worker_count(self, monkeypatch, pool_sizes):
+    def test_errors_do_not_depend_on_the_worker_count(self, monkeypatch, participants):
         expected = []
         for r in range(self.REPS):
             ds = generate_dataset(self.P, self.N, self.LAM, self.LABELING, seed=[self.SEED, r])
@@ -917,7 +957,8 @@ class TestFreshReplicates:
             ))
         for _ in self.each_core_set(monkeypatch):
             assert self.errors() == expected
-        assert pool_sizes == [1, 2, 4]
+            assert multiprocessing.active_children() == []
+        assert participants == [1, 2, 4]
 
     @pytest.mark.parametrize(
         "command, payload",
@@ -927,7 +968,7 @@ class TestFreshReplicates:
         ],
     )
     def test_tables_do_not_depend_on_the_worker_count(
-        self, tmp_path, monkeypatch, pool_sizes, command, payload
+        self, tmp_path, monkeypatch, participants, command, payload
     ):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(payload))
@@ -935,28 +976,31 @@ class TestFreshReplicates:
         for cores in self.each_core_set(monkeypatch):
             out = tmp_path / f"out_{len(cores)}.dat"
             assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+            assert multiprocessing.active_children() == []
             tables.append(out.read_bytes())
         assert tables[1] == tables[0] and tables[2] == tables[0]
-        assert pool_sizes == [1, 2, 4]  # one pool per run, whatever its points
+        assert participants == [1, 2, 4]  # one map per run, whatever its points
 
-    def test_points_equal_one_point_calls(self, monkeypatch, pool_sizes):
+    def test_points_equal_one_point_calls(self, monkeypatch, participants):
         other = (300, 600, 2.5, [(0.3, 1.0)], [self.SEED, 1])
         apart = [
             simulate._fresh_replicate_errors([point], self.REPS, self.T_MAX)[0]
             for point in (self.point(), other)
         ]
-        pool_sizes.clear()
+        participants.clear()
         for cores in (1, 2, 3):
             monkeypatch.setattr(simulate, "_usable_cores", lambda c=cores: c)
             together = simulate._fresh_replicate_errors(
                 [self.point(), other], self.REPS, self.T_MAX
             )
             assert together == apart
-        assert pool_sizes == [1, 2, 3]
+        assert participants == [1, 2, 3]
 
     def test_failing_replicate_raises_first_in_point_then_replicate_order(
         self, monkeypatch
     ):
+        fork_only()
+
         def replicate(p, n, lam, labeling, t_max, stream):
             point, r = stream[-2:]
             if (point, r) in ((0, 3), (1, 0)):
@@ -969,14 +1013,16 @@ class TestFreshReplicates:
         for _ in self.each_core_set(monkeypatch):
             with pytest.raises(SimulationError, match="point 0 replicate 3 failed"):
                 simulate._fresh_replicate_errors(points, 5, 1)
+            assert multiprocessing.active_children() == []
 
     def test_failing_replicate_raises_as_the_serial_loop(self, monkeypatch):
+        fork_only()
         draw = simulate.generate_dataset
 
         def failing_draw(p, n, lam, labeling, seed):
             r = seed[-1]
             if r == 1:
-                time.sleep(0.05)  # with 4 workers, replicate 3 fails first in time
+                time.sleep(0.05)  # with 4 participants, replicate 3 fails first in time
                 raise SimulationError(f"replicate {r} failed")
             if r == 3:
                 raise ValueError(f"replicate {r} failed")
@@ -990,35 +1036,168 @@ class TestFreshReplicates:
             raised.append((info.type, str(info.value)))
         assert raised == [(SimulationError, "replicate 1 failed")] * len(CORE_SETS)
 
-    def test_streams_are_built_only_as_replicates_are_submitted(self, monkeypatch):
-        started, finished = [], []
+    @pytest.mark.parametrize(
+        "slow, fast",
+        [(0, 1), (1, 2)],
+        ids=["caller-unit-first-in-order", "worker-unit-first-in-order"],
+    )
+    def test_first_failure_in_unit_order_wins_across_shares(self, monkeypatch, slow, fast):
+        # On 2 participants the calling process owns the even units and the
+        # worker the odd ones.  Unit ``slow`` comes first in order and fails
+        # late; unit ``fast``, of the other participant, fails at once.
+        fork_only()
+
+        def replicate(p, n, lam, labeling, t_max, stream):
+            r = stream[-1]
+            if r == slow:
+                time.sleep(0.3)
+            if r in (slow, fast):
+                raise SimulationError(f"replicate {r} failed")
+            return r, None, -r
+
+        monkeypatch.setattr(simulate, "_fresh_replicate", replicate)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        with pytest.raises(SimulationError, match=f"^replicate {slow} failed$"):
+            simulate._fresh_replicate_errors([(1, 1, 1.0, [], 0)], 6, 1)
+        assert multiprocessing.active_children() == []
+
+    def test_streams_are_built_only_as_replicates_are_submitted(self, monkeypatch, tmp_path):
+        # Each participant builds a replicate's stream only when it reaches
+        # the replicate.  The forked workers inherit the patches, and every
+        # process logs the streams it builds with its pid.  Replicates after
+        # the failing one take a second, so what a worker builds before it
+        # is stopped is what it reached, not how fast it ran.
+        fork_only()
+        log = tmp_path / "streams.log"
 
         def stream(seed, r):
-            started.append(r - len(finished))  # replicates running, this one excluded
+            with open(log, "a") as handle:
+                handle.write(json.dumps([os.getpid(), r]) + "\n")
             return [seed, r]
 
         def replicate(p, n, lam, labeling, t_max, stream):
             r = stream[-1]
-            time.sleep(0.002 * (r % 3))  # later replicates may finish first
-            finished.append(r)
+            time.sleep(0.002 * (r % 3) if r <= 5 else 1.0)  # later replicates may finish first
             if r == 5:
                 raise SimulationError("replicate 5 failed")
             return r, None, -r
 
+        def built() -> dict:
+            owned = {}
+            for line in log.read_text().splitlines():
+                pid, r = json.loads(line)
+                owned.setdefault(pid, []).append(r)
+            log.write_text("")
+            return owned
+
         monkeypatch.setattr(simulate, "_rep_stream", stream)
         monkeypatch.setattr(simulate, "_fresh_replicate", replicate)
+        log.write_text("")
         for cores in self.each_core_set(monkeypatch):
-            started.clear()
-            finished.clear()
+            width = min(len(cores), 5)
             errors = simulate._fresh_replicate_errors([(1, 1, 1.0, [], 0)], 5, 1)
             assert errors == [[(r, None, -r) for r in range(5)]]
-            assert max(started) < len(cores)
-            started.clear()
-            finished.clear()
-            with pytest.raises(SimulationError, match="replicate 5 failed"):
+            owned = built()
+            # participant k builds each of its replicates k, k + W, ... once, in order
+            assert sorted(owned.values()) == [list(range(k, 5, width)) for k in range(width)]
+            assert owned[os.getpid()] == list(range(0, 5, width))  # the calling process is one
+            # the workers still running are terminated, not waited for
+            with hang_guard(30), pytest.raises(SimulationError, match="replicate 5 failed"):
                 simulate._fresh_replicate_errors([(1, 1, 1.0, [], 0)], 10_000, 1)
-            assert len(started) <= 6 + len(cores)
-            assert max(started) < len(cores)
+            assert multiprocessing.active_children() == []
+            owned = built()
+            assert len(owned) <= len(cores)
+            for streams in owned.values():
+                # in order, and none past the first it owns after replicate 5
+                assert streams == sorted(streams) and streams[0] < len(cores)
+                assert all(r <= 5 for r in streams[:-1]) and streams[-1] <= 5 + len(cores)
+
+    def test_dying_worker_makes_the_run_raise(self, monkeypatch):
+        # replicate 3's participant, the worker of 2, exits in the middle of
+        # the run, after it scored replicate 1
+        fork_only()
+
+        def replicate(p, n, lam, labeling, t_max, stream):
+            r = stream[-1]
+            if r == 3:
+                os._exit(7)
+            return r, None, -r
+
+        monkeypatch.setattr(simulate, "_fresh_replicate", replicate)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        with hang_guard(), pytest.raises(RuntimeError, match="^worker 1 exited with code 7"):
+            simulate._fresh_replicate_errors([(1, 1, 1.0, [], 0)], 8, 1)
+        assert multiprocessing.active_children() == []
+
+    def test_spawned_workers_give_the_same_errors(self, monkeypatch):
+        # without fork, the unit and the indices a worker owns are pickled:
+        # a few hundred bytes, whatever the replicate count
+        point = (10, 40, 1.5, [(0.2, 0.9)], [self.SEED, 2])
+        serial = {}
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 1)
+        for reps in (3, 300):
+            serial[reps] = simulate._fresh_replicate_errors([point], reps, 5)
+        methods, sent = [], []
+        get_context = multiprocessing.get_context
+
+        def recording_context(method=None):
+            methods.append(method)
+            context = get_context(method)
+            make = type(context).Process  # unwrapped, on every call
+
+            def recording_process(*, target, args):
+                sent.append(pickle.dumps(args[2:]))  # all but the two ends of its pipe
+                return make(target=target, args=args)
+
+            monkeypatch.setattr(context, "Process", recording_process)
+            return context
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", recording_context)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        for reps in (3, 300):
+            assert simulate._fresh_replicate_errors([point], reps, 5) == serial[reps]
+            assert multiprocessing.active_children() == []
+        assert methods == ["spawn", "spawn"]
+        assert [pickle.loads(args)[-1] for args in sent] == [range(1, 3, 2), range(1, 300, 2)]
+        assert max(map(len, sent)) < 1000
+
+    def test_workers_exit_when_the_calling_process_dies(self, tmp_path):
+        # A child process runs ``simulate`` with 8 replicates that print their
+        # pids and take 0.5 s each; it is killed in the middle of the run.
+        fork_only()
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n": 40, "p": 10, "reps": 8, "t_max": 5}))
+        script = (
+            "import os, sys, time\n"
+            "from uncertain_ssl import cli, simulate\n"
+            "replicate = simulate._fresh_replicate\n"
+            "def slow(*args):\n"
+            "    os.write(1, b'%d\\n' % os.getpid())  # one write: the lines never mix\n"
+            "    time.sleep(0.5)\n"
+            "    return replicate(*args)\n"
+            "simulate._fresh_replicate = slow\n"
+            "simulate._usable_cores = lambda: 2\n"
+            "cli.main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        )
+        paths = [os.path.dirname(os.path.dirname(simulate.__file__)), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        caller = subprocess.Popen(
+            [sys.executable, "-c", script, str(config), str(tmp_path / "out.dat")],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        workers = set()
+        try:
+            while not workers:
+                line = caller.stdout.readline()
+                assert line, "the run ended before its worker scored a replicate"
+                workers.add(int(line))
+                workers.discard(caller.pid)
+        finally:
+            caller.kill()
+            caller.wait()
+        assert_exit(workers)
+        caller.stdout.close()
 
 
 class TestReplicateBank:
@@ -1387,7 +1566,7 @@ class TestReplicatePool:
 
     def test_dying_worker_makes_the_call_raise(self, monkeypatch, replicate_of):
         # replicate 3's worker exits in the middle of the first round, after
-        # it scored replicate 1; the alarm turns a hang into a failure
+        # it scored replicate 1
         build = simulate._dataset
 
         def dying_build(draw, blocks):
@@ -1395,19 +1574,10 @@ class TestReplicatePool:
                 os._exit(7)
             return build(draw, blocks)
 
-        def hung(signum, frame):
-            raise TimeoutError("the call waited on a dead worker")
-
         monkeypatch.setattr(simulate, "_dataset", dying_build)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            with pytest.raises(RuntimeError, match="search worker 1 exited with code 7"):
-                labeled_needed_empirical(20, 120, 1.0, 0.1, [0.9], seed=8, reps=5)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        with hang_guard(), pytest.raises(RuntimeError, match="search worker 1 exited with code 7"):
+            labeled_needed_empirical(20, 120, 1.0, 0.1, [0.9], seed=8, reps=5)
         assert multiprocessing.active_children() == []
 
     def test_workers_exit_when_the_calling_process_dies(self):
@@ -1419,7 +1589,7 @@ class TestReplicatePool:
             "from uncertain_ssl import simulate\n"
             "masks = simulate._replicate_masks\n"
             "def slow(*args):\n"
-            "    print(os.getpid(), flush=True)\n"
+            "    os.write(1, b'%d\\n' % os.getpid())  # one write: the workers' lines never mix\n"
             "    time.sleep(0.5)\n"
             "    return masks(*args)\n"
             "simulate._replicate_masks = slow\n"
@@ -1440,19 +1610,5 @@ class TestReplicatePool:
         finally:
             caller.kill()
             caller.wait()
-
-        def running(pid):  # neither gone nor a zombie
-            try:
-                with open(f"/proc/{pid}/stat") as handle:
-                    return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
-            except FileNotFoundError:
-                return False
-
-        deadline = time.monotonic() + 30
-        while any(map(running, workers)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        left = [pid for pid in workers if running(pid)]
-        for pid in left:
-            os.kill(pid, signal.SIGKILL)
-        assert left == []
+        assert_exit(workers)
         caller.stdout.close()
