@@ -17,21 +17,23 @@ calibration from a given q_u schedule and runs no recursion.
 
 ``labeled_needed_empirical`` runs the labeled-count search for one eta: how
 many kappa-reliable labels the semi-supervised classifier needs to match an
-eta fraction of certain ones.  It starts one worker process per usable
-core, up to one per replicate; each worker draws the replicates it owns and
-keeps them for the call, and the calling process draws none.  Every kappa
-is searched in rounds, each worker scoring a round's probes, the reference
-in the first, as the columns of one classifier run per owned replicate.
-The calling process builds each probe's q_u schedule once per round, from
-the nominal lam, c = n/p and the intended mixture, and sends it with the
-probe, so the workers run only the matrix products, the denoiser and the
-stop rule.  The workers are joined before the call ends, and nothing is
-kept.  The fresh-draw replicates of the ``simulate`` and ``reduction``
-commands, every point's at once (``_fresh_replicate_errors``), and the
-cells of ``channel-check`` run on ``_owned_map``: on min(units, usable
-cores) participants, the calling process and forked workers, each running
-the units it owns one at a time.  The search's workers and the map's share
-one life cycle (``_worker_processes``).
+eta fraction of certain ones.  Every kappa is searched in rounds, each
+replicate scoring a round's probes, the reference in the first, as the
+columns of one classifier run.  The calling process builds each probe's q_u
+schedule once per round, from the nominal lam, c = n/p and the intended
+mixture, and sends it with the probe, so the replicates' runs do only the
+matrix products, the denoiser and the stop rule.
+
+Every Monte Carlo command runs its units on one executor, ``_owned_rounds``:
+min(units, usable cores) participants, each building and running the units
+it owns, one at a time, and keeping what it built for the call.  The search
+is a call whose units are the replicates, each drawn once by its owner and
+kept for every round, with the calling process owning none.  The
+fresh-draw replicates of the ``simulate`` and ``reduction`` commands, every
+point's at once (``_fresh_replicate_errors``), and the cells of
+``channel-check`` are one round of it (``_owned_map``) in which the calling
+process owns a share.  The workers are joined before the call ends, and
+nothing is kept.
 
 Randomness.  All draws use ``numpy.random.default_rng`` with explicit
 seeding; replicate r of a study derives its stream from the seed sequence
@@ -451,49 +453,131 @@ def _fresh_replicate(p, n, lam, labeling, t_max, stream) -> tuple:
     return oracle, sup, semi
 
 
-def _worker_main(conn, calling_end, target, *args) -> None:
-    """A worker process's body: ``target(conn, *args)``, which talks to the
-    calling process over ``conn``.  It returns early, without a traceback,
-    when the calling process has died: ``conn`` then reads EOF or a send
-    raises a ``ConnectionError``, a broken pipe or a reset.
+def _owned_worker(conn, calling_end, build, owned: range) -> None:
+    """A worker process's body, for the units ``owned`` of an
+    ``_owned_rounds`` call.  For each job it reads from ``conn`` it sends,
+    for its units in order, ``job(state)``, each as soon as it has it, or the
+    exception that building or running a unit raised, which ends its round.
+    A unit's state is ``build(index)``, built when a job first reaches the
+    unit and kept until the call ends.  It returns when it reads None, the
+    end of the call.
 
     ``calling_end`` is this worker's copy of the calling process's end of
     the pipe, which a fork hands it; it is closed first, so that the end
-    closes when the calling process dies.  A sibling forked later holds a
-    copy too and keeps it until it exits itself.
+    closes when the calling process dies.  ``conn`` then reads EOF or a send
+    raises a ``ConnectionError``, a broken pipe or a reset, and the worker
+    returns without a traceback.  A sibling forked later holds a copy too
+    and keeps it until it exits itself.
     """
     calling_end.close()
+    states = {}
     with contextlib.suppress(EOFError, ConnectionError):  # the calling process died
-        target(conn, *args)
+        while (job := conn.recv()) is not None:
+            for index in owned:
+                try:
+                    if index not in states:
+                        states[index] = build(index)
+                    outcome = job(states[index])
+                except Exception as error:
+                    conn.send(error)
+                    break
+                conn.send(outcome)
 
 
 @contextlib.contextmanager
-def _worker_processes(target, args: tuple, shares: list):
-    """One worker process per entry of ``shares``, as a list of (connection,
-    process) pairs: worker k runs ``target(conn, *args, shares[k])`` in
-    ``_worker_main``, with ``conn`` its end of a pipe to the calling
-    process, the pair's connection.
+def _owned_rounds(build, count: int, caller_owns: bool):
+    """Yields ``run(job)``, which returns ``[job(state_i) for i in
+    range(count)]``.  ``state_i = build(i)`` is built once, when a job first
+    reaches unit i, by the participant that owns the unit, and is kept there
+    until the ``with`` block ends.
+
+    There are W = min(count, usable cores) participants, and participant k
+    owns units k, k + W, k + 2W and so on.  With ``caller_owns`` the calling
+    process is participant 0 and W - 1 worker processes are the rest;
+    without it all W are workers, and the calling process builds and runs
+    no unit.  ``run`` sends each worker the job; a worker runs its units in
+    order and sends each outcome as soon as it has it (``_owned_worker``).
+    The calling process runs its own units as their turn comes and takes
+    the workers' outcomes in unit order between them.  The first failure in
+    unit order raises, with its own type and message, as in a serial loop,
+    whichever participant failed first in time; it does not wait for any
+    later unit.  A worker that exits before it answers raises
+    ``RuntimeError``.  A raising round leaves the workers mid-round, so its
+    exception must end the block, which terminates them.  A block that ends
+    without raising sends every worker None, the end of the call.  Every
+    worker has exited and been joined when the block ends.
 
     The workers are forked where the platform offers fork and started by the
-    platform's default method elsewhere, where ``target`` and its arguments
-    are pickled.  When the ``with`` block ends, every worker has exited and
-    been joined; a block that raises terminates them first.
-    ``multiprocessing`` is imported here, not at module level, to keep it
-    off every command's start-up.
+    platform's default method elsewhere, where ``build`` and each job are
+    pickled: a ``functools.partial`` of a module-level function on small
+    arguments.  A job is pickled once per worker and round whatever the
+    start method.  ``multiprocessing`` is imported here, not at module
+    level, to keep it off every command's start-up.
+
+    Processes, not threads.  Threads would keep every unit's state in one
+    process, and the largest process is the command's peak memory: on
+    ``labeled-needed``'s defaults with etas [0.02], on 2 cores, workers that
+    each hold the 5 draws they own (8 MB) peaked at 41.8 MB and the calling
+    process at 30.7 MB, where every draw in the calling process, shared with
+    forked workers, peaked at 53.3 MB (``ru_maxrss``, 3 runs).  And threads
+    would gain no time to pay for it: only a pass's matrix products release
+    the GIL, and one 6-column search round on the 10 replicates took 84 ms
+    on two threads and 83 ms on two processes, in process.  Units are not
+    batched with each other: a search replicate's 200 x 1000 matrix is
+    1.6 MB, and the matrix products of five replicates run pass by pass in
+    lockstep took 48 ms against 45 ms run one replicate after another (2 MB
+    L2 per core).
     """
+    # caller_owns: the Monte Carlo map's calling process must run a share,
+    # since a traced run only sees the calling process's spans.  The
+    # search's must not: on the same command a calling process that owned
+    # share 0 peaked at 46.9 MB against 41.4 MB for its worker (ru_maxrss,
+    # 2 runs), most likely because a forked child does not count the
+    # parent's file-backed pages until it touches them.
     import multiprocessing
 
     methods = multiprocessing.get_all_start_methods()  # the platform default first
     context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
-    workers = []
+    width = min(count, _usable_cores())
+    first = int(caller_owns)
+    workers, states = [], {}  # states: the calling process's own units
     try:
-        for share in shares:
+        for k in range(first, width):
             conn, end = context.Pipe()
-            process = context.Process(target=_worker_main, args=(end, conn, target, *args, share))
+            owned = range(k, count, width)
+            process = context.Process(target=_owned_worker, args=(end, conn, build, owned))
             process.start()
             end.close()  # the worker holds the only copy: its exit reads as EOF here
             workers.append((conn, process))
-        yield workers
+        owners = [None] * first + workers  # participant k's (connection, process)
+
+        def run(job) -> list:
+            for conn, _ in workers:
+                conn.send(job)
+            results = []
+            for index in range(count):
+                k = index % width
+                if owners[k] is None:  # the calling process's own unit
+                    if index not in states:
+                        states[index] = build(index)
+                    results.append(job(states[index]))
+                    continue
+                conn, process = owners[k]
+                try:
+                    outcome = conn.recv()
+                except (EOFError, ConnectionError):  # a reset if it left a message unread
+                    process.join()
+                    raise RuntimeError(
+                        f"worker {k} exited with code {process.exitcode} before it answered"
+                    ) from None
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                results.append(outcome)
+            return results
+
+        yield run
+        for conn, _ in workers:
+            conn.send(None)
     except BaseException:
         for _, process in workers:
             process.terminate()
@@ -504,64 +588,13 @@ def _worker_processes(target, args: tuple, shares: list):
             conn.close()
 
 
-def _receive(worker, name: str):
-    """The next message of ``worker``, a (connection, process) pair of
-    ``_worker_processes`` called ``name`` in the error: a worker that exits
-    before it sends one raises ``RuntimeError``."""
-    conn, process = worker
-    try:
-        return conn.recv()
-    except (EOFError, ConnectionError):  # a reset if it left a message unread
-        process.join()
-        raise RuntimeError(f"{name} exited with code {process.exitcode} before it answered") from None
-
-
-def _unit_worker(conn, unit, share: range) -> None:
-    """An ``_owned_map`` worker's process: for each index of ``share``, in
-    order, it sends ``unit(index)`` as soon as it has it, or the exception
-    the unit raised, which ends its run."""
-    for index in share:
-        try:
-            outcome = unit(index)
-        except Exception as error:
-            conn.send(error)
-            return
-        conn.send(outcome)
-
-
 def _owned_map(unit, count: int) -> list:
-    """``[unit(index) for index in range(count)]`` on W = min(count, usable
-    cores) participants: the calling process is participant 0, and W - 1
-    worker processes (``_worker_processes``) are the rest.
-
-    Participant k owns units k, k + W, k + 2W and so on and builds each from
-    its index when it reaches it, so no list of units is made; a worker runs
-    its units in order, sends each outcome as soon as it has it
-    (``_unit_worker``) and stops at its first failure.  The calling process
-    runs its own units as their turn comes and takes the workers' outcomes
-    in unit order between them.  The first failure in unit order raises,
-    with its own type and message, as in a serial loop, whichever
-    participant failed first in time; the workers are then terminated.  A
-    worker that exits before it answers raises ``RuntimeError``.  Every
-    worker has exited and been joined when the call returns or raises.
-
-    ``unit`` must be picklable where the workers are not forked: a
-    ``functools.partial`` of a module-level function on small arguments.
-    """
-    width = min(count, _usable_cores())
-    shares = [range(k, count, width) for k in range(1, width)]
-    results = []
-    with _worker_processes(_unit_worker, (unit,), shares) as workers:
-        for index in range(count):
-            k = index % width
-            if k == 0:
-                results.append(unit(index))
-                continue
-            outcome = _receive(workers[k - 1], f"worker {k}")
-            if isinstance(outcome, BaseException):
-                raise outcome
-            results.append(outcome)
-    return results
+    """``[unit(index) for index in range(count)]`` as one ``_owned_rounds``
+    round in which each unit's state is its index and the calling process
+    owns a share.  Each participant builds a unit from its index only when
+    it reaches it, so no list of units is made."""
+    with _owned_rounds(int, count, caller_owns=True) as run:
+        return run(unit)
 
 
 def _fresh_replicate_unit(points, reps: int, t_max: int, index: int) -> tuple:
@@ -603,93 +636,9 @@ def _replicate_masks(draw, columns: list, schedules: list) -> np.ndarray:
     return _hard_decisions(soft) != datasets[0].truth_labels
 
 
-def _replicate_worker(conn, p: int, n: int, lam: float, seed, owned: range) -> None:
-    """A search worker's process: it draws its replicates ``owned`` from
-    (seed, r) and keeps them until the call ends.  For each round's
-    (columns, schedules) read from ``conn`` it sends back one outcome per
-    owned replicate, in order: the replicate's ``_replicate_masks`` mask, or
-    the exception its draw or its run raised, which ends the list.  It returns
-    when it reads None, the end of the call, or, in ``_worker_main``, when
-    the calling process has died.
-    """
-    draws, failure = [], None
-    try:
-        for r in owned:
-            draws.append(_base_draw(p, n, lam, _rep_stream(seed, r)))
-    except Exception as error:
-        failure = error
-    while (job := conn.recv()) is not None:
-        columns, schedules = job
-        outcomes = []
-        try:
-            for draw in draws:
-                outcomes.append(_replicate_masks(draw, columns, schedules))
-        except Exception as error:
-            outcomes.append(error)
-        else:
-            if failure is not None:
-                outcomes.append(failure)
-        conn.send(outcomes)
-
-
-@contextlib.contextmanager
-def _replicate_workers(p: int, n: int, lam: float, seed, reps: int):
-    """W = min(reps, usable cores) search worker processes
-    (``_worker_processes``), as a list of (connection, process) pairs:
-    worker k owns replicates k, k + W, k + 2W and so on, and draws them
-    itself (``_replicate_worker``).  Whatever the start method, no draw is
-    pickled, and the calling process draws nothing.  A ``with`` block that
-    ends without raising sends every worker None, the end of the call.
-    """
-    count = min(reps, _usable_cores())
-    shares = [range(k, reps, count) for k in range(count)]
-    with _worker_processes(_replicate_worker, (p, n, lam, seed), shares) as workers:
-        yield workers
-        for conn, _ in workers:
-            conn.send(None)
-
-
-def _probe_round(workers: list, reps: int, columns: list, schedules: list) -> list:
-    """Per replicate, in order, the ``_replicate_masks`` mask of ``columns``
-    under their ``schedules``, from the ``_replicate_workers`` ``workers``:
-    each is sent the columns and their schedules once and answers for all of
-    its replicates.  A failing replicate raises as in a serial loop, the
-    first in replicate order, a failed draw included; a worker that exits
-    before it answers raises ``RuntimeError``.
-
-    Processes, not threads, as for every Monte Carlo command's units
-    (``_owned_map``): threads would keep every replicate's draw in one
-    process, and the largest process is the command's peak memory.  Only a
-    pass's matrix products release the GIL, and its per-pass Python work,
-    the denoiser's set-up and the per-column scaling and stop rule, does
-    not.  When each column still ran its recursion step in the pass loop,
-    ``labeled-needed``'s defaults with etas [0.02] on 2 cores (one BLAS
-    thread) took 1.99 s with the replicates run serially, 1.79 s on two
-    threads and 1.25 s on two forked workers (medians of 9 runs each, the
-    three interleaved).  With the schedules given, one 6-column round on the
-    10 replicates took 84 ms on two threads and 83 ms on two processes, in
-    process, so threads would gain no time to pay for the memory.  Replicates
-    are not batched with each other: a 200 x 1000 matrix is 1.6 MB, and the
-    matrix products of five replicates run pass by pass in lockstep took
-    48 ms against 45 ms run one replicate after another (2 MB L2 per core).
-    Each worker holds only the draws it owns, 8 MB for 5 of these
-    replicates: on the same command the workers peaked at 41.8 MB and the
-    calling process at 30.7 MB (``ru_maxrss``, 3 runs), where forked workers
-    that shared every draw of the calling process peaked at 44.4 MB and the
-    caller at 53.3 MB.
-    """
-    for conn, _ in workers:
-        conn.send((columns, schedules))
-    answers = [_receive(worker, f"search worker {k}") for k, worker in enumerate(workers)]
-    masks = []
-    for r in range(reps):
-        # a worker's answer ends at its first failure, which is raised here
-        # before any of its later replicates is reached
-        outcome = answers[r % len(workers)][r // len(workers)]
-        if isinstance(outcome, BaseException):
-            raise outcome
-        masks.append(outcome)
-    return masks
+def _replicate_draw(p: int, n: int, lam: float, seed, r: int):
+    """Replicate r's ``_base_draw``, from the stream (seed, r)."""
+    return _base_draw(p, n, lam, _rep_stream(seed, r))
 
 
 def _probe_schedule(lam: float, c: float, frac: float, kappa: float, t_max: int) -> list:
@@ -745,14 +694,16 @@ def _search(kappa: float, n_ref: int, hi: int):
     return up
 
 
-def _search_counts(pool, reps: int, kappas: list, n_ref: int, hi: int, schedule) -> list:
+def _search_counts(run, kappas: list, n_ref: int, hi: int, schedule) -> list:
     """The ``_search`` count of every kappa, the searches run in rounds.
 
     Each round, every running search names its next labeled count, and each
     replicate scores all of the round's (n_l, kappa) probes, the reference
-    (n_ref, 1) in the first round, as the columns of one classifier run.
+    (n_ref, 1) in the first round, as the columns of one classifier run:
+    the round is ``run(job)`` of ``_owned_rounds``, with ``job`` the
+    ``_replicate_masks`` of its columns, and returns one mask per replicate.
     Each distinct column's calibration, ``schedule(n_l, kappa)``, is built
-    once per round here, in the calling process, and sent with it.
+    once per round here, in the calling process, and sent with the job.
     A search that cannot meet the reference stops the searches after it;
     those before it run to their end, and the first failure in kappa order
     raises, as searching the kappas one after another would.
@@ -778,7 +729,8 @@ def _search_counts(pool, reps: int, kappas: list, n_ref: int, hi: int, schedule)
         if reference is None:
             columns.insert(0, (n_ref, 1.0))
         columns = list(dict.fromkeys(columns))
-        masks = _probe_round(pool, reps, columns, [schedule(*column) for column in columns])
+        schedules = [schedule(*column) for column in columns]
+        masks = run(functools.partial(_replicate_masks, columns=columns, schedules=schedules))
         if reference is None:
             reference = [mask[0] for mask in masks]
         replies = {}
@@ -810,26 +762,29 @@ def labeled_needed_empirical(
 
     One call does the whole study for one eta.  Every argument, the seed
     for bools only, and the finiteness of lam * lam * c at c = n/p are
-    checked before any draw or worker.  Then W = min(reps, usable
-    cores) worker processes start (``_replicate_workers``), and worker k
-    owns replicates k, k + W, k + 2W and so on.  Each replicate's random
-    numbers (center, truth, noise and one reliability uniform per sample)
-    are drawn once, in the worker that owns it, and kept there for the
-    call; the calling process draws nothing.  The reference runs once, and
-    a probe builds its labels from the stored uniforms, so each probe sees
-    the dataset ``generate_dataset`` draws from (seed, r) under its
-    labeling.  The kappas are searched together, in rounds
-    (``_search_counts``): each replicate scores a round's probes, the
-    reference in the first round, as the columns of one classifier run, and
-    the counts and the error raised are those of searching one kappa after
-    another, a failed draw counting as its replicate's failure.  Each
-    probe's calibration (``_probe_schedule``) is built once per round in the
-    calling process, from the nominal lam, c = n/p and the intended mixture
-    {(2 kappa - 1, n_l/n), (0, 1 - n_l/n)}, and sent with its column, so
-    the workers run no recursion; a probe's own dataset would give the same
-    schedule up to rounding.  The results do not depend on the worker
-    count.  Every worker has exited and been joined when the call returns
-    or raises, and the draws go with them.
+    checked before any draw or worker.  Then the replicates are the units of
+    one ``_owned_rounds`` call in which the calling process owns none: W =
+    min(reps, usable cores) worker processes, worker k owning replicates k,
+    k + W, k + 2W and so on.  Each replicate's random numbers (center,
+    truth, noise and one reliability uniform per sample) are drawn once
+    (``_replicate_draw``), in the worker that owns it, when the first round
+    reaches it, and kept there for the call; the calling process draws
+    nothing.  The reference runs once, and a probe builds its labels from
+    the stored uniforms, so each probe sees the dataset ``generate_dataset``
+    draws from (seed, r) under its labeling.  The kappas are searched
+    together, in rounds (``_search_counts``): each replicate scores a
+    round's probes, the reference in the first round, as the columns of one
+    classifier run, and the counts and the error raised are those of
+    searching one kappa after another, a failed draw counting as its
+    replicate's failure; a round raises at its first failing replicate
+    without waiting for the later ones.  Each probe's calibration
+    (``_probe_schedule``) is built once per round in the calling process,
+    from the nominal lam, c = n/p and the intended mixture {(2 kappa - 1,
+    n_l/n), (0, 1 - n_l/n)}, and sent with its column, so the workers run
+    no recursion; a probe's own dataset would give the same schedule up to
+    rounding.  The results do not depend on the worker count.  Every worker
+    has exited and been joined when the call returns or raises, and the
+    draws go with them.
 
     Infeasible reliabilities ((2 kappa - 1)^2 < eta) raise
     ``InfeasibilityError``; the search fails with ``SimulationError`` if
@@ -856,5 +811,6 @@ def labeled_needed_empirical(
     def schedule(n_l: int, kappa: float) -> list:
         return _probe_schedule(lam, c, n_l / n, kappa, t_max)
 
-    with _replicate_workers(p, n, lam, seed, reps) as workers:
-        return _search_counts(workers, reps, kappas, n_ref, hi, schedule)
+    draw = functools.partial(_replicate_draw, p, n, lam, seed)
+    with _owned_rounds(draw, reps, caller_owns=False) as run:
+        return _search_counts(run, kappas, n_ref, hi, schedule)

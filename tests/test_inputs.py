@@ -302,7 +302,7 @@ def test_overflowing_feature_map_names_lam_and_c(monkeypatch, lam, c):
     def no_workers(*args):
         raise AssertionError("a search worker started before lam and c were checked")
 
-    monkeypatch.setattr(simulate, "_replicate_workers", no_workers)
+    monkeypatch.setattr(simulate, "_owned_rounds", no_workers)
     with pytest.raises(ValueError, match=message):
         simulate.labeled_needed_empirical(1, int(c), lam, 0.1, [0.9], seed=1, reps=2)
 

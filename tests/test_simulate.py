@@ -3,6 +3,7 @@ scalar channel lemma against quadrature, classifier calibration against known
 error levels, and the labeled-count search protocol."""
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -50,20 +51,58 @@ GOLDEN_FIVE = [
 ]
 
 
-def reference_round(workers, p, n, lam, n_ref, reps, t_max):
-    """The search's reference masks from its own ``workers``, the reference
-    column calibrated by the schedule the search sends with it."""
+def record_rounds(monkeypatch, hook=None) -> list:
+    """Wraps ``simulate._owned_rounds``.  Each call appends to the returned
+    list a dict: its ``participants``, the workers alive when it starts and
+    the calling process if it owns a share, and its ``rounds``, one (job,
+    outcomes) pair per round, in order.  ``hook(run, job)``, if given, runs
+    each round in place of ``run(job)``."""
+    calls = []
+    owned_rounds = simulate._owned_rounds
+
+    @contextlib.contextmanager
+    def recording(build, count, caller_owns):
+        with owned_rounds(build, count, caller_owns) as run:
+            workers = len(multiprocessing.active_children())
+            call = {"participants": workers + caller_owns, "rounds": []}
+            calls.append(call)
+
+            def recording_run(job):
+                outcomes = hook(run, job) if hook else run(job)
+                call["rounds"].append((job, outcomes))
+                return outcomes
+
+            yield recording_run
+
+    monkeypatch.setattr(simulate, "_owned_rounds", recording)
+    return calls
+
+
+def search_rounds(calls) -> list:
+    """The (columns, schedules) of every search round of the recorded
+    ``calls``, in order."""
+    return [
+        (job.keywords["columns"], job.keywords["schedules"])
+        for call in calls
+        for job, _ in call["rounds"]
+    ]
+
+
+def reference_job(p, n, lam, n_ref, t_max):
+    """A search round that scores the reference column alone, calibrated by
+    the schedule the search sends with it."""
     schedule = simulate._probe_schedule(lam, n / p, n_ref / n, 1.0, t_max)
-    return simulate._probe_round(workers, reps, [(n_ref, 1.0)], [schedule])
+    return functools.partial(simulate._replicate_masks, columns=[(n_ref, 1.0)], schedules=[schedule])
 
 
-def reference_target(p, n, lam, eta, seed, reps, t_max):
+def reference_target(calls, n_ref) -> float:
     """The reference run's mean error on its unlabeled samples, from the
-    masks the search's own workers return."""
-    n_ref = round(eta * n)
-    with simulate._replicate_workers(p, n, lam, seed, reps) as workers:
-        reference = reference_round(workers, p, n, lam, n_ref, reps, t_max)
-    return float(np.mean([float(np.mean(wrong[0, n_ref:])) for wrong in reference]))
+    masks the search's own workers returned in the first round of the one
+    recorded call: the reference is that round's first column."""
+    [call] = calls
+    job, masks = call["rounds"][0]
+    assert job.keywords["columns"][0] == (n_ref, 1.0)
+    return float(np.mean([float(np.mean(wrong[0, n_ref:])) for wrong in masks]))
 
 
 def realised_schedule(ds):
@@ -762,15 +801,9 @@ class TestSearchSchedules:
         # the `search` benchmark's config: labeled-needed's defaults, etas [0.02]
         cfg = {**cli._COMMANDS["labeled-needed"].defaults, "etas": [0.02]}
         p, n, lam, seed, t_max = cfg["p"], cfg["n"], cfg["lambda"], cfg["seed"], cfg["t_max"]
-        rounds = []
-        probe_round = simulate._probe_round
-
-        def recording_probe_round(pool, reps, columns, schedules):
-            rounds.append((list(columns), schedules))
-            return probe_round(pool, reps, columns, schedules)
-
-        monkeypatch.setattr(simulate, "_probe_round", recording_probe_round)
+        calls = record_rounds(monkeypatch)
         cli.cmd_labeled_needed(cfg)
+        rounds = search_rounds(calls)
         assert len(rounds) > 1
         for r in range(cfg["reps"]):
             draw = simulate._base_draw(p, n, lam, simulate._rep_stream(seed, r))
@@ -810,13 +843,12 @@ class TestSearchSchedules:
 
         # the calling process builds t_max - 1 steps per column of each round
         made = []  # the calls made before each round, and the round's width
-        probe_round = simulate._probe_round
 
-        def recording_probe_round(pool, reps, columns, schedules):
-            made.append((len(calls), len(columns)))
-            return probe_round(pool, reps, columns, schedules)
+        def recording_run(run, job):
+            made.append((len(calls), len(job.keywords["columns"])))
+            return run(job)
 
-        monkeypatch.setattr(simulate, "_probe_round", recording_probe_round)
+        record_rounds(monkeypatch, recording_run)
         labeled_needed_empirical(
             p, n, lam, 0.1, [0.8, 0.85, 0.9, 1.0], seed=[3, 1], reps=3, t_max=t_max
         )
@@ -840,18 +872,17 @@ class TestLabeledNeededEmpirical:
 
     def test_unreachable_target_fails(self, monkeypatch):
         probes = []
-        probe_round = simulate._probe_round
 
-        def never_meets_the_reference(pool, reps, columns, schedules):
-            masks = probe_round(pool, reps, columns, schedules)
-            for g, (n_labeled, kappa) in enumerate(columns):
+        def never_meets_the_reference(run, job):
+            masks = run(job)
+            for g, (n_labeled, kappa) in enumerate(job.keywords["columns"]):
                 if kappa != 1.0:  # not the reference run
                     probes.append(n_labeled)
                     for mask in masks:
                         mask[g] = True  # every sample wrong
             return masks
 
-        monkeypatch.setattr(simulate, "_probe_round", never_meets_the_reference)
+        record_rounds(monkeypatch, never_meets_the_reference)
         with pytest.raises(SimulationError, match="not reached at kappa = 0.9 .* up to 380"):
             labeled_needed_empirical(50, 400, 1.0, 0.2, [0.9], seed=1, reps=2)
         assert probes == [80, 160, 320, 380]
@@ -895,7 +926,7 @@ class TestLabeledNeededEmpirical:
             raise AssertionError("a replicate was drawn before the arguments were checked")
 
         monkeypatch.setattr(simulate, "_base_draw", no_draw)
-        monkeypatch.setattr(simulate, "_replicate_workers", no_draw)  # they would draw
+        monkeypatch.setattr(simulate, "_owned_rounds", no_draw)  # its workers would draw
         args = {"p": 10, "n": 40, "lam": 1.0, "eta": 0.2, "kappas": [0.9, 1.0],
                 "seed": 3, "reps": 2, "t_max": 20}
         args.update(change)
@@ -919,20 +950,9 @@ class TestFreshReplicates:
     P, N, LAM, LABELING, SEED, REPS, T_MAX = 500, 1000, 1.5, [(0.2, 0.9)], 7, 5, 20
 
     @pytest.fixture
-    def participants(self, monkeypatch):
-        """The participant count of each map: its workers and the calling
-        process."""
-        counts = []
-        start = simulate._worker_processes
-
-        @contextlib.contextmanager
-        def recording_workers(target, args, shares):
-            with start(target, args, shares) as workers:
-                counts.append(len(workers) + 1)
-                yield workers
-
-        monkeypatch.setattr(simulate, "_worker_processes", recording_workers)
-        return counts
+    def maps(self, monkeypatch):
+        """The recorded ``_owned_rounds`` calls, one per map."""
+        return record_rounds(monkeypatch)
 
     def each_core_set(self, monkeypatch):
         for cores in CORE_SETS:
@@ -946,7 +966,7 @@ class TestFreshReplicates:
         [errors] = simulate._fresh_replicate_errors([self.point()], self.REPS, self.T_MAX)
         return errors
 
-    def test_errors_do_not_depend_on_the_worker_count(self, monkeypatch, participants):
+    def test_errors_do_not_depend_on_the_worker_count(self, monkeypatch, maps):
         expected = []
         for r in range(self.REPS):
             ds = generate_dataset(self.P, self.N, self.LAM, self.LABELING, seed=[self.SEED, r])
@@ -958,7 +978,7 @@ class TestFreshReplicates:
         for _ in self.each_core_set(monkeypatch):
             assert self.errors() == expected
             assert multiprocessing.active_children() == []
-        assert participants == [1, 2, 4]
+        assert [call["participants"] for call in maps] == [1, 2, 4]
 
     @pytest.mark.parametrize(
         "command, payload",
@@ -968,7 +988,7 @@ class TestFreshReplicates:
         ],
     )
     def test_tables_do_not_depend_on_the_worker_count(
-        self, tmp_path, monkeypatch, participants, command, payload
+        self, tmp_path, monkeypatch, maps, command, payload
     ):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(payload))
@@ -979,22 +999,23 @@ class TestFreshReplicates:
             assert multiprocessing.active_children() == []
             tables.append(out.read_bytes())
         assert tables[1] == tables[0] and tables[2] == tables[0]
-        assert participants == [1, 2, 4]  # one map per run, whatever its points
+        # one map per run, whatever its points
+        assert [call["participants"] for call in maps] == [1, 2, 4]
 
-    def test_points_equal_one_point_calls(self, monkeypatch, participants):
+    def test_points_equal_one_point_calls(self, monkeypatch, maps):
         other = (300, 600, 2.5, [(0.3, 1.0)], [self.SEED, 1])
         apart = [
             simulate._fresh_replicate_errors([point], self.REPS, self.T_MAX)[0]
             for point in (self.point(), other)
         ]
-        participants.clear()
+        maps.clear()
         for cores in (1, 2, 3):
             monkeypatch.setattr(simulate, "_usable_cores", lambda c=cores: c)
             together = simulate._fresh_replicate_errors(
                 [self.point(), other], self.REPS, self.T_MAX
             )
             assert together == apart
-        assert participants == [1, 2, 3]
+        assert [call["participants"] for call in maps] == [1, 2, 3]
 
     def test_failing_replicate_raises_first_in_point_then_replicate_order(
         self, monkeypatch
@@ -1230,8 +1251,7 @@ class TestReplicateBank:
         fork_only()
         p, n, lam, eta, seed, reps = 20, 120, 1.0, 0.1, 8, 3
         log = tmp_path / "draws.log"
-        references = []
-        base_draw, probe_round = simulate._base_draw, simulate._probe_round
+        base_draw = simulate._base_draw
 
         def logging_base_draw(*args):
             # the forked workers inherit the patch; each process logs its pid
@@ -1239,13 +1259,9 @@ class TestReplicateBank:
                 handle.write(json.dumps([os.getpid(), args[3]]) + "\n")
             return base_draw(*args)
 
-        def counting_probe_round(pool, reps, columns, schedules):
-            references.extend(n_labeled for n_labeled, kappa in columns if kappa == 1.0)
-            return probe_round(pool, reps, columns, schedules)
-
         monkeypatch.setattr(simulate, "_base_draw", logging_base_draw)
-        monkeypatch.setattr(simulate, "_probe_round", counting_probe_round)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        calls = record_rounds(monkeypatch)
         counts = labeled_needed_empirical(p, n, lam, eta, (0.95, 0.9, 0.85), seed=seed, reps=reps)
         assert len(counts) == 3 and all(isinstance(c, int) for c in counts)
         drawn = [json.loads(line) for line in log.read_text().splitlines()]
@@ -1253,40 +1269,40 @@ class TestReplicateBank:
         owner = {stream[1]: pid for pid, stream in drawn}
         assert os.getpid() not in owner.values()  # the calling process draws nothing
         assert owner[0] == owner[2] != owner[1]  # worker k owns replicates k, k + 2
+        references = [
+            n_labeled for columns, _ in search_rounds(calls) for n_labeled, kappa in columns
+            if kappa == 1.0
+        ]
         assert references == [round(eta * n)]
 
     def test_kappa_one_search_reuses_the_reference_run(self, monkeypatch):
         p, n, lam, eta, seed, reps, t_max = 20, 120, 1.0, 0.1, 8, 3, 20
         n_ref = round(eta * n)
-        rounds = []
-        probe_round = simulate._probe_round
-
-        def counting_probe_round(pool, reps, columns, schedules):
-            rounds.append(list(columns))
-            return probe_round(pool, reps, columns, schedules)
-
-        monkeypatch.setattr(simulate, "_probe_round", counting_probe_round)
+        calls = record_rounds(monkeypatch)
         counts = labeled_needed_empirical(
             p, n, lam, eta, (0.9, 1.0), seed=seed, reps=reps, t_max=t_max
         )
-        runs = [column for columns in rounds for column in columns]
+        runs = [column for columns, _ in search_rounds(calls) for column in columns]
         assert runs[0] == (n_ref, 1.0)  # the reference, first in the first round
         assert runs.count((n_ref, 1.0)) == 1  # the kappa = 1 search ran no copy
         assert any(kappa == 1.0 for _, kappa in runs[1:]) and counts[1] <= n_ref
-        # the probe it skips would repeat the reference run, so its paired
-        # mean is exactly the 0.0 it is seeded with
-        monkeypatch.setattr(simulate, "_probe_round", probe_round)
-        with simulate._replicate_workers(p, n, lam, seed, reps) as workers:
-            reference = reference_round(workers, p, n, lam, n_ref, reps, t_max)
-            again = reference_round(workers, p, n, lam, n_ref, reps, t_max)
+        # the probe it skips would repeat the reference run, on the draws
+        # the workers keep, so its paired mean is exactly the 0.0 it is
+        # seeded with
+        job = reference_job(p, n, lam, n_ref, t_max)
+        draw = functools.partial(simulate._replicate_draw, p, n, lam, seed)
+        with simulate._owned_rounds(draw, reps, caller_owns=False) as run:
+            reference, again = run(job), run(job)
+        assert len(reference) == reps
         for a, b in zip(reference, again):
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("p, n, lam, eta, kappa, seed, target, count", GOLDEN)
-    def test_golden_counts(self, p, n, lam, eta, kappa, seed, target, count):
-        assert reference_target(p, n, lam, eta, seed, 3, 20) == target
+    def test_golden_counts(self, monkeypatch, p, n, lam, eta, kappa, seed, target, count):
+        calls = record_rounds(monkeypatch)
         found = labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=3, t_max=20)
         assert found == [count]
+        assert reference_target(calls, round(eta * n)) == target
 
 
 class TestRoundSearch:
@@ -1332,18 +1348,12 @@ class TestRoundSearch:
             labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=reps, t_max=t_max)[0]
             for kappa in kappas
         ]
-        widths = []
-        probe_round = simulate._probe_round
-
-        def recording_probe_round(pool, reps, columns, schedules):
-            widths.append(len(columns))
-            return probe_round(pool, reps, columns, schedules)
-
-        monkeypatch.setattr(simulate, "_probe_round", recording_probe_round)
+        calls = record_rounds(monkeypatch)
         together = labeled_needed_empirical(
             p, n, lam, eta, kappas, seed=seed, reps=reps, t_max=t_max
         )
         assert together == alone
+        widths = [len(columns) for columns, _ in search_rounds(calls)]
         assert widths[0] == len(kappas) + 1  # the reference joins the first round
 
     @pytest.fixture
@@ -1364,16 +1374,16 @@ class TestRoundSearch:
                     raise end
                 return end
 
-            def probe_round(pool, reps, columns, schedules):
+            def run(job):  # a round on 2 replicates
+                columns, schedules = job.keywords["columns"], job.keywords["schedules"]
                 assert len(schedules) == len(columns)
-                return [np.zeros((len(columns), 40), dtype=bool) for _ in range(reps)]
+                return [np.zeros((len(columns), 40), dtype=bool) for _ in range(2)]
 
             def schedule(n_l, kappa):
                 return [0.5] * 5
 
             monkeypatch.setattr(simulate, "_search", search)
-            monkeypatch.setattr(simulate, "_probe_round", probe_round)
-            return simulate._search_counts(None, 2, list(scripts), 4, 30, schedule)
+            return simulate._search_counts(run, list(scripts), 4, 30, schedule)
 
         return run, replied
 
@@ -1408,31 +1418,18 @@ class TestReplicatePool:
     a serial loop, a dead worker must make the call raise, and no worker may
     outlive the call."""
 
-    def recorded_pools(self, monkeypatch) -> list:
-        """The worker count of each call's workers."""
-        sizes = []
-        start = simulate._replicate_workers
-
-        @contextlib.contextmanager
-        def recording_workers(*args):
-            with start(*args) as workers:
-                sizes.append(len(workers))
-                yield workers
-
-        monkeypatch.setattr(simulate, "_replicate_workers", recording_workers)
-        return sizes
-
     @pytest.mark.parametrize("p, n, lam, eta, kappa, seed, target, count", GOLDEN)
     def test_counts_do_not_depend_on_the_worker_count(
         self, monkeypatch, p, n, lam, eta, kappa, seed, target, count
     ):
-        sizes = self.recorded_pools(monkeypatch)
+        calls = record_rounds(monkeypatch)
         for workers in (1, 2, 3):
             monkeypatch.setattr(simulate, "_usable_cores", lambda w=workers: w)
             found = labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=3, t_max=20)
             assert found == [count]
             assert multiprocessing.active_children() == []
-        assert sizes == [1, 2, 3]
+        # every participant a worker: the calling process owns no replicate
+        assert [call["participants"] for call in calls] == [1, 2, 3]
 
     @pytest.mark.parametrize(
         "reps, workers, case",
@@ -1442,12 +1439,12 @@ class TestReplicatePool:
     def test_uneven_ownership_gives_the_golden_counts(self, monkeypatch, reps, workers, case):
         # one worker owns a replicate more than another
         p, n, lam, eta, kappa, seed, target, count = case
-        sizes = self.recorded_pools(monkeypatch)
+        calls = record_rounds(monkeypatch)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: workers)
-        assert reference_target(p, n, lam, eta, seed, reps, 20) == target
         found = labeled_needed_empirical(p, n, lam, eta, [kappa], seed=seed, reps=reps, t_max=20)
         assert found == [count]
-        assert sizes == [workers, workers]
+        assert reference_target(calls, round(eta * n)) == target
+        assert [call["participants"] for call in calls] == [workers]
         assert multiprocessing.active_children() == []
 
     def test_spawned_workers_give_the_same_counts(self, monkeypatch):
@@ -1564,6 +1561,29 @@ class TestReplicatePool:
             labeled_needed_empirical(20, 120, 1.0, 0.1, [0.9], seed=8, reps=4)
         assert multiprocessing.active_children() == []
 
+    def test_round_raises_at_its_first_failing_replicate_without_waiting(
+        self, monkeypatch, replicate_of
+    ):
+        # On 2 workers, worker 1's replicate 1 fails at once, and every
+        # replicate after it takes a second per column: worker 0 would need
+        # 8 s more for its share of the first round, a second each for its
+        # replicates 2, 4, 6 and 8 on the round's two columns.
+        build = simulate._dataset
+
+        def failing_build(draw, blocks):
+            r = replicate_of(draw)
+            if r == 1:
+                raise SimulationError("replicate 1 failed")
+            if r > 1:
+                time.sleep(1.0)
+            return build(draw, blocks)
+
+        monkeypatch.setattr(simulate, "_dataset", failing_build)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        with hang_guard(3), pytest.raises(SimulationError, match="^replicate 1 failed$"):
+            labeled_needed_empirical(20, 120, 1.0, 0.1, [0.9], seed=8, reps=10)
+        assert multiprocessing.active_children() == []
+
     def test_dying_worker_makes_the_call_raise(self, monkeypatch, replicate_of):
         # replicate 3's worker exits in the middle of the first round, after
         # it scored replicate 1
@@ -1576,7 +1596,7 @@ class TestReplicatePool:
 
         monkeypatch.setattr(simulate, "_dataset", dying_build)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
-        with hang_guard(), pytest.raises(RuntimeError, match="search worker 1 exited with code 7"):
+        with hang_guard(), pytest.raises(RuntimeError, match="^worker 1 exited with code 7"):
             labeled_needed_empirical(20, 120, 1.0, 0.1, [0.9], seed=8, reps=5)
         assert multiprocessing.active_children() == []
 
@@ -1588,10 +1608,10 @@ class TestReplicatePool:
             "import os, time\n"
             "from uncertain_ssl import simulate\n"
             "masks = simulate._replicate_masks\n"
-            "def slow(*args):\n"
+            "def slow(*args, **kwargs):\n"
             "    os.write(1, b'%d\\n' % os.getpid())  # one write: the workers' lines never mix\n"
             "    time.sleep(0.5)\n"
-            "    return masks(*args)\n"
+            "    return masks(*args, **kwargs)\n"
             "simulate._replicate_masks = slow\n"
             "simulate._usable_cores = lambda: 2\n"
             "simulate.labeled_needed_empirical(20, 120, 1.0, 0.1, [0.9], seed=8, reps=4)\n"
