@@ -44,7 +44,8 @@ show(scratch / "usefulness.dat")
 
 print("== approx-error (coarsened grid for the demo) ==")
 cfg = scratch / "ae.json"
-cfg.write_text(json.dumps({"eps_step": 0.05, "q_step": 0.5}))
+# each step divides its axis: 1 / 0.05 = 20 and (10 - 0.1) / 0.45 = 22 steps
+cfg.write_text(json.dumps({"eps_step": 0.05, "q_step": 0.45}))
 main(["approx-error", "--config", str(cfg), "--out", str(scratch / "approx_error.dat")])
 show(scratch / "approx_error.dat")
 

@@ -12,11 +12,14 @@ channel-check   Monte Carlo channel alignment against quadrature, with z-scores
 
 Every command reads an optional JSON config (``--config``) over its defaults
 in ``_COMMANDS``, applies those of the flag overrides ``--seed/--reps/--tol``
-that its config holds, and turns the config into whitespace-separated tables
-with a single header row; ``main`` writes them (atomically, at the end) with
-a manifest echoing the resolved parameters and library versions next to the
-output.  Identical configuration and seed produce byte-identical files;
-pure-theory commands never consume a seed.
+that its config holds, and finishes all of its numerical work.  Only then
+are its whitespace-separated tables, each with a single header row,
+formatted from the finished results line by line and streamed into a
+temporary file that is renamed into place, followed by a manifest echoing
+the resolved parameters and library versions.  So a failing command writes
+nothing, and formatting takes no memory that grows with the table.
+Identical configuration and seed produce byte-identical files; pure-theory
+commands never consume a seed.
 
 Exit codes: 0 success, 2 validation failure, 3 solver non-convergence,
 4 simulation infeasibility.
@@ -33,7 +36,7 @@ import os
 import platform
 import sys
 import tempfile
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 import scipy
@@ -93,13 +96,15 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, lines) -> None:
+    """Write the iterable of lines ``lines`` to a temporary file next to
+    ``path``, one line at a time, and rename it into place."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -107,24 +112,15 @@ def _write_text(path: str, text: str) -> None:
         raise
 
 
-def _table_text(header: list[str], rows, break_after: set[int] | None = None) -> str:
-    lines = [" ".join(header)]
-    for index, row in enumerate(rows):
-        lines.append(" ".join(map(_fmt, row)))
-        if break_after and index in break_after:
-            lines.append("")
-    return "\n".join(lines) + "\n"
-
-
-def _side_by_side(x_name: str, y_name: str, curves) -> str:
-    """Table of equal-length curves (xs, ys): every x column, then every y column."""
-    header = [f"{x_name}{j + 1}" for j in range(len(curves))]
-    header += [f"{y_name}{j + 1}" for j in range(len(curves))]
-    rows = [
-        [xs[i] for xs, _ in curves] + [ys[i] for _, ys in curves]
-        for i in range(len(curves[0][0]))
-    ]
-    return _table_text(header, rows)
+def _table_lines(header: list[str], rows, block: int = 0) -> Iterator[str]:
+    """The lines of a table, formatted as they are read: the header, then one
+    line per row of ``rows`` (any iterable of cell sequences), and with a
+    positive ``block`` a blank line after every ``block`` rows."""
+    yield " ".join(header) + "\n"
+    for index, row in enumerate(rows, 1):
+        yield " ".join(map(_fmt, row)) + "\n"
+        if block and index % block == 0:
+            yield "\n"
 
 
 def _write_manifest(base_path: str, command: str, params: dict) -> None:
@@ -140,7 +136,7 @@ def _write_manifest(base_path: str, command: str, params: dict) -> None:
     }
     # No indent: an indented dump runs the standard library's pure-Python
     # encoder, a plain one its C encoder.
-    _write_text(base_path + ".manifest.json", json.dumps(manifest, sort_keys=True) + "\n")
+    _write_text(base_path + ".manifest.json", [json.dumps(manifest, sort_keys=True) + "\n"])
 
 
 # JSON kind of each type ``json.load`` returns; ``bool`` is a key of its own,
@@ -218,14 +214,21 @@ def _mixture_from_config(cfg: dict) -> EpsilonMixture:
     return EpsilonMixture(atoms=tuple(atoms))
 
 
-def _grid_size(lo: float, hi: float, step: float) -> int:
-    """Point count of the grid lo, lo + step, ..., hi, checked before it is built."""
+def _grid_size(name: str, lo: float, hi: float, step: float) -> int:
+    """Point count of the grid lo, lo + step, ..., hi along axis ``name``,
+    checked before it is built: the step must divide hi - lo, up to rounding."""
     if step <= 0.0 or hi < lo:
         raise CliError("grid bounds must be increasing with a positive step")
     steps = (hi - lo) / step
     if not steps < MAX_GRID_CELLS:
-        raise CliError(f"grid has more than {MAX_GRID_CELLS} points")
-    return int(round(steps)) + 1
+        raise CliError(f"{name} grid has more than {MAX_GRID_CELLS} points")
+    count = round(steps)
+    if abs(steps - count) > 1e-9 * max(count, 1):
+        raise CliError(
+            f"{name}_step {step!r} does not divide {name}_max - {name}_min = {hi - lo!r} "
+            f"({steps!r} steps)"
+        )
+    return count + 1
 
 
 def _check_replicate_cells(cells: int, what: str) -> None:
@@ -233,7 +236,7 @@ def _check_replicate_cells(cells: int, what: str) -> None:
         raise CliError(f"{what} has {cells} cells, more than {MAX_REPLICATE_CELLS}")
 
 
-def cmd_solve(cfg: dict) -> dict[str, str]:
+def cmd_solve(cfg: dict) -> dict[str, Iterable[str]]:
     mixture = _mixture_from_config(cfg)
     lam = float(cfg["lambda"])
     solution = solve_overlaps(
@@ -249,12 +252,12 @@ def cmd_solve(cfg: dict) -> dict[str, str]:
         solution.residual,
         solution.iterations,
     ]
-    return {"": _table_text(header, [row])}
+    return {"": _table_lines(header, [row])}
 
 
-def cmd_approx_error(cfg: dict) -> dict[str, str]:
+def cmd_approx_error(cfg: dict) -> dict[str, Iterable[str]]:
     axes = [(cfg[f"{x}_min"], cfg[f"{x}_max"], cfg[f"{x}_step"]) for x in ("eps", "q")]
-    counts = [_grid_size(*axis) for axis in axes]
+    counts = [_grid_size(x, *axis) for x, axis in zip(("eps", "q"), axes)]
     if counts[0] * counts[1] > MAX_GRID_CELLS:
         raise CliError(
             f"eps x q grid has {counts[0]} x {counts[1]} cells, "
@@ -264,16 +267,17 @@ def cmd_approx_error(cfg: dict) -> dict[str, str]:
         np.linspace(lo, hi, count) for (lo, hi, _), count in zip(axes, counts)
     )
     surface = approx_error_grid(eps_grid, q_grid)
-    rows = []
-    breaks = set()
     q_list = q_grid.tolist()
-    for eps, errs in zip(eps_grid.tolist(), surface.tolist()):
-        rows.extend([eps, q, err] for q, err in zip(q_list, errs))
-        breaks.add(len(rows) - 1)
-    return {"": _table_text(["eps", "q", "err"], rows, break_after=breaks)}
+    # read one eps row of the surface at a time, with a blank line after each
+    rows = (
+        (eps, q, err)
+        for eps, errs in zip(eps_grid.tolist(), surface)
+        for q, err in zip(q_list, errs.tolist())
+    )
+    return {"": _table_lines(["eps", "q", "err"], rows, block=len(q_list))}
 
 
-def cmd_usefulness(cfg: dict) -> dict[str, str]:
+def cmd_usefulness(cfg: dict) -> dict[str, Iterable[str]]:
     points = int(cfg["points"])
     if not 2 <= points <= MAX_GRID_CELLS:
         raise CliError(f"points must lie in [2, {MAX_GRID_CELLS}]")
@@ -281,11 +285,12 @@ def cmd_usefulness(cfg: dict) -> dict[str, str]:
     if not 0.0 < q_lo < q_hi:
         raise CliError("need 0 < q_min_positive < q_max")
     q_grid = np.concatenate([[0.0], np.logspace(math.log10(q_lo), math.log10(q_hi), points - 1)])
-    rows = [[bayes_risk(q), channel_overlap(0.0, q)] for q in q_grid]
-    return {"": _table_text(["eps", "y"], rows)}
+    risks = [bayes_risk(q) for q in q_grid]
+    useful = [channel_overlap(0.0, q) for q in q_grid]
+    return {"": _table_lines(["eps", "y"], zip(risks, useful))}
 
 
-def cmd_labeled_needed(cfg: dict) -> dict[str, str]:
+def cmd_labeled_needed(cfg: dict) -> dict[str, Iterable[str]]:
     n = int(cfg["n"])
     p = int(cfg["p"])
     lam = float(cfg["lambda"])
@@ -307,24 +312,35 @@ def cmd_labeled_needed(cfg: dict) -> dict[str, str]:
     t_max = int(cfg["t_max"])
     _check_replicate_cells(reps * p * n, "the replicate bank (reps x p x n)")
 
-    theory_cols = []
+    # One column per eta of each quantity: the kappa grid and the count.
+    theory_x, theory_y = [], []
     for eta in etas:
         k_lo = (1.0 + math.sqrt(eta)) / 2.0
         while (2.0 * k_lo - 1.0) ** 2 < eta:  # rounding can land a hair below
             k_lo = math.nextafter(k_lo, 1.0)
         kappas = np.linspace(k_lo, 1.0, theory_points)
-        theory_cols.append((kappas, [labeled_needed(eta, k, n) for k in kappas]))
+        theory_x.append(kappas)
+        theory_y.append([labeled_needed(eta, k, n) for k in kappas])
 
-    empirical_cols = []
+    empirical_x, empirical_y = [], []
     for eta in etas:
         # stay clear of the search cap: keep the theory requirement below 0.8 n
         k_lo = min((1.0 + math.sqrt(eta / 0.8)) / 2.0, 1.0)
         kappas = np.linspace(k_lo, 1.0, empirical_points)
-        counts = labeled_needed_empirical(p, n, lam, eta, kappas, seed=seed, reps=reps, t_max=t_max)
-        empirical_cols.append((kappas, counts))
+        empirical_x.append(kappas)
+        empirical_y.append(
+            labeled_needed_empirical(p, n, lam, eta, kappas, seed=seed, reps=reps, t_max=t_max)
+        )
+    # Side by side: every x column, then every y column.
+    numbers = range(1, len(etas) + 1)
     return {
-        "_th.dat": _side_by_side("x", "y", theory_cols),
-        "_emp.dat": _side_by_side("conf", "nl", empirical_cols),
+        "_th.dat": _table_lines(
+            [f"x{j}" for j in numbers] + [f"y{j}" for j in numbers], zip(*theory_x, *theory_y)
+        ),
+        "_emp.dat": _table_lines(
+            [f"conf{j}" for j in numbers] + [f"nl{j}" for j in numbers],
+            zip(*empirical_x, *empirical_y),
+        ),
     }
 
 
@@ -339,7 +355,7 @@ def _mean_errors(errors: list) -> list:
     return [tuple(float(np.mean(column)) for column in zip(*point)) for point in errors]
 
 
-def cmd_reduction(cfg: dict) -> dict[str, str]:
+def cmd_reduction(cfg: dict) -> dict[str, Iterable[str]]:
     sweep = cfg["sweep"]
     if sweep not in ("lambda", "c"):
         raise CliError("sweep must be 'lambda' or 'c'")
@@ -379,8 +395,8 @@ def cmd_reduction(cfg: dict) -> dict[str, str]:
     ]
     errors = _fresh_replicate_errors(draws, reps, t_max)
 
-    rows = []
-    for x, bound, (e_oracle, e_sup, e_semi) in zip(values, bounds, _mean_errors(errors)):
+    algos = []
+    for e_oracle, e_sup, e_semi in _mean_errors(errors):
         try:
             algo_abs = absolute_reduction(e_sup, e_semi)
         except ValueError:
@@ -389,12 +405,13 @@ def cmd_reduction(cfg: dict) -> dict[str, str]:
             algo_oracle = oracle_relative_reduction(e_sup, e_semi, e_oracle)
         except ValueError:
             algo_oracle = float("nan")
-        rows.append([x, algo_abs, algo_oracle, *bound])
+        algos.append((algo_abs, algo_oracle))
     header = [x_name, "algo_abs", "algo_oracle", "bound_abs", "bound_oracle"]
-    return {"": _table_text(header, rows)}
+    rows = ((x, *algo, *bound) for x, algo, bound in zip(values, algos, bounds))
+    return {"": _table_lines(header, rows)}
 
 
-def cmd_simulate(cfg: dict) -> dict[str, str]:
+def cmd_simulate(cfg: dict) -> dict[str, Iterable[str]]:
     n = _check_count(cfg["n"], "n")
     p = _check_count(cfg["p"], "p")
     lam = float(cfg["lambda"])
@@ -434,7 +451,7 @@ def cmd_simulate(cfg: dict) -> dict[str, str]:
         solution.q_u,
         solution.q_v,
     ]
-    return {"": _table_text(header, [row])}
+    return {"": _table_lines(header, [row])}
 
 
 def _channel_cell(eps_values: list, q_values: list, trials: int, seed: int, index: int) -> tuple:
@@ -445,7 +462,7 @@ def _channel_cell(eps_values: list, q_values: list, trials: int, seed: int, inde
     return channel_overlap_mc_stats(eps_values[i], q_values[j], trials, [seed, i, j])
 
 
-def cmd_channel_check(cfg: dict) -> dict[str, str]:
+def cmd_channel_check(cfg: dict) -> dict[str, Iterable[str]]:
     eps_values = [float(e) for e in cfg["eps_values"]]
     q_values = [float(q) for q in cfg["q_values"]]
     _check_increasing("eps_values", eps_values)
@@ -458,27 +475,32 @@ def cmd_channel_check(cfg: dict) -> dict[str, str]:
     # first failure in cell order raises.
     cell = functools.partial(_channel_cell, eps_values, q_values, trials, seed)
     stats = _owned_map(cell, len(eps_values) * len(q_values))
-    rows = []
-    for (eps, q), (mc, stderr) in zip(itertools.product(eps_values, q_values), stats):
-        theory = channel_overlap(eps, q)
+    cells = list(itertools.product(eps_values, q_values))
+    theory = [channel_overlap(eps, q) for eps, q in cells]
+    z = []
+    for (mc, stderr), th in zip(stats, theory):
         if stderr > 0.0:
-            z = (mc - theory) / stderr
+            z.append((mc - th) / stderr)
         else:
-            z = 0.0 if mc == theory else float("inf")
-        rows.append([eps, q, mc, theory, stderr, z])
-    return {"": _table_text(["eps", "q", "mc", "theory", "stderr", "z"], rows)}
+            z.append(0.0 if mc == th else float("inf"))
+    rows = (
+        (eps, q, mc, th, stderr, z_cell)
+        for (eps, q), (mc, stderr), th, z_cell in zip(cells, stats, theory, z)
+    )
+    return {"": _table_lines(["eps", "q", "mc", "theory", "stderr", "z"], rows)}
 
 
 class Command(NamedTuple):
     """One subcommand of the table.
 
-    ``run`` maps the resolved config to its tables, output suffix -> text, in
-    writing order.  ``out`` is the default output name, formatted with the
-    config; a command without one echoes its one table and writes files only
-    when ``--out`` is given.
+    ``run`` finishes the command's numerical work on the resolved config and
+    maps each output suffix, in writing order, to its table's lines, which
+    are formatted lazily as they are written.  ``out`` is the default output
+    name, formatted with the config; a command without one echoes its one
+    table and writes files only when ``--out`` is given.
     """
 
-    run: Callable[[dict], dict[str, str]]
+    run: Callable[[dict], dict[str, Iterable[str]]]
     out: str | None
     defaults: dict
 
@@ -553,21 +575,24 @@ _FLAGS = {
 }
 
 
-def _emit(name: str, cfg: dict, tables: dict[str, str], out: str | None) -> None:
-    """Write every table atomically, then the manifest, then report the files.
+def _emit(name: str, cfg: dict, tables: dict[str, Iterable[str]], out: str | None) -> None:
+    """Stream every table into its file, then write the manifest, then
+    report the files.
 
     A command without a default output name echoes its table instead of
     reporting, and writes nothing without ``out``.
     """
     default = _COMMANDS[name].out
     if default is None:
-        sys.stdout.write("".join(tables.values()))
+        # An echoed table is read twice; it is one row long.
+        tables = {suffix: list(lines) for suffix, lines in tables.items()}
+        sys.stdout.writelines(itertools.chain.from_iterable(tables.values()))
         if out is None:
             return
     base = out if out is not None else default.format_map(cfg)
     paths = [base + suffix for suffix in tables]
-    for path, text in zip(paths, tables.values()):
-        _write_text(path, text)
+    for path, lines in zip(paths, tables.values()):
+        _write_text(path, lines)
     _write_manifest(base, name, cfg)
     if default is not None:
         sys.stdout.write("".join(f"wrote {path}\n" for path in paths))

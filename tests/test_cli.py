@@ -1,6 +1,7 @@
 """Command-line checks: schemas, byte-identical reruns, config validation,
 and the exit-code contract."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -14,6 +15,7 @@ import pytest
 
 from uncertain_ssl import cli, simulate
 from uncertain_ssl.cli import main
+from uncertain_ssl.kernel import approx_error_grid
 
 
 def run_cli(*argv) -> int:
@@ -348,6 +350,8 @@ class TestExitCodes:
              "theory_points": 3, "empirical_points": 1, "t_max": 10, "seed": 1},
         )
         assert run_cli("labeled-needed", "--config", bad, "--out", str(tmp_path / "x")) == 4
+        # the theory table was computed before the search failed, and stays unwritten
+        assert list(tmp_path.iterdir()) == [tmp_path / "bad.json"]
 
 
 # The override flags each command registers: exactly the keys its defaults hold.
@@ -492,6 +496,63 @@ class TestApproxErrorCommand:
         out = tmp_path / "surface.dat"
         assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize(
+        "payload, axis",
+        [({"eps_step": 0.3}, "eps_step"), ({"q_step": 0.5}, "q_step")],
+        ids=["eps-3.33-steps", "q-19.8-steps"],
+    )
+    def test_step_that_does_not_divide_its_axis_rejected(
+        self, tmp_path, capsys, payload, axis
+    ):
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert run_cli("approx-error", "--config", cfg, "--out", str(tmp_path / "s.dat")) == 2
+        assert axis in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    def test_default_steps_divide_up_to_rounding(self):
+        # (1 - 0) / 0.01 = 100 and (10 - 0.1) / 0.1 = 98.99999999999999 steps
+        assert cli._grid_size("eps", 0.0, 1.0, 0.01) == 101
+        assert cli._grid_size("q", 0.1, 10.0, 0.1) == 100
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc"
+    )
+    def test_million_cell_table_streams_in_bounded_memory(self, tmp_path):
+        # 1000 x 1000 cells, the grid cap.  Held as row lists and one string,
+        # this table took its process to ~314 MB; streamed, to ~41 MB.
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"eps_min": 0.0, "eps_max": 0.999, "eps_step": 0.001,
+             "q_min": 0.01, "q_max": 10.0, "q_step": 0.01},
+        )
+        out = tmp_path / "big.dat"
+        # The child reports its own VmHWM: its ru_maxrss would also count the
+        # high-water mark of the test process it was forked from.
+        script = (
+            "import sys\n"
+            "from uncertain_ssl.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print([line.split()[1] for line in status if line.startswith('VmHWM:')][0])\n"
+            "sys.exit(code)\n"
+        )
+        paths = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-c", script, "approx-error", "--config", cfg, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        peak_mb = int(done.stdout.splitlines()[-1]) / 1024  # VmHWM is in kB
+        assert peak_mb < 100, f"peak RSS {peak_mb:.1f} MB"
+
+        eps_grid, q_grid = np.linspace(0.0, 0.999, 1000), np.linspace(0.01, 10.0, 1000)
+        q_list = q_grid.tolist()
+        expected = hashlib.sha256(b"eps q err\n")
+        for eps, errs in zip(eps_grid.tolist(), approx_error_grid(eps_grid, q_grid).tolist()):
+            scan = "".join("%.12g %.12g %.12g\n" % (eps, q, err) for q, err in zip(q_list, errs))
+            expected.update(scan.encode() + b"\n")
+        assert hashlib.sha256(read_bytes(out)).hexdigest() == expected.hexdigest()
 
     def test_pure_theory_is_deterministic(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"eps_step": 0.5, "q_step": 4.95})

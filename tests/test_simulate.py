@@ -1530,6 +1530,8 @@ class TestReplicatePool:
         out = tmp_path / "out"
         assert cli.main(["labeled-needed", "--config", str(config), "--out", str(out)]) == 4
         assert multiprocessing.active_children() == []
+        # the theory table was computed before the search failed, and stays unwritten
+        assert list(tmp_path.iterdir()) == [config]
 
     @pytest.mark.parametrize(
         "failing_run, error, message",
