@@ -15,7 +15,9 @@ broadcasting is natural).  The building blocks:
 - ``channel_overlap``    that alignment F_eps(q) as a function of the channel
                          SNR q, computed by the fixed 61-node Gauss-Hermite
                          rule ``DEFAULT_RULE`` for one eps or a whole array
-                         of eps at once,
+                         of eps at once; within 3e-14 relative of the exact
+                         average for q <= 0.5 and 5e-13 for q >= 50, but
+                         only within 4.1e-6 between (see ``DEFAULT_RULE``),
 - ``channel_overlap_approx`` the simplified surrogate that keeps only the
                          eps**2 dependence, eps**2 + (1 - eps**2) F_0(q),
                          exact at eps in {0, ±1},
@@ -49,6 +51,9 @@ The range rules build on them: ``_check_nonneg`` (finite, >= 0),
 ``_check_eps`` (every entry in [-1, 1]).  ``_check_count`` takes an integer
 that is not a bool, at least 1 and within the float range, and
 ``_check_seed`` passes a seed on as given unless it is or holds a bool.
+``_check_sequence`` lists the entries of a sequence argument, such as a
+mixture's atoms or a labeling's blocks, and rejects a value that cannot be
+iterated.
 
 Conventions.  A sample's label confidence couple (d1, d2), d1 + d2 = 1, is
 summarised by eps = d2 - d1 in [-1, 1]: class 1 maps to y = -1, class 2 to
@@ -175,6 +180,15 @@ def _check_count(value, name: str) -> int:
     return i
 
 
+def _check_sequence(values, name: str, items: str) -> list:
+    """The entries of ``values`` as a list; a float, None, a 0-d array or
+    another object that cannot be iterated is rejected by ``name``."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of {items}, got {values!r}") from None
+
+
 def _check_seed(seed):
     """``seed`` for ``numpy.random.default_rng``, as given, except that a
     bool, or a bool entry of a sequence, which it would read as 0 or 1, is
@@ -233,8 +247,14 @@ class _HermiteRule:
         return self.nodes.size
 
 
-# 61 nodes resolve the bounded smooth integrands used here far below every
-# tolerance in this package.
+# Measured against a 7 701-node trapezoid sum in z, the rule gives
+# ``channel_overlap`` within 2.6e-14 relative for q <= 0.5 and within 5e-13
+# for q >= 50 (0 at q = 100 and 200), but not between: 3.8e-10 at q = 1,
+# 8.8e-8 at 2, 4.1e-6 at 5, 3.3e-6 at 10 and 2.8e-7 at 20.  tanh(q + sqrt(q) z)
+# has poles pi / (2 sqrt(q)) from the real z axis, which caps how fast a
+# Gauss-Hermite rule converges.  At tiny q the odd moments cancel only to
+# rounding, so F_0(q) drifts from q: 2.2e-9 relative at q = 1e-16, 1.4e-2 at
+# q = 1e-30.
 DEFAULT_RULE = _HermiteRule(_HALF_NODES, _HALF_WEIGHTS)
 
 

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .kernel import _check_count, _check_eps, _check_nonneg, _check_positive, _check_real
-from .kernel import _check_unit, _QuadraturePlan, channel_overlap
+from .kernel import _check_sequence, _check_unit, _QuadraturePlan, channel_overlap
 
 __all__ = [
     "EpsilonMixture",
@@ -69,12 +69,7 @@ class EpsilonMixture:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        try:
-            atoms = tuple(self.atoms)
-        except TypeError:
-            raise ValueError(
-                f"mixture atoms must be a sequence of (eps, weight) pairs, got {self.atoms!r}"
-            ) from None
+        atoms = _check_sequence(self.atoms, "mixture atoms", "(eps, weight) pairs")
         if not atoms:
             raise ValueError("mixture needs at least one atom")
         eps, w = [], []

@@ -53,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .kernel import _check_count, _check_eps, _check_nonneg, _check_real, _check_seed
-from .kernel import _check_unit, _posterior_mean_at, _real_array, posterior_mean
+from .kernel import _check_sequence, _check_unit, _posterior_mean_at, _real_array, posterior_mean
 from .overlaps import EpsilonMixture, _check_gain, _feature_map, qv_from_qu
 from .risk import labeled_needed
 
@@ -129,36 +129,23 @@ class Dataset:
 
 @dataclass
 class ClassifierOutput:
-    """Soft scores in [-1, 1], hard ±1 decisions, and error rates.
+    """A classifier's error rate on the unlabeled samples, None when the
+    dataset has none, and the pass count of an iterative classifier."""
 
-    ``error_unlabeled`` is None when the dataset has no unlabeled samples;
-    ties in the hard decision go to +1.  ``iterations`` is set by iterative
-    classifiers only.
-    """
-
-    soft_scores: np.ndarray
-    hard_labels: np.ndarray
     error_unlabeled: Optional[float]
-    error_all: float
     iterations: Optional[int] = None
 
 
-def _hard_decisions(scores: np.ndarray) -> np.ndarray:
-    return np.where(scores >= 0.0, 1, -1).astype(np.int64)
+def _misses(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Where the hard decisions, +1 where a score is >= 0 and -1 elsewhere
+    (ties to +1, nan to -1), miss the ±1 ``truth``; broadcasts."""
+    return (scores >= 0.0) != (truth > 0)
 
 
-def _output_from_soft(soft: np.ndarray, ds: Dataset, iterations=None) -> ClassifierOutput:
-    hard = _hard_decisions(soft)
-    wrong = hard != ds.truth_labels
+def _unlabeled_error(scores: np.ndarray, ds: Dataset) -> Optional[float]:
     unlabeled = ds.label_eps == 0.0
-    err_unl = float(np.mean(wrong[unlabeled])) if np.any(unlabeled) else None
-    return ClassifierOutput(
-        soft_scores=soft,
-        hard_labels=hard,
-        error_unlabeled=err_unl,
-        error_all=float(np.mean(wrong)),
-        iterations=iterations,
-    )
+    wrong = _misses(scores[unlabeled], ds.truth_labels[unlabeled])
+    return float(np.mean(wrong)) if wrong.size else None
 
 
 def _check_kappa(kappa) -> float:
@@ -172,7 +159,7 @@ def _check_kappa(kappa) -> float:
 def _check_labeling(labeling) -> list:
     """The (fraction, kappa) blocks as float pairs, checked."""
     blocks = []
-    for index, block in enumerate(labeling):
+    for index, block in enumerate(_check_sequence(labeling, "labeling", "(fraction, kappa) pairs")):
         try:
             frac, kappa = block
         except (TypeError, ValueError):
@@ -227,9 +214,10 @@ def _base_draw(p: int, n: int, lam: float, seed):
     return mu, y, features, rng.random(n)
 
 
-def _dataset(draw, blocks) -> Dataset:
-    """The dataset of a ``_base_draw`` under the checked label ``blocks``."""
-    mu, y, features, uniforms = draw
+def _label_eps(draw, blocks) -> np.ndarray:
+    """The signed confidences of a ``_base_draw`` under the checked label
+    ``blocks``."""
+    _, y, _, uniforms = draw
     n = y.size
     eps = np.zeros(n, dtype=float)
     start, cumulative = 0, 0.0
@@ -240,7 +228,13 @@ def _dataset(draw, blocks) -> Dataset:
         report = np.where(uniforms[sl] < kappa, y[sl], -y[sl])
         eps[sl] = report * (2.0 * kappa - 1.0)
         start = end
-    return Dataset(features=features, truth_labels=y, label_eps=eps, truth_mean=mu)
+    return eps
+
+
+def _dataset(draw, blocks) -> Dataset:
+    """The dataset of a ``_base_draw`` under the checked label ``blocks``."""
+    mu, y, features, _ = draw
+    return Dataset(features, y, _label_eps(draw, blocks), mu)
 
 
 def generate_dataset(p: int, n: int, lam: float, labeling, seed) -> Dataset:
@@ -295,8 +289,7 @@ def classify_oracle(ds: Dataset) -> ClassifierOutput:
     The projected scores are unit-variance Gaussians at ±||mu||^2, so the
     expected error is the Gaussian tail at sqrt(snr).
     """
-    scores = ds.features.T @ ds.truth_mean
-    return _output_from_soft(np.tanh(scores), ds)
+    return ClassifierOutput(_unlabeled_error(ds.features.T @ ds.truth_mean, ds))
 
 
 def classify_supervised(ds: Dataset) -> ClassifierOutput:
@@ -311,8 +304,7 @@ def classify_supervised(ds: Dataset) -> ClassifierOutput:
     direction = ds.features @ ds.label_eps / ds.n
     if not np.any(direction):
         raise SimulationError("labeled contributions cancelled to a zero direction")
-    scores = ds.features.T @ direction
-    return _output_from_soft(np.tanh(scores), ds)
+    return ClassifierOutput(_unlabeled_error(ds.features.T @ direction, ds))
 
 
 # The semi-supervised passes stop once the mean absolute update falls below this.
@@ -361,15 +353,17 @@ def classify_semisupervised(ds: Dataset, t_max: int = 50) -> ClassifierOutput:
     lam, c = ds.snr, ds.n / ds.p
     _check_gain(lam, c)
     schedule = _calibration(lam, c, EpsilonMixture.from_samples(ds.label_eps))
-    soft, [iterations] = _semisupervised_columns([ds], [schedule], t_max)
-    return _output_from_soft(soft[0], ds, iterations=iterations)
+    eps = ds.label_eps[None]
+    soft, [iterations] = _semisupervised_columns(ds.features, eps, [schedule], t_max)
+    return ClassifierOutput(_unlabeled_error(soft[0], ds), iterations)
 
 
-def _semisupervised_columns(datasets: list, schedules: list, t_max: int) -> tuple[np.ndarray, list]:
-    """The semi-supervised classifier on G datasets that share their features
-    and truth and differ in their confidences, run as the G columns of one
-    pass loop; returns the (G, n) soft scores, row g for dataset g, and each
-    column's pass count.  ``t_max`` is checked by the caller.
+def _semisupervised_columns(X, eps, schedules: list, t_max: int) -> tuple[np.ndarray, list]:
+    """The semi-supervised classifier on the p x n features ``X`` under the G
+    rows of the (G, n) confidence block ``eps``, checked by the caller, run
+    as the G columns of one pass loop; returns the (G, n) soft scores, row g
+    for confidences g, and each column's pass count.  ``t_max`` is checked
+    by the caller.
 
     Column g reads pass t's score SNR q_u^t as the t-th value of
     ``schedules[g]``, an iterable of at least ``t_max`` values or an
@@ -383,17 +377,14 @@ def _semisupervised_columns(datasets: list, schedules: list, t_max: int) -> tupl
     products sum in another order, about 1e-11 relative apart from the
     one-column run's.
     """
-    first = datasets[0]
-    n = first.n
-    X = first.features
+    n = X.shape[1]
     col_sq_n = np.einsum("ij,ij->j", X, X) / n
     schedules = [iter(schedule) for schedule in schedules]
 
     # np.add.reduce(x, axis=1) / n is each row's np.mean bit for bit, without its overhead.
-    eps = np.array([ds.label_eps for ds in datasets])
     soft = np.empty_like(eps)
-    passes = [t_max] * len(datasets)
-    running = list(range(len(datasets)))  # the column of each row of the block
+    passes = [t_max] * len(eps)
+    running = list(range(len(eps)))  # the column of each row of the block
     denoise = _posterior_mean_at(eps)
     v = eps  # never written in place
     for iterations in range(1, t_max + 1):
@@ -627,13 +618,13 @@ def _replicate_masks(draw, columns: list, schedules: list) -> np.ndarray:
     """The (G, n) mask of where the semi-supervised hard labels of a
     ``_base_draw`` miss the truth, row g when its first n_l samples carry
     kappa-reliable labels, for the G (n_l, kappa) pairs of ``columns``, all
-    scored in one ``_semisupervised_columns`` run.  Column g is calibrated
-    by ``schedules[g]``, its q_u^1 ... q_u^t_max; their common length is
-    the pass cap t_max."""
-    n = draw[1].size
-    datasets = [_dataset(draw, [(n_l / n, kappa)]) for n_l, kappa in columns]
-    soft, _ = _semisupervised_columns(datasets, schedules, len(schedules[0]))
-    return _hard_decisions(soft) != datasets[0].truth_labels
+    scored in one ``_semisupervised_columns`` run on the draw's arrays; no
+    ``Dataset`` is built.  Column g is calibrated by ``schedules[g]``, its
+    q_u^1 ... q_u^t_max; their common length is the pass cap t_max."""
+    _, y, features, _ = draw
+    eps = np.array([_label_eps(draw, [(n_l / y.size, kappa)]) for n_l, kappa in columns])
+    soft, _ = _semisupervised_columns(features, eps, schedules, len(schedules[0]))
+    return _misses(soft, y)
 
 
 def _replicate_draw(p: int, n: int, lam: float, seed, r: int):
@@ -792,7 +783,7 @@ def labeled_needed_empirical(
     samples stays unlabeled for evaluation) misses the reference.  Returns
     the counts in the order of ``kappas``.
     """
-    kappas = [_check_kappa(k) for k in kappas]
+    kappas = [_check_kappa(k) for k in _check_sequence(kappas, "kappas", "reliabilities")]
     if not kappas:
         raise ValueError("kappas must not be empty")
     p, n, lam = _check_count(p, "p"), _check_count(n, "n"), _check_nonneg(lam, "lam")

@@ -154,7 +154,7 @@ def test_criterion_5_oracle_risk():
     n = 100_000
     for k, lam in enumerate((0.25, 1.0, 2.0)):
         ds = generate_dataset(10, n, lam, [], seed=[606, k])
-        error = classify_oracle(ds).error_all
+        error = classify_oracle(ds).error_unlabeled  # no labels: every sample scored
         expected = gaussian_tail(math.sqrt(lam))
         se = math.sqrt(expected * (1.0 - expected) / n)
         worst_z = max(worst_z, abs(error - expected) / se)

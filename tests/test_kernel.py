@@ -327,6 +327,40 @@ class TestChannelOverlap:
                 assert abs(channel_overlap(eps, q) - mc) < 3.0 * se
 
 
+def trapezoid_overlap(eps: float, q: float) -> float:
+    """F_eps(q) = E[S E[S | U]] from its definition, with the posterior mean
+    written out: S = ±1 with probability (1 ± eps) / 2, U = sqrt(q) S + Z,
+    E[S | U] = f_eps(sqrt(q) U), f_eps(t) = (tanh t + eps) / (1 + eps tanh t).
+    The average over Z is a trapezoid sum in z with h = 0.01 on
+    [-38.5, 38.5], its Gaussian weights normalised to sum to 1; numpy only,
+    and independent of the kernel's rule and integrand."""
+    z = np.arange(-3850, 3851) * 0.01
+    weights = np.exp(-0.5 * z * z)
+    weights /= weights.sum()
+
+    def f(t):
+        return (np.tanh(t) + eps) / (1.0 + eps * np.tanh(t))
+
+    r = math.sqrt(q)
+    aligned = (1.0 + eps) / 2.0 * f(q + r * z) - (1.0 - eps) / 2.0 * f(-q + r * z)
+    return float(aligned @ weights)
+
+
+class TestChannelOverlapOracle:
+    """The 61-node rule against an independent quadrature.  Its documented
+    accuracy: within 1e-12 relative for q <= 0.5 or q >= 50, and within
+    1e-5 between, where the poles of tanh(q + sqrt(q) z), pi / (2 sqrt(q))
+    from the real z axis, slow the rule down (measured worst: 4.1e-6 at
+    q = 5, eps = 0)."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.6, 0.9, 0.99])
+    @pytest.mark.parametrize("q", [1e-3, 0.01, 0.1, 0.5, 1, 2, 5, 10, 20, 50, 100, 200])
+    def test_within_the_documented_envelope(self, eps, q):
+        exact = trapezoid_overlap(eps, q)
+        bound = 1e-12 if q <= 0.5 or q >= 50 else 1e-5
+        assert abs(channel_overlap(eps, q) - exact) <= bound * exact
+
+
 def soft_eps(seed, atoms=2000):
     """Random confidences in [-1, 1] with the exact cases -1, 0 and 1 mixed in."""
     rng = np.random.default_rng(seed)

@@ -111,6 +111,31 @@ def realised_schedule(ds):
     return simulate._calibration(ds.snr, ds.n / ds.p, mixture)
 
 
+def one_column(ds, t_max):
+    """The one-column ``_semisupervised_columns`` run that
+    ``classify_semisupervised(ds, t_max)`` makes: its (1, n) soft scores and
+    its pass count."""
+    schedule = realised_schedule(ds)
+    soft, [passes] = simulate._semisupervised_columns(
+        ds.features, ds.label_eps[None], [schedule], t_max
+    )
+    return soft, passes
+
+
+def sign_misses(scores, truth):
+    """Where the ±1 decisions of ``scores``, ties to +1, miss ``truth``."""
+    return np.where(scores >= 0.0, 1, -1) != truth
+
+
+def unlabeled_error(scores, ds):
+    """The error rate of ``scores``' decisions on the unlabeled samples of
+    ``ds``, None when it has none."""
+    unlabeled = ds.label_eps == 0.0
+    if not unlabeled.any():
+        return None
+    return float(np.mean(sign_misses(scores, ds.truth_labels)[unlabeled]))
+
+
 @contextlib.contextmanager
 def hang_guard(seconds: int = 60):
     """Turns a block that hangs, on a dead or unterminated worker, into a
@@ -286,13 +311,21 @@ class TestGenerateDataset:
             tracemalloc.stop()
         assert peak < 1.5 * p * n * 8
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a draw started before the arguments were checked")
+
+        monkeypatch.setattr(simulate, "_base_draw", no_draw)
         with pytest.raises(ValueError):
             generate_dataset(5, 100, 1.0, [(0.7, 0.9), (0.6, 0.8)], seed=0)
         with pytest.raises(ValueError):
             generate_dataset(5, 100, 1.0, [(0.5, 0.5)], seed=0)
         with pytest.raises(ValueError):
             generate_dataset(5, 100, -1.0, [], seed=0)
+        # a labeling that cannot be iterated is named, not a bare TypeError
+        for labeling in (0.5, None, np.float64(0.5), np.array(0.5), 3):
+            with pytest.raises(ValueError, match="^labeling must be a sequence of"):
+                generate_dataset(4, 10, 1.0, labeling, seed=0)
 
     @pytest.mark.parametrize(
         "p, n, name",
@@ -442,40 +475,71 @@ class TestClassifyOracle:
     def test_no_signal_is_coin_flip(self):
         ds = generate_dataset(10, 100_000, 0.0, [], seed=2)
         out = classify_oracle(ds)
-        assert abs(out.error_all - 0.5) < 3.0 * binomial_se(0.5, ds.n)
+        assert abs(out.error_unlabeled - 0.5) < 3.0 * binomial_se(0.5, ds.n)
 
     def test_unit_snr_matches_tail(self):
         ds = generate_dataset(10, 100_000, 1.0, [], seed=3)
         out = classify_oracle(ds)
         expected = gaussian_tail(1.0)
-        assert abs(out.error_all - expected) < 3.0 * binomial_se(expected, ds.n)
+        assert abs(out.error_unlabeled - expected) < 3.0 * binomial_se(expected, ds.n)
 
     @pytest.mark.parametrize("lam", [0.25, 2.0, 4.0])
     def test_snr_grid_matches_tail(self, lam):
         ds = generate_dataset(10, 100_000, lam, [], seed=int(100 * lam))
         expected = gaussian_tail(math.sqrt(lam))
-        error = classify_oracle(ds).error_all
+        error = classify_oracle(ds).error_unlabeled
         assert abs(error - expected) < 3.0 * binomial_se(expected, ds.n)
 
     def test_strong_snr_is_errorless(self):
         ds = generate_dataset(10, 10_000, 25.0, [], seed=4)
-        assert classify_oracle(ds).error_all == 0.0
+        assert classify_oracle(ds).error_unlabeled == 0.0
 
-    def test_hard_labels_follow_soft_signs(self):
+    def test_error_is_the_one_of_the_projections_signs(self):
         ds = generate_dataset(6, 500, 1.0, [(0.2, 0.9)], seed=5)
-        out = classify_oracle(ds)
-        np.testing.assert_array_equal(
-            out.hard_labels, np.where(out.soft_scores >= 0.0, 1, -1)
-        )
-        assert np.all(np.abs(out.soft_scores) <= 1.0)
+        scores = ds.features.T @ ds.truth_mean
+        error = classify_oracle(ds).error_unlabeled
+        assert error == unlabeled_error(scores, ds) == unlabeled_error(np.tanh(scores), ds)
+
+
+class TestMissRule:
+    """One rule scores the three classifiers and the search's masks: a hard
+    decision is +1 where the score is >= 0, ties and -0.0 included, and -1
+    elsewhere, nan included.  The oracle and supervised classifiers score
+    their projections, not their tanh, which keeps every sign."""
+
+    TINY = np.finfo(float).tiny
+    SCORES = np.array(
+        [0.0, -0.0, np.nan, -np.nan, 5e-324, -5e-324, TINY, -TINY, TINY / 3, -TINY / 3,
+         np.inf, -np.inf, 1e-300, -1e-300, 0.5, -0.5]
+    )
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.int8])
+    def test_matches_the_sign_decision(self, dtype):
+        # rows of scores against one truth, as the search's masks are made
+        scores = np.stack([self.SCORES, -self.SCORES]).repeat(2, axis=1)
+        truth = np.tile([1, -1], self.SCORES.size).astype(dtype)
+        misses = simulate._misses(scores, truth)
+        assert misses.dtype == bool and misses.shape == scores.shape
+        assert misses.tolist() == (np.where(scores >= 0, 1, -1) != truth).tolist()
+
+    def test_tanh_keeps_every_decision(self):
+        truth = np.ones(self.SCORES.size)
+        misses = simulate._misses(self.SCORES, truth)
+        assert simulate._misses(np.tanh(self.SCORES), truth).tolist() == misses.tolist()
 
 
 class TestClassifySupervised:
     def test_dense_labels_approach_oracle(self):
-        ds = generate_dataset(10, 100_000, 1.0, [(1.0, 1.0)], seed=6)
+        ds = generate_dataset(10, 100_000, 1.0, [(0.9, 1.0)], seed=6)
         sup = classify_supervised(ds)
         oracle = classify_oracle(ds)
-        assert abs(sup.error_all - oracle.error_all) < 0.01
+        assert abs(sup.error_unlabeled - oracle.error_unlabeled) < 0.01
+
+    def test_error_is_the_one_of_the_projections_signs(self):
+        ds = generate_dataset(6, 500, 1.0, [(0.2, 0.9)], seed=5)
+        scores = ds.features.T @ (ds.features @ ds.label_eps / ds.n)
+        error = classify_supervised(ds).error_unlabeled
+        assert error == unlabeled_error(scores, ds) == unlabeled_error(np.tanh(scores), ds)
 
     def test_requires_labels(self):
         ds = generate_dataset(10, 200, 1.0, [], seed=7)
@@ -484,20 +548,18 @@ class TestClassifySupervised:
 
     def test_deterministic(self):
         ds = generate_dataset(10, 400, 1.0, [(0.3, 0.8)], seed=8)
-        out_a = classify_supervised(ds)
-        out_b = classify_supervised(ds)
-        np.testing.assert_array_equal(out_a.hard_labels, out_b.hard_labels)
-        assert out_a.error_unlabeled == out_b.error_unlabeled
+        assert classify_supervised(ds) == classify_supervised(ds)
 
 
 class TestClassifySemisupervised:
     def test_all_certain_labels_stay_pinned(self):
         ds = generate_dataset(50, 400, 1.0, [(1.0, 1.0)], seed=9)
+        soft, passes = one_column(ds, 50)
+        np.testing.assert_array_equal(soft[0], ds.label_eps)
+        assert passes == 1 and not sign_misses(soft[0], ds.truth_labels).any()
         out = classify_semisupervised(ds)
-        np.testing.assert_array_equal(out.soft_scores, ds.label_eps)
         assert out.error_unlabeled is None
         assert out.iterations == 1
-        assert out.error_all == 0.0
 
     def test_no_signal_is_coin_flip(self):
         ds = generate_dataset(40, 4000, 0.0, [(0.2, 1.0)], seed=10)
@@ -524,7 +586,7 @@ class TestClassifySemisupervised:
         plain = classify_semisupervised(ds, t_max=3)
         out = classify_semisupervised(ds, t_max=np.int32(3))
         assert out.iterations == plain.iterations == 3
-        assert out.soft_scores.tobytes() == plain.soft_scores.tobytes()
+        assert out == plain
 
     def test_no_labels_runs_without_failure(self):
         ds = generate_dataset(40, 400, 1.0, [], seed=11)
@@ -569,9 +631,8 @@ class TestClassifySemisupervised:
 
     def test_deterministic(self):
         ds = generate_dataset(30, 600, 2.0, [(0.2, 0.9)], seed=13)
-        out_a = classify_semisupervised(ds)
-        out_b = classify_semisupervised(ds)
-        np.testing.assert_array_equal(out_a.soft_scores, out_b.soft_scores)
+        assert classify_semisupervised(ds) == classify_semisupervised(ds)
+        assert one_column(ds, 50)[0].tobytes() == one_column(ds, 50)[0].tobytes()
 
     def test_error_ordering_across_methods(self):
         # oracle <= semi-supervised <= supervised (within noise), averaged
@@ -660,9 +721,10 @@ class TestLeanPassLoop:
             if stops_early:
                 assert iterations < t_max
             for _ in range(2):  # a second run gives the same scores
+                block, passes = one_column(ds, t_max)
+                assert block[0].tobytes() == soft.tobytes() and passes == iterations
                 out = classify_semisupervised(ds, t_max=t_max)
-                assert out.soft_scores.tobytes() == soft.tobytes()
-                assert out.hard_labels.tobytes() == simulate._hard_decisions(soft).tobytes()
+                assert out.error_unlabeled == unlabeled_error(soft, ds)
                 assert out.iterations == iterations
 
     def test_calibration_runs_no_further_than_the_passes(self, monkeypatch):
@@ -728,10 +790,10 @@ def gemv_loop(ds, t_max):
 
 
 class TestSemisupervisedColumns:
-    """The classifier scores G datasets that share a draw as the columns of
-    one run: with one column it is the matrix-vector pass loop bit for bit,
-    and with more, each column keeps the hard labels and the pass count of
-    its one-column run."""
+    """The classifier scores G rows of confidences on one feature matrix as
+    the columns of one run: with one column it is the matrix-vector pass
+    loop bit for bit, and with more, each column keeps the hard labels and
+    the pass count of its one-column run."""
 
     @pytest.mark.parametrize(
         "p, n, lam, labeling, t_max",
@@ -747,12 +809,12 @@ class TestSemisupervisedColumns:
     def test_one_column_is_the_matrix_vector_loop(self, p, n, lam, labeling, t_max):
         ds = generate_dataset(p, n, lam, labeling, seed=[31, p, n])
         soft, iterations = gemv_loop(ds, t_max)
-        block, passes = simulate._semisupervised_columns([ds], [realised_schedule(ds)], t_max)
+        block, passes = one_column(ds, t_max)
         assert block.shape == (1, n)
         assert block[0].tobytes() == soft.tobytes()
-        assert passes == [iterations]
+        assert passes == iterations
         out = classify_semisupervised(ds, t_max=t_max)
-        assert out.soft_scores.tobytes() == soft.tobytes() and out.iterations == iterations
+        assert out.error_unlabeled == unlabeled_error(soft, ds) and out.iterations == iterations
 
     @pytest.mark.parametrize("p, n", [(60, 300), (200, 1000)])
     def test_columns_keep_their_one_column_labels_and_passes(self, p, n):
@@ -766,15 +828,17 @@ class TestSemisupervisedColumns:
             [(0.2, 1.0)],  # a repeated column
         ]
         datasets = [simulate._dataset(draw, simulate._check_labeling(b)) for b in labelings]
-        alone = [classify_semisupervised(ds, t_max=60) for ds in datasets]
-        passes = [out.iterations for out in alone]
+        alone = [one_column(ds, 60) for ds in datasets]
+        passes = [iterations for _, iterations in alone]
         assert len(set(passes)) > 2 and min(passes) < 60  # they stop at different passes
         schedules = [realised_schedule(ds) for ds in datasets]
-        block, block_passes = simulate._semisupervised_columns(datasets, schedules, 60)
+        eps = np.array([ds.label_eps for ds in datasets])
+        block, block_passes = simulate._semisupervised_columns(draw[2], eps, schedules, 60)
         assert block_passes == passes
-        for row, out in zip(block, alone):
-            assert simulate._hard_decisions(row).tobytes() == out.hard_labels.tobytes()
-            np.testing.assert_allclose(row, out.soft_scores, rtol=0.0, atol=1e-8)
+        y = draw[1]
+        for row, (soft, _) in zip(block, alone):
+            assert (sign_misses(row, y) == sign_misses(soft[0], y)).all()
+            np.testing.assert_allclose(row, soft[0], rtol=0.0, atol=1e-8)
 
     def test_a_degenerate_column_fails_the_run(self):
         n, p = 8, 4
@@ -788,7 +852,7 @@ class TestSemisupervisedColumns:
         ]
         with pytest.raises(SimulationError, match="zero second moment"):
             schedules = [realised_schedule(ds) for ds in datasets]
-            simulate._semisupervised_columns(datasets, schedules, 5)
+            simulate._semisupervised_columns(np.zeros((p, n)), np.array(eps), schedules, 5)
 
 
 class TestSearchSchedules:
@@ -815,13 +879,14 @@ class TestSearchSchedules:
                 for nominal, exact in zip(schedules, realised):
                     assert len(nominal) == t_max
                     np.testing.assert_allclose(nominal, exact, rtol=2e-15, atol=0.0)
-                soft, passes = simulate._semisupervised_columns(datasets, schedules, t_max)
+                eps = np.array([ds.label_eps for ds in datasets])
+                soft, passes = simulate._semisupervised_columns(draw[2], eps, schedules, t_max)
                 soft_realised, passes_realised = simulate._semisupervised_columns(
-                    datasets, realised, t_max
+                    draw[2], eps, realised, t_max
                 )
                 assert passes == passes_realised
-                hard = simulate._hard_decisions(soft)
-                assert hard.tobytes() == simulate._hard_decisions(soft_realised).tobytes()
+                misses = sign_misses(soft, draw[1])
+                assert misses.tobytes() == sign_misses(soft_realised, draw[1]).tobytes()
 
     def test_workers_run_no_recursion(self, monkeypatch):
         calls = []
@@ -907,6 +972,10 @@ class TestLabeledNeededEmpirical:
             ({"eta": 0.0}, "eta must lie in"),
             ({"eta": float("nan")}, "eta must lie in"),
             ({"kappas": []}, "kappas must not be empty"),
+            ({"kappas": 0.9}, "kappas must be a sequence of"),
+            ({"kappas": None}, "kappas must be a sequence of"),
+            ({"kappas": np.float64(0.9)}, "kappas must be a sequence of"),
+            ({"kappas": np.array(0.9)}, "kappas must be a sequence of"),
             ({"kappas": [0.9, 0.5]}, "kappa must lie in"),
             ({"kappas": [0.9, float("nan")]}, "kappa must lie in"),
             ({"p": 0}, "p must be at least 1"),
@@ -1223,8 +1292,9 @@ class TestFreshReplicates:
 
 class TestReplicateBank:
     """The labeled-count search draws each replicate once and builds every
-    probe's dataset from that draw; the result must be the dataset
-    ``generate_dataset`` draws from the same stream, bit for bit."""
+    probe's confidences from that draw; with the draw's arrays they must be
+    the dataset ``generate_dataset`` draws from the same stream, bit for
+    bit, and a probe builds no ``Dataset``."""
 
     P, N, LAM, REPS = 12, 90, 1.3, 3
 
@@ -1246,6 +1316,23 @@ class TestReplicateBank:
                 for field in DATASET_FIELDS:
                     a, b = getattr(rebuilt, field), getattr(fresh, field)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+    def test_probes_build_no_dataset(self, monkeypatch):
+        p, n, lam, t_max = 40, 200, 1.0, 20
+        draw = simulate._base_draw(p, n, lam, [3, 1])
+        columns = [(20, 1.0), (30, 0.9), (40, 0.8)]
+        schedules = [simulate._probe_schedule(lam, n / p, n_l / n, k, t_max) for n_l, k in columns]
+        datasets = [simulate._dataset(draw, [(n_l / n, kappa)]) for n_l, kappa in columns]
+        eps = np.array([ds.label_eps for ds in datasets])
+        soft, _ = simulate._semisupervised_columns(draw[2], eps, schedules, t_max)
+
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("a search probe built a Dataset")
+
+        monkeypatch.setattr(simulate, "Dataset", no_dataset)
+        masks = simulate._replicate_masks(draw, columns, schedules)
+        assert masks.shape == (len(columns), n)
+        assert masks.tolist() == sign_misses(soft, draw[1]).tolist()
 
     def test_search_draws_each_replicate_and_reference_once(self, monkeypatch, tmp_path):
         fork_only()
@@ -1501,7 +1588,7 @@ class TestReplicatePool:
     def failing_workers(self, monkeypatch, replicate_of):
         """Replicate 1 raises a ``SimulationError`` late and replicate 3 a
         ``ValueError`` early; forked workers inherit the patch."""
-        build = simulate._dataset
+        build = simulate._label_eps
 
         def failing_build(draw, blocks):
             r = replicate_of(draw)
@@ -1512,7 +1599,7 @@ class TestReplicatePool:
                 raise ValueError(f"replicate {r} failed")
             return build(draw, blocks)
 
-        monkeypatch.setattr(simulate, "_dataset", failing_build)
+        monkeypatch.setattr(simulate, "_label_eps", failing_build)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 4)
 
     def test_worker_failure_raises_as_the_serial_loop(self, failing_workers):
@@ -1544,7 +1631,7 @@ class TestReplicatePool:
         # On 2 workers replicate 2's draw fails in worker 0 before any round,
         # and a run of worker 1 fails in the first round; as in a serial
         # loop, the replicate that comes first raises.
-        base_draw, build = simulate._base_draw, simulate._dataset
+        base_draw, build = simulate._base_draw, simulate._label_eps
 
         def failing_draw(p, n, lam, stream):
             if stream[-1] == 2:
@@ -1557,7 +1644,7 @@ class TestReplicatePool:
             return build(draw, blocks)
 
         monkeypatch.setattr(simulate, "_base_draw", failing_draw)
-        monkeypatch.setattr(simulate, "_dataset", failing_build)
+        monkeypatch.setattr(simulate, "_label_eps", failing_build)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
         with pytest.raises(error, match=message):
             labeled_needed_empirical(20, 120, 1.0, 0.1, [0.9], seed=8, reps=4)
@@ -1570,7 +1657,7 @@ class TestReplicatePool:
         # replicate after it takes a second per column: worker 0 would need
         # 8 s more for its share of the first round, a second each for its
         # replicates 2, 4, 6 and 8 on the round's two columns.
-        build = simulate._dataset
+        build = simulate._label_eps
 
         def failing_build(draw, blocks):
             r = replicate_of(draw)
@@ -1580,7 +1667,7 @@ class TestReplicatePool:
                 time.sleep(1.0)
             return build(draw, blocks)
 
-        monkeypatch.setattr(simulate, "_dataset", failing_build)
+        monkeypatch.setattr(simulate, "_label_eps", failing_build)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
         with hang_guard(3), pytest.raises(SimulationError, match="^replicate 1 failed$"):
             labeled_needed_empirical(20, 120, 1.0, 0.1, [0.9], seed=8, reps=10)
@@ -1589,14 +1676,14 @@ class TestReplicatePool:
     def test_dying_worker_makes_the_call_raise(self, monkeypatch, replicate_of):
         # replicate 3's worker exits in the middle of the first round, after
         # it scored replicate 1
-        build = simulate._dataset
+        build = simulate._label_eps
 
         def dying_build(draw, blocks):
             if replicate_of(draw) == 3:
                 os._exit(7)
             return build(draw, blocks)
 
-        monkeypatch.setattr(simulate, "_dataset", dying_build)
+        monkeypatch.setattr(simulate, "_label_eps", dying_build)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
         with hang_guard(), pytest.raises(RuntimeError, match="^worker 1 exited with code 7"):
             labeled_needed_empirical(20, 120, 1.0, 0.1, [0.9], seed=8, reps=5)
