@@ -42,7 +42,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .kernel import _check_count, _check_unit, approx_error_grid, channel_overlap
+from .kernel import _check_count, _check_seed, _check_unit, approx_error_grid, channel_overlap
 from .overlaps import ConvergenceError, EpsilonMixture, solve_overlaps
 from .risk import (
     InfeasibilityError,
@@ -121,6 +121,11 @@ def _table_lines(header: list[str], rows, block: int = 0) -> Iterator[str]:
         yield " ".join(map(_fmt, row)) + "\n"
         if block and index % block == 0:
             yield "\n"
+
+
+def _one_row(record: dict) -> Iterator[str]:
+    """The lines of a one-row table: ``record``'s names, then its values."""
+    return _table_lines(list(record), [record.values()])
 
 
 def _write_manifest(base_path: str, command: str, params: dict) -> None:
@@ -242,17 +247,15 @@ def cmd_solve(cfg: dict) -> dict[str, Iterable[str]]:
     solution = solve_overlaps(
         lam, float(cfg["c"]), mixture, tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"])
     )
-    header = ["q_u", "q_v", "bayes_risk", "oracle_risk", "usefulness", "residual", "iterations"]
-    row = [
-        solution.q_u,
-        solution.q_v,
-        bayes_risk(solution.q_u),
-        oracle_risk(lam),
-        usefulness(solution.q_u),
-        solution.residual,
-        solution.iterations,
-    ]
-    return {"": _table_lines(header, [row])}
+    return {"": _one_row({
+        "q_u": solution.q_u,
+        "q_v": solution.q_v,
+        "bayes_risk": bayes_risk(solution.q_u),
+        "oracle_risk": oracle_risk(lam),
+        "usefulness": usefulness(solution.q_u),
+        "residual": solution.residual,
+        "iterations": solution.iterations,
+    })}
 
 
 def cmd_approx_error(cfg: dict) -> dict[str, Iterable[str]]:
@@ -429,29 +432,17 @@ def cmd_simulate(cfg: dict) -> dict[str, Iterable[str]]:
     errors = _fresh_replicate_errors([(p, n, lam, labeling, seed)], reps, t_max)
     [(e_oracle, e_sup, e_semi)] = _mean_errors(errors)
 
-    header = [
-        "error_oracle",
-        "error_oracle_theory",
-        "error_sup",
-        "error_semi",
-        "bayes_risk_theory",
-        "oracle_delta",
-        "semi_delta",
-        "q_u",
-        "q_v",
-    ]
-    row = [
-        e_oracle,
-        oracle_th,
-        e_sup,
-        e_semi,
-        risk_th,
-        e_oracle - oracle_th,
-        e_semi - risk_th,
-        solution.q_u,
-        solution.q_v,
-    ]
-    return {"": _table_lines(header, [row])}
+    return {"": _one_row({
+        "error_oracle": e_oracle,
+        "error_oracle_theory": oracle_th,
+        "error_sup": e_sup,
+        "error_semi": e_semi,
+        "bayes_risk_theory": risk_th,
+        "oracle_delta": e_oracle - oracle_th,
+        "semi_delta": e_semi - risk_th,
+        "q_u": solution.q_u,
+        "q_v": solution.q_v,
+    })}
 
 
 def _channel_cell(eps_values: list, q_values: list, trials: int, seed: int, index: int) -> tuple:
@@ -468,7 +459,7 @@ def cmd_channel_check(cfg: dict) -> dict[str, Iterable[str]]:
     _check_increasing("eps_values", eps_values)
     _check_increasing("q_values", q_values)
     trials = int(cfg["trials"])
-    seed = int(cfg["seed"])
+    seed = _check_seed(int(cfg["seed"]))
     _check_replicate_cells(trials, "each channel draw (trials)")
     # The cells, in row order, are the units of one _owned_map: each runs
     # where it is owned, the calling process or a forked worker, and the

@@ -50,7 +50,8 @@ The range rules build on them: ``_check_nonneg`` (finite, >= 0),
 ``_check_positive`` (finite, > 0), ``_check_unit`` ([0, 1] or (0, 1]) and
 ``_check_eps`` (every entry in [-1, 1]).  ``_check_count`` takes an integer
 that is not a bool, at least 1 and within the float range, and
-``_check_seed`` passes a seed on as given unless it is or holds a bool.
+``_check_seed`` passes a seed on as given unless it is or holds a bool or
+a negative integer.
 ``_check_sequence`` lists the entries of a sequence argument, such as a
 mixture's atoms or a labeling's blocks, and rejects a value that cannot be
 iterated.
@@ -191,10 +192,15 @@ def _check_sequence(values, name: str, items: str) -> list:
 
 def _check_seed(seed):
     """``seed`` for ``numpy.random.default_rng``, as given, except that a
-    bool, or a bool entry of a sequence, which it would read as 0 or 1, is
-    rejected."""
+    bool, which it would read as 0 or 1, and a negative integer, which it
+    rejects without naming the seed, are rejected, alone or as an entry of
+    a sequence."""
     if _holds_bool(seed):
         raise ValueError("seed must be an integer or a sequence of integers, not a bool")
+    entries = seed if isinstance(seed, (list, tuple, np.ndarray)) else [seed]
+    flat = np.asarray(entries, dtype=object).flat
+    if any(isinstance(x, (int, np.integer)) and x < 0 for x in flat):
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
     return seed
 
 
@@ -399,20 +405,18 @@ class _QuadraturePlan:
     ``channel_overlap`` accepts a plan in place of its eps array and returns
     the same bits without re-checking eps or re-finding its levels, so a
     caller that evaluates one eps array at many q (the overlap system's
-    label map) builds its plan once.  ``size`` is that of the eps array, and
-    ``index``, of its shape, holds each entry's level.  The arrays are
-    read-only and an evaluation writes only fresh ones, so threads may share
-    a plan.
+    label map) builds its plan once.  ``index``, of the eps array's shape,
+    holds each entry's level.  The arrays are read-only and an evaluation
+    writes only fresh ones, so threads may share a plan.
     """
 
-    __slots__ = ("size", "index", "_levels", "_blocks", "_zero", "_one")
+    __slots__ = ("index", "_levels", "_blocks", "_zero", "_one")
 
     def __init__(self, eps):
         e = _check_eps(eps)
         levels, index = np.unique((e * e).ravel(), return_inverse=True)
         levels.flags.writeable = False
         index.flags.writeable = False
-        self.size = e.size
         self._levels, self.index = levels, index.reshape(e.shape)
         # Levels 0 and 1 need no table row; every level between gets one,
         # in blocks of at most _TABLE_BLOCK_CELLS cells.

@@ -11,13 +11,17 @@ the posterior-mean labels with the truth).  They solve
 
 where the mixture (eps_j, w_j) is the empirical distribution of per-sample
 label confidences and F is the scalar channel overlap.  ``solve_overlaps``
-solves it from (lam, c, mixture): it iterates the damped pair of maps from
-two initialisations (q_v = 1 and q_v = max(eps_bar_sq, 1e-6), the mixture's
-mean squared confidence floored at 1e-6), polishes each end point with a
-secant refinement of the scalar defect, and returns the converged solution
-with the larger q_u.  It checks lam, c and the finiteness of lam * lam * c
-once, before iterating; ``qu_from_qv``, ``sensitivity_ratio`` and the
-solver's iterations share one private copy of the feature map.
+solves it from (lam, c, mixture) on one scalar defect
+g(q_v) = q_v - qv_from_qu(qu_from_qv(q_v)), built once per call: from two
+initialisations (q_v = 1 and q_v = max(eps_bar_sq, 1e-6), the mixture's
+mean squared confidence floored at 1e-6) it takes damped steps
+q_v -= g(q_v) / 2, polishes each end point with a secant refinement of g,
+and returns the converged solution with the larger q_u.  Its ``residual``
+is |g| at the returned q_v, read from the polish rather than recomputed,
+and ``iterations`` counts that start's damped steps.  It checks lam, c and
+the finiteness of lam * lam * c once, before iterating; ``qu_from_qv``,
+``sensitivity_ratio`` and the defect share one private copy of the feature
+map.
 
 The classical certainty-labeled system (a fraction eta of hard labels, the
 rest unlabeled) is the mixture ``EpsilonMixture.certainty(eta)``, that is
@@ -186,67 +190,48 @@ def qv_from_qu(mixture: EpsilonMixture, q_u: float) -> float:
     return sum((w * channel_overlap(mixture._label_plan, q_u)).tolist())
 
 
-def _secant_polish(defect, q0: float):
+def _secant_polish(defect, q0: float) -> tuple[float, float]:
     """Refine a root of ``defect`` near q0 by at most 60 clamped secant steps,
-    stopping once |defect| falls below 1e-14.
+    stopping once the least |defect| seen falls below 1e-14.
 
-    Keeps the best-|defect| point seen; the residual-tolerance fixed point
-    parks O(sqrt(tol)) away from the root when the map slope approaches one,
-    and this closes that gap.
+    Returns the least-|defect| point seen with its defect, the first of equal
+    ones; the residual-tolerance fixed point parks O(sqrt(tol)) away from the
+    root when the map slope approaches one, and this closes that gap.
     """
     x0 = min(max(q0, 0.0), 1.0)
-    f0 = defect(x0)
-    best_x, best_f = x0, f0
     x1 = min(x0 + max(1e-9, 1e-9 * abs(x0)), 1.0)
     if x1 == x0:
         x1 = x0 - 1e-9
-    f1 = defect(x1)
-    if abs(f1) < abs(best_f):
-        best_x, best_f = x1, f1
+    seen = [(x0, defect(x0)), (x1, defect(x1))]
     for _ in range(60):
-        if f1 == f0 or abs(best_f) < 1e-14:
+        (x0, f0), (x1, f1) = seen[-2:]
+        if f1 == f0 or min(abs(f) for _, f in seen) < 1e-14:
             break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        x2 = min(max(x2, 0.0), 1.0)
+        x2 = min(max(x1 - f1 * (x1 - x0) / (f1 - f0), 0.0), 1.0)
         if x2 == x1:
             break
-        f2 = defect(x2)
-        if abs(f2) < abs(best_f):
-            best_x, best_f = x2, f2
-        x0, f0, x1, f1 = x1, f1, x2, f2
-    return best_x
+        seen.append((x2, defect(x2)))
+    return min(seen, key=lambda point: abs(point[1]))
 
 
-def _solve_from(
-    lam: float, c: float, mixture: EpsilonMixture, q_v0: float, tol: float, max_iter: int
-) -> OverlapSolution:
-    def defect(q_v: float) -> float:  # the polish keeps q_v in [0, 1]
-        return q_v - qv_from_qu(mixture, _feature_map(lam, c, q_v))
+def _solve_from(defect, q_v0: float, tol: float, max_iter: int, snap: bool):
+    """One start: damped steps from q_v0 on ``defect``, then the polish.
 
+    Returns (q_v, |defect(q_v)|, damped steps taken).
+    """
     q_v = q_v0
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        # q_v stays >= 0, but the label map's rounding can carry it just past
-        # 1, where qu_from_qv would clamp it; so does the conditional.
-        target = qv_from_qu(mixture, _feature_map(lam, c, q_v if q_v < 1.0 else 1.0))
-        if abs(target - q_v) < tol:
+        step = defect(q_v)
+        if abs(step) < tol:
             break
-        q_v = q_v + 0.5 * (target - q_v)  # damped: halfway to the map's value
-    q_v = _secant_polish(defect, q_v)
-    if mixture.eps_bar_sq == 0.0 and q_v <= 1e-5:
+        q_v -= 0.5 * step  # damped: halfway to the map's value
+    q_v, g = _secant_polish(defect, q_v)
+    if snap and q_v <= 1e-5:
         # All-unlabeled mixtures always admit the exact solution (0, 0); a
         # polished iterate this small means no larger root exists (at the
         # marginal slope the double root defeats any residual tolerance).
-        q_v = 0.0
-    q_u = _feature_map(lam, c, q_v)
-    residual = abs(q_v - qv_from_qu(mixture, q_u))
-    return OverlapSolution(
-        q_u=q_u,
-        q_v=q_v,
-        residual=residual,
-        iterations=iterations,
-        converged=residual < tol,
-    )
+        q_v, g = 0.0, defect(0.0)
+    return q_v, abs(g), iterations
 
 
 def solve_overlaps(
@@ -273,8 +258,18 @@ def solve_overlaps(
     max_iter = _check_count(max_iter, "max_iter")
     _check_gain(lam, c)
 
-    inits = (1.0, max(mixture.eps_bar_sq, 1e-6))
-    runs = [_solve_from(lam, c, mixture, q_v0, tol, max_iter) for q_v0 in inits]
+    def defect(q_v: float) -> float:
+        # q_v stays >= 0, but the label map's rounding can carry a damped
+        # iterate just past 1, where qu_from_qv would clamp it; so does the
+        # conditional.
+        return q_v - qv_from_qu(mixture, _feature_map(lam, c, q_v if q_v < 1.0 else 1.0))
+
+    eps_bar_sq = mixture.eps_bar_sq
+    runs = []
+    for q_v0 in (1.0, max(eps_bar_sq, 1e-6)):
+        q_v, residual, iterations = _solve_from(defect, q_v0, tol, max_iter, eps_bar_sq == 0.0)
+        q_u = _feature_map(lam, c, q_v)
+        runs.append(OverlapSolution(q_u, q_v, residual, iterations, residual < tol))
     converged = [r for r in runs if r.converged]
     if not converged:
         best = min(runs, key=lambda r: r.residual)

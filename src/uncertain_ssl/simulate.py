@@ -607,8 +607,12 @@ def _fresh_replicate_errors(points, reps: int, t_max: int) -> list:
     ``_owned_map``, in that order: each participant draws and scores one
     replicate at a time, building its stream when it reaches it.  The
     results do not depend on the participant count, and a failing replicate
-    raises first in (point, replicate) order.
+    raises first in (point, replicate) order.  ``t_max`` and every point's
+    seed are checked first, before any participant starts.
     """
+    t_max = _check_count(t_max, "t_max")
+    for point in points:
+        _check_seed(point[4])
     unit = functools.partial(_fresh_replicate_unit, points, reps, t_max)
     results = _owned_map(unit, len(points) * reps)
     return [results[start : start + reps] for start in range(0, len(results), reps)]

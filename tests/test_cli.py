@@ -116,6 +116,46 @@ class TestExitCodes:
         assert run_cli("solve", "--seed", "3") == 2  # solve takes no seed
         assert run_cli("no-such-command") == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read config file"),
+            ("{", "config file is not valid JSON"),
+            ("[1, 2]", "config file must hold a JSON object"),
+        ],
+        ids=["missing", "not-json", "not-object"],
+    )
+    def test_unusable_config_file_rejected(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert run_cli("solve", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("simulate", "seed", -1),
+            ("simulate", "t_max", 0),
+            ("reduction", "seed", -1),
+            ("reduction", "t_max", 0),
+            ("labeled-needed", "seed", -1),
+            ("labeled-needed", "t_max", 0),
+            ("channel-check", "seed", -1),
+        ],
+    )
+    def test_seed_and_t_max_checked_before_any_worker(
+        self, tmp_path, monkeypatch, capsys, command, key, value
+    ):
+        def no_workers(*args, **kwargs):
+            raise AssertionError(f"workers started before {key} was checked")
+
+        monkeypatch.setattr(simulate, "_owned_rounds", no_workers)
+        cfg = write_config(tmp_path / "cfg.json", {key: value})
+        assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "out.dat")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+        assert list(tmp_path.glob("out*")) == []
+
     def test_damping_key_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json", {"lambda": 2.0, "c": 1.0, "eta": 0.2, "damping": 0.5}
@@ -159,6 +199,7 @@ class TestExitCodes:
             ("simulate", {"labeling": [[0.2, True]]}),
             ("simulate", {"labeling": [0.2, 1.0]}),
             ("reduction", {"sweep": 1}),
+            ("reduction", {"sweep": "x"}),
             ("reduction", {"lambdas": "1,2"}),
             ("channel-check", {"eps_values": [0.0, None]}),
             ("approx-error", {"eps_step": "0.1"}),
@@ -183,6 +224,7 @@ class TestExitCodes:
             "array-item-boolean",
             "array-item-kind",
             "string-number",
+            "string-unknown",
             "array-string",
             "array-item-null",
             "step-string",
@@ -709,6 +751,16 @@ class TestReductionCommand:
             assert mixture == cli.EpsilonMixture.certainty(eta)
             assert eta * (2.0 * 1.0 - 1.0) ** 2 == eta
 
+    def test_undefined_reductions_are_nan(self, tmp_path):
+        # at lam 400 no classifier errs: with no supervised error, neither
+        # reduction is defined
+        cfg = write_config(
+            tmp_path / "cfg.json", {"lambdas": [400.0], "p": 50, "reps": 2, "eta": 0.2}
+        )
+        out = tmp_path / "red.dat"
+        assert run_cli("reduction", "--config", cfg, "--out", str(out)) == 0
+        assert out.read_text().splitlines()[1].split()[:3] == ["400", "nan", "nan"]
+
     def test_every_point_checked_before_any_draw(self, tmp_path, monkeypatch):
         # lam * lam * c overflows at the last point only
         def no_draw(*args):
@@ -759,6 +811,7 @@ class TestChannelCheckCommand:
         assert list(tmp_path.glob("cc.*")) == []
 
 
+    @pytest.mark.blas_threads
     def test_table_does_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
         # The default grid's 25 cells are the units of one _owned_map, run by
         # the calling process and forked workers; a serial loop over the

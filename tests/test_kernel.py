@@ -149,6 +149,7 @@ class TestPosteriorMean:
             "all-pinned",
         ],
     )
+    @pytest.mark.blas_threads
     def test_equals_the_scalar_ratio_with_exact_pins(self, eps, t):
         # saturated tanh included: 0/0 at eps = ±1 must give ±1 and no warning
         th = np.tanh(t)
@@ -369,6 +370,7 @@ def soft_eps(seed, atoms=2000):
     return eps
 
 
+@pytest.mark.blas_threads
 class TestChannelOverlapBatched:
     """An array of eps gives, entry by entry, the bits of the scalar call."""
 
@@ -411,6 +413,7 @@ class TestChannelOverlapBatched:
 BLOCK = kernel_module._TABLE_BLOCK_CELLS // len(DEFAULT_RULE)
 
 
+@pytest.mark.blas_threads
 class TestQuadraturePlan:
     """The plan reads eps**2 in {0, 1} without a table row and tabulates each
     other distinct eps**2 once, with the bits of the per-eps reference."""
@@ -626,6 +629,7 @@ class TestApproxErrorSurface:
         small = _psi_tilde_from_tanh(e2, th[None, :, :]) @ DEFAULT_RULE.weights
         return np.abs(big - small) / big
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("q_count", [1, 100])
     def test_every_block_split_keeps_the_bits(self, q_count):
         # Row counts on each side of the block's row count at this q count,

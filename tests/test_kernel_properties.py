@@ -66,6 +66,7 @@ mixtures = st.builds(
 ).filter(len)
 
 
+@pytest.mark.blas_threads
 @examples
 @given(mixtures, snrs)
 def test_label_map_is_the_atom_order_sum(eps, q):

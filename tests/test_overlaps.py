@@ -125,6 +125,7 @@ def soft_mixture(seed, atoms):
     return EpsilonMixture(atoms=tuple(zip(eps.tolist(), (w / w.sum()).tolist())))
 
 
+@pytest.mark.blas_threads
 class TestBatchedLabelOverlapMap:
     """One kernel call per map evaluation, on one quadrature plan per mixture,
     with the bits of the per-atom sum."""
@@ -139,9 +140,9 @@ class TestBatchedLabelOverlapMap:
     def test_one_kernel_call_whatever_the_atom_count(self, monkeypatch):
         calls = []
 
-        def counting(eps, q):
-            calls.append(np.size(eps))
-            return channel_overlap(eps, q)
+        def counting(plan, q):
+            calls.append(plan.index.size)  # the plan's eps array size
+            return channel_overlap(plan, q)
 
         monkeypatch.setattr(overlaps_module, "channel_overlap", counting)
         for atoms in (3, 40, 2000):

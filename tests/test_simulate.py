@@ -344,6 +344,7 @@ class TestGenerateDataset:
 
 
 BOOL_SEEDS = [True, False, np.True_, np.array(True), [3, True], (np.False_, 2)]
+NEGATIVE_SEEDS = [-1, np.int64(-1), [3, -1], (np.int32(-2), 2), np.array([1, -1])]
 SEEDED_CALLS = {
     "generate_dataset": lambda seed: generate_dataset(4, 10, 1.0, [(0.2, 0.9)], seed=seed),
     "channel_overlap_mc_stats": lambda seed: channel_overlap_mc_stats(0.3, 0.7, 10, seed=seed),
@@ -403,8 +404,9 @@ class TestDatasetChecks:
 
 class TestSeeds:
     """A seed goes to ``default_rng`` as given, which would read a bool as 0
-    or 1; a bool seed, or a bool entry of a sequence seed, is rejected before
-    any draw."""
+    or 1 and reject a negative integer without naming the seed; a bool or
+    negative seed, or such an entry of a sequence seed, is rejected by name
+    before any draw."""
 
     @pytest.mark.parametrize("seed", BOOL_SEEDS, ids=repr)
     @pytest.mark.parametrize("name", SEEDED_CALLS)
@@ -415,6 +417,17 @@ class TestSeeds:
         monkeypatch.setattr(simulate, "_base_draw", no_draw)
         monkeypatch.setattr(simulate.np.random, "default_rng", no_draw)
         with pytest.raises(ValueError, match="seed must be an integer .*, not a bool"):
+            SEEDED_CALLS[name](seed)
+
+    @pytest.mark.parametrize("seed", NEGATIVE_SEEDS, ids=repr)
+    @pytest.mark.parametrize("name", SEEDED_CALLS)
+    def test_negative_seed_rejected_before_any_draw(self, monkeypatch, name, seed):
+        def no_draw(*args):
+            raise AssertionError("a draw started before the seed was checked")
+
+        monkeypatch.setattr(simulate, "_base_draw", no_draw)
+        monkeypatch.setattr(simulate.np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
             SEEDED_CALLS[name](seed)
 
     @pytest.mark.parametrize("seed", [1, np.int64(1), [1], (3, 2), np.array([3, 2])])
@@ -713,6 +726,7 @@ class TestLeanPassLoop:
         ],
         ids=["kappa-1", "soft-kappa", "unlabeled", "lam-0", "t_max-1", "early-stop", "two-blocks"],
     )
+    @pytest.mark.blas_threads
     def test_matches_the_old_loop(self, lam, labeling, t_max, stops_early):
         p, n = 60, 300
         for seed in (3, 4):
@@ -789,6 +803,7 @@ def gemv_loop(ds, t_max):
     return v, iterations
 
 
+@pytest.mark.blas_threads
 class TestSemisupervisedColumns:
     """The classifier scores G rows of confidences on one feature matrix as
     the columns of one run: with one column it is the matrix-vector pass
@@ -861,6 +876,7 @@ class TestSearchSchedules:
     intended mixture; the workers run no recursion.  A probe's dataset would
     give the realised lam and mixture, equal up to rounding."""
 
+    @pytest.mark.blas_threads
     def test_search_schedules_track_the_realised_recursion(self, monkeypatch):
         # the `search` benchmark's config: labeled-needed's defaults, etas [0.02]
         cfg = {**cli._COMMANDS["labeled-needed"].defaults, "etas": [0.02]}
@@ -1006,6 +1022,7 @@ class TestLabeledNeededEmpirical:
 CORE_SETS = [{0}, {0, 1}, {0, 1, 2, 3}]
 
 
+@pytest.mark.blas_threads
 class TestFreshReplicates:
     """``simulate`` and ``reduction`` run the fresh-draw replicates of every
     point as the units of one ``_owned_map``, on up to one participant per
@@ -1317,6 +1334,7 @@ class TestReplicateBank:
                     a, b = getattr(rebuilt, field), getattr(fresh, field)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
+    @pytest.mark.blas_threads
     def test_probes_build_no_dataset(self, monkeypatch):
         p, n, lam, t_max = 40, 200, 1.0, 20
         draw = simulate._base_draw(p, n, lam, [3, 1])
@@ -1384,6 +1402,7 @@ class TestReplicateBank:
         for a, b in zip(reference, again):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("p, n, lam, eta, kappa, seed, target, count", GOLDEN)
     def test_golden_counts(self, monkeypatch, p, n, lam, eta, kappa, seed, target, count):
         calls = record_rounds(monkeypatch)
@@ -1505,6 +1524,7 @@ class TestReplicatePool:
     a serial loop, a dead worker must make the call raise, and no worker may
     outlive the call."""
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("p, n, lam, eta, kappa, seed, target, count", GOLDEN)
     def test_counts_do_not_depend_on_the_worker_count(
         self, monkeypatch, p, n, lam, eta, kappa, seed, target, count
@@ -1523,6 +1543,7 @@ class TestReplicatePool:
         [(3, 2, case) for case in GOLDEN] + [(5, 4, case) for case in GOLDEN_FIVE],
         ids=["3-on-2-int-seed", "3-on-2-sequence-seed", "5-on-4-int-seed", "5-on-4-sequence-seed"],
     )
+    @pytest.mark.blas_threads
     def test_uneven_ownership_gives_the_golden_counts(self, monkeypatch, reps, workers, case):
         # one worker owns a replicate more than another
         p, n, lam, eta, kappa, seed, target, count = case
