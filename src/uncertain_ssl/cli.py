@@ -364,7 +364,7 @@ def cmd_reduction(cfg: dict) -> dict[str, Iterable[str]]:
         raise CliError("sweep must be 'lambda' or 'c'")
     eta = _check_unit(cfg["eta"], "eta")
     kappa = _check_kappa(cfg["kappa"])
-    p = int(cfg["p"])
+    p = _check_count(cfg["p"], "p")
     reps = int(cfg["reps"])
     t_max = int(cfg["t_max"])
     seed = int(cfg["seed"])
@@ -383,19 +383,27 @@ def cmd_reduction(cfg: dict) -> dict[str, Iterable[str]]:
     # reliability kappa, whose plug-in direction is worth eta (2 kappa - 1)^2
     # certain labels; at kappa = 1 these are certainty(eta) and eta exactly.
     mixture = _intended_mixture([(eta, kappa)])
+    names = [f"{key} value {x:g}" for x in values]  # what names a point in a message
     bounds = []
-    for lam, c in points:
+    for (lam, c), name in zip(points, names):
         e_sup_th = supervised_risk_theory(lam, c, eta * (2.0 * kappa - 1.0) ** 2)
         e_semi_th = bayes_risk(solve_overlaps(lam, c, mixture).q_u)
         e_oracle_th = oracle_risk(lam)
-        bounds.append((
-            absolute_reduction(e_sup_th, e_semi_th),
-            oracle_relative_reduction(e_sup_th, e_semi_th, e_oracle_th),
-        ))
-    draws = [
-        (p, int(round(c * p)), lam, [(eta, kappa)], [seed, index])
-        for index, (lam, c) in enumerate(points)
-    ]
+        try:
+            bounds.append((
+                absolute_reduction(e_sup_th, e_semi_th),
+                oracle_relative_reduction(e_sup_th, e_semi_th, e_oracle_th),
+            ))
+        except ValueError as exc:
+            raise CliError(f"{name}: {exc}") from None
+    # Then every point's sample count, which the theory does not read.
+    draws = []
+    for index, ((lam, c), name) in enumerate(zip(points, names)):
+        n = round(c * p)
+        if n < 1:
+            name = name if sweep == "c" else f"c value {c:g}"
+            raise CliError(f"{name} gives n = round(c * p) = {n} at p = {p}: n must be at least 1")
+        draws.append((p, n, lam, [(eta, kappa)], [seed, index]))
     errors = _fresh_replicate_errors(draws, reps, t_max)
 
     algos = []

@@ -214,16 +214,24 @@ def _base_draw(p: int, n: int, lam: float, seed):
     return mu, y, features, rng.random(n)
 
 
+def _block_ends(n: int, blocks) -> list:
+    """Where each of the checked label ``blocks`` ends among n samples: block
+    i at min(round((f_1 + ... + f_i) n), n), the fractions summed in order.
+    The last end is the labeled count, the same for every draw."""
+    ends, cumulative = [], 0.0
+    for frac, _ in blocks:
+        cumulative += frac
+        ends.append(min(round(cumulative * n), n))
+    return ends
+
+
 def _label_eps(draw, blocks) -> np.ndarray:
     """The signed confidences of a ``_base_draw`` under the checked label
     ``blocks``."""
     _, y, _, uniforms = draw
-    n = y.size
-    eps = np.zeros(n, dtype=float)
-    start, cumulative = 0, 0.0
-    for frac, kappa in blocks:
-        cumulative += frac
-        end = min(round(cumulative * n), n)
+    eps = np.zeros(y.size, dtype=float)
+    start = 0
+    for (_, kappa), end in zip(blocks, _block_ends(y.size, blocks)):
         sl = slice(start, end)
         report = np.where(uniforms[sl] < kappa, y[sl], -y[sl])
         eps[sl] = report * (2.0 * kappa - 1.0)
@@ -436,8 +444,6 @@ def _usable_cores() -> int:
 
 def _fresh_replicate(p, n, lam, labeling, t_max, stream) -> tuple:
     ds = generate_dataset(p, n, lam, labeling, seed=stream)
-    if ds.n_labeled == ds.n:
-        raise SimulationError("the labeling leaves no unlabeled sample to score")
     oracle = classify_oracle(ds).error_unlabeled
     sup = classify_supervised(ds).error_unlabeled
     semi = classify_semisupervised(ds, t_max=t_max).error_unlabeled
@@ -503,30 +509,37 @@ def _owned_rounds(build, count: int, caller_owns: bool):
     pickled: a ``functools.partial`` of a module-level function on small
     arguments.  A job is pickled once per worker and round whatever the
     start method.  ``multiprocessing`` is imported here, not at module
-    level, to keep it off every command's start-up.
+    level, to keep it off every command's start-up.  So is ``numpy.random``,
+    just before the workers start: its import also loads ``secrets``,
+    ``hashlib`` and OpenSSL, about 5 MB that each forked worker inherits
+    from the calling process instead of loading on its first draw, while a
+    command that never forks does not load it at all.  On the four Monte
+    Carlo commands' defaults (``labeled-needed`` with etas [0.02]) this took
+    each worker's peak about 5 MB lower (``VmHWM``, 2 cores, 3 runs).
 
     Processes, not threads.  Threads would keep every unit's state in one
     process, and the largest process is the command's peak memory: on
     ``labeled-needed``'s defaults with etas [0.02], on 2 cores, workers that
-    each hold the 5 draws they own (8 MB) peaked at 41.8 MB and the calling
-    process at 30.7 MB, where every draw in the calling process, shared with
-    forked workers, peaked at 53.3 MB (``ru_maxrss``, 3 runs).  And threads
-    would gain no time to pay for it: only a pass's matrix products release
-    the GIL, and one 6-column search round on the 10 replicates took 84 ms
-    on two threads and 83 ms on two processes, in process.  Units are not
-    batched with each other: a search replicate's 200 x 1000 matrix is
-    1.6 MB, and the matrix products of five replicates run pass by pass in
-    lockstep took 48 ms against 45 ms run one replicate after another (2 MB
-    L2 per core).
+    each hold the 5 draws they own (8 MB) peaked at 35.9 MB and the calling
+    process at 37.2 MB, where every draw in the calling process, shared with
+    forked workers, peaked at 53.3 MB (peak resident sets, 3 runs).  And
+    threads would gain no time to pay for it: only a pass's matrix products
+    release the GIL, and one 6-column search round on the 10 replicates
+    took 84 ms on two threads and 83 ms on two processes, in process.  Units
+    are not batched with each other: a search replicate's 200 x 1000 matrix
+    is 1.6 MB, and the matrix products of five replicates run pass by pass
+    in lockstep took 48 ms against 45 ms run one replicate after another
+    (2 MB L2 per core).
     """
     # caller_owns: the Monte Carlo map's calling process must run a share,
     # since a traced run only sees the calling process's spans.  The
     # search's must not: on the same command a calling process that owned
-    # share 0 peaked at 46.9 MB against 41.4 MB for its worker (ru_maxrss,
+    # share 0 peaked at 46.5 MB against 36.0 MB for its worker (VmHWM,
     # 2 runs), most likely because a forked child does not count the
     # parent's file-backed pages until it touches them.
     import multiprocessing
 
+    np.random.default_rng  # loads numpy.random for the workers to inherit
     methods = multiprocessing.get_all_start_methods()  # the platform default first
     context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
     width = min(count, _usable_cores())
@@ -599,20 +612,31 @@ def _fresh_replicate_unit(points, reps: int, t_max: int, index: int) -> tuple:
 def _fresh_replicate_errors(points, reps: int, t_max: int) -> list:
     """Per point (p, n, lam, labeling, seed) of ``points``, in order, the
     list of its replicates' unlabeled-sample errors (oracle, supervised,
-    semi-supervised), replicate r on a fresh draw from (seed, r).  A draw
-    without an unlabeled sample, or without a labeled one (the supervised
-    classifier's error), fails with ``SimulationError``.
+    semi-supervised), replicate r on a fresh draw from (seed, r).
+
+    ``t_max`` is checked first, then each point in order, before any
+    participant starts: its seed, then p, n, lam and the labeling as
+    ``generate_dataset`` checks them.  The labeled count depends only on n
+    and the labeling (``_block_ends``), so a point whose replicates would
+    have no unlabeled sample to score, or no labeled one for the supervised
+    classifier, fails here with ``SimulationError``, in that order.
 
     The (point, replicate) pairs of every point are the units of one
     ``_owned_map``, in that order: each participant draws and scores one
     replicate at a time, building its stream when it reaches it.  The
     results do not depend on the participant count, and a failing replicate
-    raises first in (point, replicate) order.  ``t_max`` and every point's
-    seed are checked first, before any participant starts.
+    raises first in (point, replicate) order.
     """
     t_max = _check_count(t_max, "t_max")
-    for point in points:
-        _check_seed(point[4])
+    for p, n, lam, labeling, seed in points:
+        _check_seed(seed)
+        p, n, lam = _check_count(p, "p"), _check_count(n, "n"), _check_nonneg(lam, "lam")
+        ends = _block_ends(n, _check_labeling(labeling))
+        n_labeled = ends[-1] if ends else 0
+        if n_labeled == n:
+            raise SimulationError("the labeling leaves no unlabeled sample to score")
+        if n_labeled == 0:
+            raise SimulationError("supervised classifier needs labeled samples")
     unit = functools.partial(_fresh_replicate_unit, points, reps, t_max)
     results = _owned_map(unit, len(points) * reps)
     return [results[start : start + reps] for start in range(0, len(results), reps)]

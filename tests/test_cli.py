@@ -320,9 +320,16 @@ class TestExitCodes:
             ("simulate", {"n": 40, "p": 10, "labeling": [], "reps": 2, "t_max": 5}),
             # round(0.01 * 20) = 0 labeled samples per replicate
             ("reduction", {"eta": 0.01, "p": 20, "lambdas": [1.0], "reps": 2, "t_max": 5}),
+            # round(0.2 * 1) = 0 at every point
+            ("reduction", {"p": 1}),
         ],
     )
-    def test_no_labeled_sample_exits_4(self, tmp_path, capsys, command, payload):
+    def test_no_labeled_sample_exits_4(self, tmp_path, monkeypatch, capsys, command, payload):
+        # the labeled count is known before any draw, so no worker starts
+        def no_workers(*args, **kwargs):
+            raise AssertionError("workers started for a labeling no replicate can score")
+
+        monkeypatch.setattr(simulate, "_owned_rounds", no_workers)
         cfg = write_config(tmp_path / "cfg.json", payload)
         out = tmp_path / "out.dat"
         assert run_cli(command, "--config", cfg, "--out", str(out)) == 4
@@ -332,49 +339,29 @@ class TestExitCodes:
         assert list(tmp_path.glob("out*")) == []
 
     @pytest.mark.parametrize(
-        "command, payload, first_streams",
+        "command, payload",
         [
-            (
-                "simulate",
-                {"n": 40, "p": 10, "labeling": [[1.0, 0.9]], "reps": 4, "t_max": 5},
-                [[1234, 0], [1234, 1]],
-            ),
-            (
-                "reduction",
-                {"eta": 1.0, "p": 20, "lambdas": [1.0, 2.0], "reps": 4, "t_max": 5},
-                [[20240, 0, 0], [20240, 0, 1]],
-            ),
+            ("simulate", {"n": 40, "p": 10, "labeling": [[1.0, 0.9]], "reps": 4, "t_max": 5}),
+            ("reduction", {"eta": 1.0, "p": 20, "lambdas": [1.0, 2.0], "reps": 4, "t_max": 5}),
+            ("simulate", {"n": 40, "p": 10, "labeling": [[1.0, 1.0]], "reps": 4, "t_max": 5}),
         ],
     )
     def test_every_sample_labeled_exits_4_at_the_first_replicate(
-        self, tmp_path, monkeypatch, capsys, command, payload, first_streams
+        self, tmp_path, monkeypatch, capsys, command, payload
     ):
-        # The forked worker inherits the patch; each process logs its draws
-        # with its pid.
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("the patch reaches the workers only through fork")
-        log = tmp_path / "draws.log"
-        draw = simulate.generate_dataset
+        # The command exits with the error its first replicate would raise,
+        # but before any worker starts or any replicate is drawn: the labeled
+        # count depends only on n and the labeling.
+        def no_workers(*args, **kwargs):
+            raise AssertionError("workers started for a labeling no replicate can score")
 
-        def recording_draw(p, n, lam, labeling, seed):
-            with open(log, "a") as handle:
-                handle.write(json.dumps([os.getpid(), seed]) + "\n")
-            return draw(p, n, lam, labeling, seed)
-
-        monkeypatch.setattr(simulate, "generate_dataset", recording_draw)
-        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(simulate, "_owned_rounds", no_workers)
+        monkeypatch.setattr(simulate, "_base_draw", no_workers)
         cfg = write_config(tmp_path / "cfg.json", payload)
         out = tmp_path / "out.dat"
         assert run_cli(command, "--config", cfg, "--out", str(out)) == 4
         err = capsys.readouterr().err
         assert err == "error: the labeling leaves no unlabeled sample to score\n"
-        assert multiprocessing.active_children() == []
-        # two participants: each fails at its first replicate and draws no
-        # other.  The calling process's replicate 0 fails first in order, so
-        # the worker may be stopped before it draws replicate 1.
-        drawn = [json.loads(line) for line in log.read_text().splitlines()]
-        assert [seed for pid, seed in drawn if pid == os.getpid()] == first_streams[:1]
-        assert [seed for pid, seed in drawn if pid != os.getpid()] in ([], first_streams[1:])
         assert list(tmp_path.glob("out*")) == []
 
     def test_nonconvergence_exit(self, tmp_path):
@@ -726,6 +713,36 @@ class TestReductionCommand:
             "error: lam * lam * c * eta must be finite, got lam = 1e+200, c = 1 and eta = 0.2\n"
         )
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (
+                {"lambdas": [0.0, 1.0]},
+                "lambdas value 0: e_sup must exceed e_oracle (degenerate denominator)",
+            ),
+            (
+                {"sweep": "c", "cs": [0.001, 1.0]},
+                "cs value 0.001 gives n = round(c * p) = 0 at p = 200: n must be at least 1",
+            ),
+            (
+                {"c": 0.002, "p": 100},
+                "c value 0.002 gives n = round(c * p) = 0 at p = 100: n must be at least 1",
+            ),
+        ],
+        ids=["lambda-zero", "c-below-one-sample", "fixed-c-below-one-sample"],
+    )
+    def test_unusable_point_named_before_any_worker(
+        self, tmp_path, monkeypatch, capsys, payload, message
+    ):
+        def no_workers(*args, **kwargs):
+            raise AssertionError("workers started before every point was checked")
+
+        monkeypatch.setattr(simulate, "_owned_rounds", no_workers)
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert run_cli("reduction", "--config", cfg, "--out", str(tmp_path / "r.dat")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.glob("r.*")) == []
+
     def test_theory_follows_the_labels_drawn(self, tmp_path):
         # kappa-reliable labels are worth less than certain ones, so both the
         # supervised baseline and the Bayes risk move, and the bound with them
@@ -868,8 +885,9 @@ class TestStartup:
         assert done.stdout.splitlines()[-1] == "[]"
 
     def test_import_loads_no_process_pool(self):
-        # The Monte Carlo commands import multiprocessing when their workers
-        # start, and nothing imports concurrent.futures.
+        # The Monte Carlo commands import multiprocessing, and load
+        # numpy.random (about 6 MB), when their workers start, and nothing
+        # imports concurrent.futures.
         # numpy.polynomial, which computes the quadrature rule, is test-only.
         script = (
             "import sys\n"
@@ -877,6 +895,7 @@ class TestStartup:
             "pool = ('multiprocessing', 'concurrent')\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in pool or m in pool))\n"
             "print('numpy.polynomial' in sys.modules)\n"
+            "print('numpy.random' in sys.modules)\n"
         )
         paths = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
@@ -884,4 +903,4 @@ class TestStartup:
             [sys.executable, "-c", script],
             capture_output=True, text=True, env=env, timeout=60, check=True,
         )
-        assert done.stdout.splitlines()[-2:] == ["[]", "False"]
+        assert done.stdout.splitlines()[-3:] == ["[]", "False", "False"]

@@ -4,6 +4,7 @@ collapsed approximation, and the relative-change contraction."""
 
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -276,6 +277,45 @@ class TestSolveOverlaps:
             solve_overlaps(2.0, 1.0, EpsilonMixture.certainty(0.2), tol=1e-16, max_iter=2)
         assert info.value.last.iterations >= 1
         assert math.isfinite(info.value.last.q_v)
+
+    def test_damped_steps_stop_only_below_tol(self):
+        # a first step of exactly tol is taken: the loop stops on |step| < tol
+        lam, c, mix = 2.0, 1.0, EpsilonMixture.certainty(0.2)
+
+        def defect(q_v):  # as solve_overlaps builds it
+            q_u = overlaps_module._feature_map(lam, c, q_v if q_v < 1.0 else 1.0)
+            return q_v - qv_from_qu(mix, q_u)
+
+        tol = abs(defect(1.0))
+        assert tol > 0.0
+        _, _, iterations = overlaps_module._solve_from(defect, 1.0, tol, 100, False)
+        assert iterations > 1
+
+    def test_damped_iterate_past_one_reaches_the_feature_map_clamped(self, monkeypatch):
+        # With every |eps| = 1 the label map is the weights' sum, which can
+        # round above 1; the damped step from q_v = 1 then carries the
+        # iterate past 1.  A seeded search finds such a mixture.
+        rng = random.Random(191)
+        for _ in range(200):
+            weights = [rng.random() for _ in range(rng.randint(2, 40))]
+            total = sum(weights)
+            atoms = tuple((rng.choice((-1.0, 1.0)), w / total) for w in weights)
+            mixture = EpsilonMixture(atoms=atoms)
+            if qv_from_qu(mixture, 1.0) >= 1.0 + 2.0**-51:
+                break
+        else:
+            pytest.fail("no mixture whose label map rounds above 1")
+        seen = []
+        feature_map = overlaps_module._feature_map
+
+        def recording(lam, c, q_v):
+            seen.append(q_v)
+            return feature_map(lam, c, q_v)
+
+        monkeypatch.setattr(overlaps_module, "_feature_map", recording)
+        with pytest.raises(ConvergenceError):
+            solve_overlaps(2.0, 1.0, mixture, tol=1e-300, max_iter=5)
+        assert seen and max(seen) <= 1.0
 
 
 class TestSolveCertainty:

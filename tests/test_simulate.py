@@ -256,6 +256,18 @@ class TestGenerateDataset:
         assert ds.n_labeled == 0
         np.testing.assert_array_equal(ds.label_eps, 0.0)
 
+    def test_labeled_count_is_the_last_block_end(self):
+        # the checks before a Monte Carlo map read it without drawing
+        rng = np.random.default_rng(5)
+        for seed in range(60):
+            n = int(rng.integers(1, 60))
+            fracs = rng.random(int(rng.integers(0, 5)))
+            fracs *= rng.random() / max(fracs.sum(), 1.0)
+            blocks = [(f, 0.75) for f in fracs.tolist()]
+            ends = simulate._block_ends(n, blocks)
+            ds = generate_dataset(1, n, 1.0, blocks, seed=seed)
+            assert ds.n_labeled == (ends[-1] if ends else 0)
+
     def test_realized_effective_eta(self):
         ds = generate_dataset(10, 100_000, 1.0, [(0.4, 0.75)], seed=21)
         realized = EpsilonMixture.from_samples(ds.label_eps).eps_bar_sq
@@ -1034,6 +1046,9 @@ class TestFreshReplicates:
     and 500 000 cells."""
 
     P, N, LAM, LABELING, SEED, REPS, T_MAX = 500, 1000, 1.5, [(0.2, 0.9)], 7, 5, 20
+    # A point for tests that patch the replicate itself, so nothing is drawn:
+    # one of its two samples labeled, as the checks before the map require.
+    STUB = (1, 2, 1.0, [(0.5, 1.0)], 0)
 
     @pytest.fixture
     def maps(self, monkeypatch):
@@ -1116,7 +1131,7 @@ class TestFreshReplicates:
             return r, None, -r
 
         monkeypatch.setattr(simulate, "_fresh_replicate", replicate)
-        points = [(1, 1, 1.0, [], [0, index]) for index in range(2)]
+        points = [(*self.STUB[:4], [0, index]) for index in range(2)]
         for _ in self.each_core_set(monkeypatch):
             with pytest.raises(SimulationError, match="point 0 replicate 3 failed"):
                 simulate._fresh_replicate_errors(points, 5, 1)
@@ -1165,7 +1180,7 @@ class TestFreshReplicates:
         monkeypatch.setattr(simulate, "_fresh_replicate", replicate)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
         with pytest.raises(SimulationError, match=f"^replicate {slow} failed$"):
-            simulate._fresh_replicate_errors([(1, 1, 1.0, [], 0)], 6, 1)
+            simulate._fresh_replicate_errors([self.STUB], 6, 1)
         assert multiprocessing.active_children() == []
 
     def test_streams_are_built_only_as_replicates_are_submitted(self, monkeypatch, tmp_path):
@@ -1202,7 +1217,7 @@ class TestFreshReplicates:
         log.write_text("")
         for cores in self.each_core_set(monkeypatch):
             width = min(len(cores), 5)
-            errors = simulate._fresh_replicate_errors([(1, 1, 1.0, [], 0)], 5, 1)
+            errors = simulate._fresh_replicate_errors([self.STUB], 5, 1)
             assert errors == [[(r, None, -r) for r in range(5)]]
             owned = built()
             # participant k builds each of its replicates k, k + W, ... once, in order
@@ -1210,7 +1225,7 @@ class TestFreshReplicates:
             assert owned[os.getpid()] == list(range(0, 5, width))  # the calling process is one
             # the workers still running are terminated, not waited for
             with hang_guard(30), pytest.raises(SimulationError, match="replicate 5 failed"):
-                simulate._fresh_replicate_errors([(1, 1, 1.0, [], 0)], 10_000, 1)
+                simulate._fresh_replicate_errors([self.STUB], 10_000, 1)
             assert multiprocessing.active_children() == []
             owned = built()
             assert len(owned) <= len(cores)
@@ -1233,7 +1248,7 @@ class TestFreshReplicates:
         monkeypatch.setattr(simulate, "_fresh_replicate", replicate)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
         with hang_guard(), pytest.raises(RuntimeError, match="^worker 1 exited with code 7"):
-            simulate._fresh_replicate_errors([(1, 1, 1.0, [], 0)], 8, 1)
+            simulate._fresh_replicate_errors([self.STUB], 8, 1)
         assert multiprocessing.active_children() == []
 
     def test_spawned_workers_give_the_same_errors(self, monkeypatch):
@@ -1742,3 +1757,28 @@ class TestReplicatePool:
             caller.wait()
         assert_exit(workers)
         caller.stdout.close()
+
+    def test_workers_inherit_numpy_random_from_the_calling_process(self):
+        # A fresh interpreter, so the test process's own imports mask
+        # nothing.  The calling process loads numpy.random just before the
+        # workers fork; each worker reports whether it had the module when
+        # it built its first unit, before any draw.
+        fork_only()
+        script = (
+            "import os, sys\n"
+            "from uncertain_ssl import simulate\n"
+            "print('numpy.random' in sys.modules)\n"
+            "def build(index):\n"
+            "    return os.getpid(), 'numpy.random' in sys.modules\n"
+            "simulate._usable_cores = lambda: 2\n"
+            "with simulate._owned_rounds(build, 2, caller_owns=False) as run:\n"
+            "    units = run(tuple)\n"
+            "print(len({pid for pid, _ in units} - {os.getpid()}), [had for _, had in units])\n"
+        )
+        paths = [os.path.dirname(os.path.dirname(simulate.__file__)), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        assert done.stdout.splitlines() == ["False", "2 [True, True]"]
